@@ -27,6 +27,7 @@ from .rings import (
     BasedRingTable,
     DimensionFunction,
     LazyBasedRing,
+    REL_TOL,
     Ring,
     dual,
     fuse,
@@ -34,8 +35,6 @@ from .rings import (
     ring_dims,
 )
 from .verification import VerificationReport
-
-REL_TOL = 1e-6
 
 
 class BasedModuleTable:

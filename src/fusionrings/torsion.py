@@ -23,6 +23,7 @@ import math
 import os
 import threading
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -40,10 +41,8 @@ from .modules import (
     singleton_module,
     standard_module,
 )
-from .rings import BasedRingTable, LazyBasedRing, fuse, ring_dims
+from .rings import REL_TOL, BasedRingTable, LazyBasedRing, fuse, ring_dims
 from .spectra import FusionGraph
-
-REL_TOL = 1e-6
 
 
 def default_thread_count() -> int:
@@ -312,15 +311,56 @@ _EPS = 1e-9
 @dataclass
 class _SearchState:
     """Partial assignment: rows of the generator matrices plus an interval
-    for every vertex dimension, narrowed by bound propagation."""
+    for every vertex dimension, narrowed by bound propagation.
+
+    ``pending`` lists the fixed rows ``(gi, b, row)`` in the order they were
+    added, and three indices record which constraints read which interval:
+    ``vrows[v]`` holds the ``pending`` indices of the row equations in which
+    vertex v is the row vertex or a participant, ``vcols[b]`` the column
+    keys ``(gi, c)`` that the rows of b feed, and ``cols[(gi, c)]`` the
+    ``(b, mult)`` entries of column c of generator gi in row order.  The
+    indices hold tuples that are replaced, never mutated, so ``clone``
+    copies only the outer containers.
+    """
 
     nvert: int
     rows: dict
     dims: list  # per vertex: (lo, hi)
     pending: list
+    vrows: list
+    vcols: list
+    cols: dict
+
+    @classmethod
+    def root(cls) -> "_SearchState":
+        return cls(nvert=1, rows={}, dims=[(1.0, 1.0)], pending=[], vrows=[()], vcols=[()], cols={})
 
     def clone(self) -> "_SearchState":
-        return _SearchState(self.nvert, dict(self.rows), list(self.dims), list(self.pending))
+        return _SearchState(
+            self.nvert,
+            dict(self.rows),
+            list(self.dims),
+            list(self.pending),
+            list(self.vrows),
+            list(self.vcols),
+            dict(self.cols),
+        )
+
+    def add_row(self, gi: int, b: int, row: tuple, new_count: int, d_max: float) -> None:
+        """Fix row (gi, b), adding ``new_count`` vertices seeded [1, d_max]."""
+        self.nvert += new_count
+        self.dims.extend([(1.0, d_max)] * new_count)
+        self.vrows.extend([()] * new_count)
+        self.vcols.extend([()] * new_count)
+        index = len(self.pending)
+        self.rows[(gi, b)] = row
+        self.pending.append((gi, b, row))
+        self.vrows[b] += (index,)
+        for c, mult in row:
+            if c != b:
+                self.vrows[c] += (index,)
+            self.cols[(gi, c)] = self.cols.get((gi, c), ()) + ((b, mult),)
+        self.vcols[b] += tuple((gi, c) for c, _ in row)
 
 
 class _Searcher:
@@ -381,75 +421,107 @@ class _Searcher:
         return 0
 
     def _propagate(self, state: _SearchState) -> bool:
-        """Bound propagation over the row equations sum_c m_c D_c = d(g) D_b.
+        """Worklist bound propagation (AC-3) after the last pending row was fixed.
 
         Every vertex dimension lives in an interval, seeded [1, d_max] and
-        pinned to 1 at the root; each equation narrows its participants to a
-        fixpoint, and an empty interval refutes the branch.
+        pinned to 1 at the root.  Two kinds of constraint narrow them: the
+        row equations sum_c m_c D_c = d(g) D_b of the fixed rows, and the
+        column bounds: the transpose equation sum_b m_{b,c} D_b = d(g) D_c
+        holds at completion, and with nonnegative future entries the partial
+        column sum gives D_c >= partial_lo / d(g).  An empty interval refutes
+        the branch.
+
+        The parent state is already at the fixpoint, so the worklist starts
+        from the new row and the columns it feeds.  When an interval shrinks,
+        the row equations that read it (``vrows``) are queued again; when a
+        lower bound rises, so are the columns its rows feed (``vcols``); when
+        an upper bound falls, so are the columns of that vertex itself.  Only
+        the order of revisions depends on the worklist: it stops where one more
+        sweep over every constraint would move no interval by more than the
+        change threshold of ``_narrow``.  Revisions are capped at 200 per
+        constraint; at the cap the branch is kept, since "not refuted" is
+        always sound.
         """
-        for _ in range(200):
-            dirty = False
-            for gi, b, row in state.pending:
+        dims = state.dims
+        pending = state.pending
+        vrows, vcols, cols = state.vrows, state.vcols, state.cols
+        new_index = len(pending) - 1
+        gi_new, _, row_new = pending[new_index]
+        row_queue = deque([new_index])
+        row_queued = {new_index}
+        col_queue = deque((gi_new, c) for c, _ in row_new)
+        col_queued = set(col_queue)
+
+        def shrunk(v: int, old: tuple[float, float]) -> None:
+            lo, hi = dims[v]
+            for index in vrows[v]:
+                if index not in row_queued:
+                    row_queued.add(index)
+                    row_queue.append(index)
+            if lo > old[0]:
+                for key in vcols[v]:
+                    if key not in col_queued:
+                        col_queued.add(key)
+                        col_queue.append(key)
+            if hi < old[1]:
+                for gi in range(self.kgen):
+                    key = (gi, v)
+                    if key in cols and key not in col_queued:
+                        col_queued.add(key)
+                        col_queue.append(key)
+
+        for _ in range(200 * (len(pending) + len(cols))):
+            if row_queue:
+                index = row_queue.popleft()
+                row_queued.discard(index)
+                gi, b, row = pending[index]
                 d_g = self.d_gen[gi]
                 sum_lo = 0.0
                 sum_hi = 0.0
                 for c, mult in row:
-                    lo_c, hi_c = state.dims[c]
+                    lo_c, hi_c = dims[c]
                     sum_lo += mult * lo_c
                     sum_hi += mult * hi_c
-                target_lo = d_g * state.dims[b][0]
-                target_hi = d_g * state.dims[b][1]
+                target_lo = d_g * dims[b][0]
+                target_hi = d_g * dims[b][1]
                 slack = REL_TOL * max(1.0, target_hi)
                 if sum_lo > target_hi + slack or sum_hi < target_lo - slack:
                     return False
                 # narrow the row vertex through its equation
+                old = dims[b]
                 result = self._narrow(state, b, sum_lo / d_g, sum_hi / d_g)
                 if result < 0:
                     return False
-                dirty |= result > 0
+                if result:
+                    shrunk(b, old)
                 # narrow each participant against the rest of the sum
                 for c, mult in row:
-                    lo_c, hi_c = state.dims[c]
+                    old = lo_c, hi_c = dims[c]
                     rest_lo = sum_lo - mult * lo_c
                     rest_hi = sum_hi - mult * hi_c
-                    lo_new = (d_g * state.dims[b][0] - rest_hi) / mult
-                    hi_new = (d_g * state.dims[b][1] - rest_lo) / mult
+                    lo_new = (d_g * dims[b][0] - rest_hi) / mult
+                    hi_new = (d_g * dims[b][1] - rest_lo) / mult
                     result = self._narrow(state, c, lo_new, hi_new)
                     if result < 0:
                         return False
-                    dirty |= result > 0
-            result = self._column_narrow(state)
-            if result < 0:
-                return False
-            dirty |= result > 0
-            if not dirty:
+                    if result:
+                        shrunk(c, old)
+            elif col_queue:
+                key = col_queue.popleft()
+                col_queued.discard(key)
+                gi, c = key
+                col_lo = 0.0
+                for b, mult in cols[key]:
+                    col_lo += mult * dims[b][0]
+                old = dims[c]
+                result = self._narrow(state, c, col_lo / self.d_gen[gi], math.inf)
+                if result < 0:
+                    return False
+                if result:
+                    shrunk(c, old)
+            else:
                 return True
         return True
-
-    def _column_narrow(self, state: _SearchState) -> int:
-        """Partial column sums bound the target dimensions from below.
-
-        The transpose equation sum_b m_{b,c} D_b = d(g) D_c holds at
-        completion; with nonnegative future entries the partial sum is a
-        lower bound, so D_c >= partial_lo / d(g).
-        """
-        dirty = 0
-        for gi in range(self.kgen):
-            col_lo = [0.0] * state.nvert
-            for (g2, b), row in state.rows.items():
-                if g2 != gi:
-                    continue
-                lo_b = state.dims[b][0]
-                for c, mult in row:
-                    col_lo[c] += mult * lo_b
-            for c in range(state.nvert):
-                if col_lo[c] == 0.0:
-                    continue
-                result = self._narrow(state, c, col_lo[c] / self.d_gen[gi], float("inf"))
-                if result < 0:
-                    return -1
-                dirty |= result
-        return dirty
 
     # ---- row candidate generation
 
@@ -607,31 +679,40 @@ class _Searcher:
                     return gi, b
         return None
 
-    def _dfs(self, state: _SearchState):
+    def _child(self, state: _SearchState, gi: int, b: int, row) -> _SearchState | None:
+        """``state`` with row (gi, b) fixed and propagated, or None when the
+        row exceeds the size bound or propagation refutes it."""
+        new_count = sum(1 for c, _ in row if c >= state.nvert)
+        if state.nvert + new_count > self.max_size:
+            return None
+        child = state.clone()
+        child.add_row(gi, b, tuple(row), new_count, self.d_max)
+        return child if self._propagate(child) else None
+
+    def _expand(self, state: _SearchState):
+        """Count ``state`` as a search node; None at a leaf, else an
+        iterator over its children that survive propagation."""
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise _Budget()
         with self.lock:
             self.nodes += 1
         cell = self._next_cell(state)
         if cell is None:
+            return None
+        gi, b = cell
+        children = (self._child(state, gi, b, row) for row in self._row_options(state, gi, b))
+        return (child for child in children if child is not None)
+
+    def _dfs(self, state: _SearchState):
+        children = self._expand(state)
+        if children is None:
             self._harvest(state)
             return
-        gi, b = cell
-        for row in self._row_options(state, gi, b):
-            child = state.clone()
-            new_count = sum(1 for c, _ in row if c >= state.nvert)
-            child.nvert = state.nvert + new_count
-            if child.nvert > self.max_size:
-                continue
-            child.dims.extend([(1.0, self.d_max)] * new_count)
-            child.rows[(gi, b)] = tuple(row)
-            child.pending.append((gi, b, tuple(row)))
-            if not self._propagate(child):
-                continue
+        for child in children:
             self._dfs(child)
 
     def run(self) -> EnumerationResult:
-        root = _SearchState(nvert=1, rows={}, dims=[(1.0, 1.0)], pending=[])
+        root = _SearchState.root()
         complete = True
         threads = self.config.threads or default_thread_count()
         try:
@@ -640,20 +721,7 @@ class _Searcher:
             elif threads <= 1:
                 self._dfs(root)
             else:
-                first_options = list(self._row_options(root, 0, 0))
-                tasks = []
-                for row in first_options:
-                    child = root.clone()
-                    new_count = sum(1 for c, _ in row if c >= root.nvert)
-                    child.nvert = root.nvert + new_count
-                    if child.nvert > self.max_size:
-                        continue
-                    child.dims.extend([(1.0, self.d_max)] * new_count)
-                    child.rows[(0, 0)] = tuple(row)
-                    child.pending.append((0, 0, tuple(row)))
-                    if not self._propagate(child):
-                        continue
-                    tasks.append(child)
+                tasks = list(self._expand(root))
                 with ThreadPoolExecutor(max_workers=threads) as pool:
                     for future in [pool.submit(self._dfs, t) for t in tasks]:
                         future.result()

@@ -1,6 +1,8 @@
 """Enumeration, canonical forms, torsion verdicts, and proof-replay probes."""
 
+import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -40,6 +42,8 @@ from fusionrings import (
     word_module_structure_check,
     a_infinity_check,
 )
+from fusionrings import torsion
+from fusionrings.rings import REL_TOL
 
 
 # -- enumeration against the independent subgroup oracle -------------------------------
@@ -97,14 +101,113 @@ def test_enumerated_modules_are_verified_connected_cofinite():
 
 
 def test_enumeration_deterministic_across_thread_counts():
-    ring = permutation_group_ring(3)
-    outputs = []
-    for threads in (1, 2, 8):
-        result = enumerate_modules(
-            ring, ModuleSearchConfig(max_basis_size=6, threads=threads)
+    for ring, size in ((permutation_group_ring(3), 6), (su2_level(5), 10)):
+        outputs = []
+        nodes = []
+        for threads in (1, 2, 8):
+            result = enumerate_modules(
+                ring, ModuleSearchConfig(max_basis_size=size, threads=threads)
+            )
+            outputs.append([canonical_key(m) for m in result.classes])
+            nodes.append(result.nodes_explored)
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert nodes[0] == nodes[1] == nodes[2], ring.name
+
+
+# Search nodes and the sha256 of the sorted canonical class keys, one worker,
+# at the dimension bound.  The class keys never depend on propagation; the
+# node counts move only when its pruning power does.
+PINNED_SEARCHES = [
+    ("su2_level3", lambda: su2_level(3), 101,
+     "4d68450ef2c51ee11c400d22e6e1151ce5ba0195ef2c06b01ba576f3e5389c48"),
+    ("su2_level4", lambda: su2_level(4), 324,
+     "fc473629c056adb4ba198df4c4c240896dd53a7abab77e1ed1fbac6a01ada0d0"),
+    ("sym3", lambda: permutation_group_ring(3), 91,
+     "06bd43d938ba09b27aa5f3f6fd53d964b57eed0fcccc30ca58349cb063b108f6"),
+    ("cyclic6", lambda: cyclic_group_ring(6), 12,
+     "1c98f462295ece7be1ca8106d1f4f54d5f8520dbcc9b19c6c011f39d7adbd069"),
+    ("fib_squared", lambda: tensor_product(fibonacci(), fibonacci()), 664,
+     "cbdae7b08487c827e1fa6bff325540506b13314172b25fa2d5f078dac68b48fe"),
+    ("su2_level2xZ2", lambda: tensor_product(su2_level(2), cyclic_group_ring(2)), 2325,
+     "050265c1be6e1ca10cb6ec45b8b6f00422f0f8081bda1485f728a57a47faca59"),
+]
+
+
+def _keys_digest(classes):
+    keys = sorted(canonical_key(m) for m in classes)
+    return hashlib.sha256(repr(keys).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("make,nodes,digest", [case[1:] for case in PINNED_SEARCHES],
+                         ids=[case[0] for case in PINNED_SEARCHES])
+def test_search_nodes_and_classes_pinned(make, nodes, digest):
+    ring = make()
+    result = enumerate_modules(
+        ring, ModuleSearchConfig(max_basis_size=dimension_bound(ring), threads=1)
+    )
+    assert result.complete
+    assert (result.nodes_explored, _keys_digest(result.classes)) == (nodes, digest)
+
+
+def _assert_closed(searcher, state):
+    """One from-scratch pass over every row and column equation of ``state``
+    must neither refute it nor move an interval by more than the change
+    threshold of ``_Searcher._narrow``."""
+    eps, threshold = torsion._EPS, 1e-12
+
+    def check(v, lo, hi):
+        cur_lo, cur_hi = state.dims[v]
+        new_lo, new_hi = max(cur_lo, lo - eps), min(cur_hi, hi + eps)
+        assert new_lo <= new_hi + eps, f"vertex {v} refuted"
+        assert new_lo <= cur_lo + threshold and new_hi >= cur_hi - threshold, (
+            f"vertex {v}: {(cur_lo, cur_hi)} narrows to {(new_lo, new_hi)}"
         )
-        outputs.append([canonical_key(m) for m in result.classes])
-    assert outputs[0] == outputs[1] == outputs[2]
+
+    columns = {}
+    for (gi, b), row in state.rows.items():
+        d_g = searcher.d_gen[gi]
+        lo_b, hi_b = state.dims[b]
+        sum_lo = sum(m * state.dims[c][0] for c, m in row)
+        sum_hi = sum(m * state.dims[c][1] for c, m in row)
+        slack = REL_TOL * max(1.0, d_g * hi_b)
+        assert d_g * lo_b - slack <= sum_hi and sum_lo <= d_g * hi_b + slack
+        check(b, sum_lo / d_g, sum_hi / d_g)
+        for c, m in row:
+            lo_c, hi_c = state.dims[c]
+            check(c, (d_g * lo_b - (sum_hi - m * hi_c)) / m, (d_g * hi_b - (sum_lo - m * lo_c)) / m)
+            columns[(gi, c)] = columns.get((gi, c), 0.0) + m * lo_b
+    for (gi, c), total in columns.items():
+        check(c, total / searcher.d_gen[gi], math.inf)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: su2_level(4),
+        lambda: tensor_product(su2_level(2), cyclic_group_ring(2)),
+        # of the three, the only one where a risen lower bound tightens a column bound
+        lambda: tensor_product(fibonacci(), fibonacci()),
+    ],
+    ids=["su2_level4", "su2_level2xZ2", "fib_squared"],
+)
+def test_propagation_reaches_the_fixpoint(make, monkeypatch):
+    propagate = torsion._Searcher._propagate
+    closed = []
+
+    def checked(searcher, state):
+        if not propagate(searcher, state):
+            return False
+        _assert_closed(searcher, state)
+        closed.append(len(state.rows))
+        return True
+
+    monkeypatch.setattr(torsion._Searcher, "_propagate", checked)
+    ring = make()
+    result = enumerate_modules(
+        ring, ModuleSearchConfig(max_basis_size=dimension_bound(ring), threads=1)
+    )
+    assert result.complete
+    assert len(closed) == result.nodes_explored - 1
 
 
 def test_budget_exhaustion_flags_incomplete():

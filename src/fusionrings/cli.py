@@ -1,8 +1,8 @@
 """The ``fusion`` command line tool.
 
 Exit codes: 0 pass, 1 negative mathematical verdict, 2 input error,
-3 inconclusive.  ``FUSION_THREADS`` caps enumeration workers; an optional
-JSON config file supplies default depths and budgets.
+3 inconclusive.  The module search runs sequentially; an optional JSON
+config file supplies default depths, sizes and budgets.
 """
 
 from __future__ import annotations
@@ -119,11 +119,7 @@ def _search_config(args, ring, config: dict) -> ModuleSearchConfig:
     budget = getattr(args, "budget", None)
     if budget is None:
         budget = config.get("budget")
-    return ModuleSearchConfig(
-        max_basis_size=max_size,
-        time_budget=budget,
-        threads=None,  # picked up from FUSION_THREADS
-    )
+    return ModuleSearchConfig(max_basis_size=max_size, time_budget=budget)
 
 
 def cmd_enumerate(args) -> int:

@@ -125,7 +125,6 @@ def su2_ring() -> LazyBasedRing:
         contains_fn=_is_canonical_nat,
         dims=lambda a: float(int(a) + 1),
         dim_exactness="integer",
-        min_level_dim_fn=lambda n: float(n + 1),
         iterated_power_fn=None,
         metadata={"kind": "a1"},
     )
@@ -214,7 +213,6 @@ def free_unitary_ring() -> LazyBasedRing:
         contains_fn=_word_contains,
         dims=lambda a: float(_word_dim(_parse_word(a))),
         dim_exactness="integer",
-        min_level_dim_fn=lambda n: float(n + 1),
         iterated_power_fn=_word_power,
         metadata={"kind": "a2"},
     )
@@ -417,19 +415,6 @@ def free_product(factors: list[Ring], name: str = "") -> LazyBasedRing:
             value *= factor_dim(i, a)
         return value
 
-    min_letter = None
-    if all_finite and have_dims:
-        letter_dims = [
-            factor_dim(i, a) for i in range(nfactors) for a in letters_by_factor[i]
-        ]
-        if letter_dims:
-            min_letter = min(letter_dims)
-
-    def min_level_dim_fn(n: int) -> float:
-        if min_letter is None:
-            return 1.0
-        return max(1.0, min_letter**n)
-
     return LazyBasedRing(
         name=name or "free(" + ",".join(f.name for f in factors) + ")",
         unit=FREE_UNIT,
@@ -440,7 +425,6 @@ def free_product(factors: list[Ring], name: str = "") -> LazyBasedRing:
         contains_fn=contains_fn,
         dims=dims_fn if have_dims else None,
         dim_exactness="numeric",
-        min_level_dim_fn=min_level_dim_fn,
         metadata={"kind": "free_product", "factors": factors},
     )
 
@@ -478,12 +462,18 @@ class SubringClosure:
         )
 
 
-def subring_generated(ring: Ring, generator: str, depth: int = 64) -> SubringClosure:
-    """Smallest fusion subring containing one label, saturated up to depth rounds."""
-    ring.require(generator)
-    current = {ring.unit, generator, ring.involution_of(generator)}
-    stabilized = False
-    for _ in range(depth):
+def saturate(ring: Ring, seeds, rounds: int | None = None) -> tuple[set[str], bool]:
+    """The unit, the seeds and their duals, closed under products and duals.
+
+    Each round adds every product of two labels reached so far; after
+    ``rounds`` rounds (None: no limit) the labels reached are returned with
+    whether they stopped growing, i.e. form a fusion subring.
+    """
+    current = {ring.unit}
+    for s in seeds:
+        current.add(s)
+        current.add(ring.involution_of(s))
+    for _ in (itertools.count() if rounds is None else range(rounds)):
         new = set()
         for a in current:
             for b in current:
@@ -492,9 +482,15 @@ def subring_generated(ring: Ring, generator: str, depth: int = 64) -> SubringClo
                         new.add(c)
                         new.add(ring.involution_of(c))
         if not new:
-            stabilized = True
-            break
+            return current, True
         current |= new
+    return current, False
+
+
+def subring_generated(ring: Ring, generator: str, depth: int = 64) -> SubringClosure:
+    """Smallest fusion subring containing one label, saturated up to depth rounds."""
+    ring.require(generator)
+    current, stabilized = saturate(ring, [generator], depth)
     if ring.is_lazy:
         labels = sorted(current, key=lambda l: (ring.level(l), l))
     else:

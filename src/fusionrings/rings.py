@@ -8,7 +8,6 @@ matrices.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
@@ -163,12 +162,6 @@ class BasedRingTable:
         self.require(label)
         return self.structure_tensor()[self.index[label]]
 
-    def with_dims(self, dims: DimensionFunction) -> "BasedRingTable":
-        out = BasedRingTable.__new__(BasedRingTable)
-        out.__dict__.update(self.__dict__)
-        out.dims = dims
-        return out
-
     def __repr__(self) -> str:
         return f"BasedRingTable({self.name}, size={self.size})"
 
@@ -177,8 +170,8 @@ class LazyBasedRing:
     """A countably based ring whose single products are computed on demand.
 
     Every basis product is a finite nonnegative combination; global
-    quantifiers are truncated by the level grading.  Products are memoized
-    behind a lock, with behavior identical to recomputation.
+    quantifiers are truncated by the level grading.  Products are memoized,
+    with behavior identical to recomputation.
     """
 
     is_lazy = True
@@ -194,7 +187,6 @@ class LazyBasedRing:
         contains_fn: Callable[[str], bool] | None = None,
         dims: Callable[[str], float] | None = None,
         dim_exactness: str = "numeric",
-        min_level_dim_fn: Callable[[int], float] | None = None,
         iterated_power_fn: Callable[[str, int], str | None] | None = None,
         metadata: dict | None = None,
     ):
@@ -208,10 +200,8 @@ class LazyBasedRing:
         self._contains_fn = contains_fn
         self._dims_fn = dims
         self.dim_exactness = dim_exactness
-        self._min_level_dim_fn = min_level_dim_fn
         self._iterated_power_fn = iterated_power_fn
         self._cache: dict[tuple[str, str], RingElement] = {}
-        self._lock = threading.Lock()
 
     def contains(self, label: str) -> bool:
         if self._contains_fn is not None:
@@ -226,14 +216,10 @@ class LazyBasedRing:
         self.require(a)
         self.require(b)
         key = (a, b)
-        with self._lock:
-            cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        result = self._product_fn(a, b)
-        with self._lock:
-            self._cache.setdefault(key, result)
-        return result
+        cached = self._cache.get(key)
+        if cached is None:
+            cached = self._cache[key] = self._product_fn(a, b)
+        return cached
 
     def involution_of(self, label: str) -> str:
         self.require(label)
@@ -263,12 +249,6 @@ class LazyBasedRing:
     @property
     def has_dims(self) -> bool:
         return self._dims_fn is not None
-
-    def min_dim_at_level(self, n: int) -> float | None:
-        """A lower bound for dimensions of level-n labels, when known."""
-        if self._min_level_dim_fn is None:
-            return None
-        return self._min_level_dim_fn(n)
 
     def iterated_power(self, label: str, n: int) -> str | None:
         """Label of the n-th tensor power when it stays a single basis element."""

@@ -20,16 +20,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constructors import pair_label, split_pair_label, subring_generated, tensor_product
+from .constructors import pair_label, saturate, split_pair_label, subring_generated, tensor_product
 from .elements import RingElement
 from .errors import FusionError, StructuralError
 from .modules import (
@@ -45,32 +42,22 @@ from .rings import REL_TOL, BasedRingTable, LazyBasedRing, fuse, ring_dims
 from .spectra import FusionGraph
 
 
-def default_thread_count() -> int:
-    value = os.environ.get("FUSION_THREADS", "")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
-
-
 @dataclass(frozen=True)
 class ModuleSearchConfig:
-    """Controls for the module enumeration backtracking search."""
+    """Controls for the module enumeration backtracking search.
+
+    ``max_basis_size`` bounds the basis of the modules listed; the search
+    certifies exhaustiveness only when it reaches ``dimension_bound``.
+    ``time_budget`` (seconds, None for unlimited) cuts the search short and
+    marks the result incomplete.
+    """
 
     max_basis_size: int
-    entry_bound_mode: str = "dimension"  # or "explicit"
-    explicit_cap: int | None = None
-    generators: tuple[str, ...] | None = None
     time_budget: float | None = None
-    threads: int | None = None
 
     def __post_init__(self):
         if self.max_basis_size < 1:
             raise ValueError("max_basis_size must be at least 1")
-        if self.entry_bound_mode not in ("dimension", "explicit"):
-            raise ValueError("entry_bound_mode must be 'dimension' or 'explicit'")
-        if self.entry_bound_mode == "explicit" and not self.explicit_cap:
-            raise ValueError("explicit entry bounds need explicit_cap")
 
 
 @dataclass
@@ -96,28 +83,14 @@ class TorsionVerdict:
 # -- generating sets and completion plans -----------------------------------------
 
 
-def _closure(ring: BasedRingTable, seeds) -> set[str]:
-    current = {ring.unit}
-    for s in seeds:
-        current.add(s)
-        current.add(ring.involution_of(s))
-    while True:
-        new = set()
-        for a in current:
-            for b in current:
-                for c in ring.product(a, b).support():
-                    if c not in current:
-                        new.add(c)
-                        new.add(ring.involution_of(c))
-        if not new:
-            return current
-        current |= new
-
-
-def _derivation_plan(ring: BasedRingTable, gens: list[str]):
+def _derivation_plan(ring: BasedRingTable, gens: list[str]) -> tuple[list[tuple], set[str]]:
     """Static order in which non-generator matrices follow from the
-    generator matrices by fusion expansion, or None where the propagation
-    stalls (some expansion always has two or more unknown members)."""
+    generator matrices by fusion expansion, and the labels it reaches.
+
+    A label is derived when it is the only unknown member of the expansion
+    of two known labels.  The rule is monotone, so the labels reached are
+    its unique fixpoint; where they fall short of the basis the propagation
+    stalls (every remaining expansion has two or more unknown members)."""
     known = {ring.unit}
     for g in gens:
         known.add(g)
@@ -142,9 +115,7 @@ def _derivation_plan(ring: BasedRingTable, gens: list[str]):
                     steps.append(("dual", bar, target))
                     known.add(bar)
                 changed = True
-    if len(known) < ring.size:
-        return None
-    return steps
+    return steps, known
 
 
 def generating_set(ring: BasedRingTable) -> tuple[tuple[str, ...], list[tuple]]:
@@ -155,6 +126,7 @@ def generating_set(ring: BasedRingTable) -> tuple[tuple[str, ...], list[tuple]]:
     each dual pair; the set is then augmented with the lexicographically
     least underivable label whenever the single-unknown propagation would
     stall, so every basis matrix is recoverable from the generator matrices.
+    The result is recorded on the ring.
     """
     cached = getattr(ring, "_generator_plan", None)
     if cached is not None:
@@ -174,7 +146,7 @@ def generating_set(ring: BasedRingTable) -> tuple[tuple[str, ...], list[tuple]]:
         for cand in ordered:
             if cand in closure:
                 continue
-            grown = _closure(ring, gens + [cand])
+            grown, _ = saturate(ring, gens + [cand])
             if len(grown) > len(closure):
                 gens.append(cand)
                 closure = grown
@@ -186,27 +158,10 @@ def generating_set(ring: BasedRingTable) -> tuple[tuple[str, ...], list[tuple]]:
         rep = min(g, ring.involution_of(g))
         if rep not in reduced:
             reduced.append(rep)
-    plan = _derivation_plan(ring, reduced)
-    while plan is None:
-        known = {ring.unit}
-        for g in reduced:
-            known.add(g)
-            known.add(ring.involution_of(g))
-        # replay the propagation to find the stall frontier
-        progress = True
-        while progress:
-            progress = False
-            for x in sorted(known):
-                for y in sorted(known):
-                    expansion = ring.product(x, y)
-                    unknown = [c for c in expansion.support() if c not in known]
-                    if len(unknown) == 1:
-                        known.add(unknown[0])
-                        known.add(ring.involution_of(unknown[0]))
-                        progress = True
-        missing = sorted(set(basis) - known)
-        reduced.append(missing[0])
-        plan = _derivation_plan(ring, reduced)
+    plan, known = _derivation_plan(ring, reduced)
+    while len(known) < ring.size:
+        reduced.append(min(full - known))
+        plan, known = _derivation_plan(ring, reduced)
     result = (tuple(reduced), plan)
     ring._generator_plan = result
     return result
@@ -261,16 +216,24 @@ def _canonical_data(matrices: list[np.ndarray], dims: np.ndarray):
     return color_key, best_key or b"", best_perm or []
 
 
-def canonical_key(module: BasedModuleTable) -> bytes:
-    """Isomorphism-invariant fingerprint of a finite based module."""
+def _key_and_perm(module: BasedModuleTable) -> tuple[bytes, list[int]]:
     gens, _ = generating_set(module.ring)
     matrices = [module.matrix(g) for g in gens]
     dims = _joint_perron(matrices, module.size)
     if dims is None:
         raise StructuralError("module carries no positive joint eigenvector")
-    color_key, stack, _ = _canonical_data(matrices, dims)
+    color_key, stack, perm = _canonical_data(matrices, dims)
     head = f"{module.size}|{color_key}".encode()
-    return head + b"#" + stack
+    return head + b"#" + stack, perm
+
+
+def canonical_key(module: BasedModuleTable) -> bytes:
+    """Isomorphism-invariant fingerprint of a finite based module; the key
+    that ``canonical_form`` recorded on its result, when there is one."""
+    cached = getattr(module, "_canonical_key", None)
+    if cached is not None:
+        return cached
+    return _key_and_perm(module)[0]
 
 
 def canonical_form(module: BasedModuleTable) -> BasedModuleTable:
@@ -278,14 +241,11 @@ def canonical_form(module: BasedModuleTable) -> BasedModuleTable:
 
     Vertices are sorted by dimension color, ties broken by minimizing the
     stacked generator matrices; the result uses labels ``v00``, ``v01``, ...
+    The canonical key, which the relabeling leaves unchanged, is recorded on
+    the result.
     """
     ring = module.ring
-    gens, _ = generating_set(ring)
-    matrices = [module.matrix(g) for g in gens]
-    dims = _joint_perron(matrices, module.size)
-    if dims is None:
-        raise StructuralError("module carries no positive joint eigenvector")
-    _, _, perm = _canonical_data(matrices, dims)
+    key, perm = _key_and_perm(module)
     width = max(2, len(str(max(module.size - 1, 0))))
     new_labels = [f"v{i:0{width}d}" for i in range(module.size)]
     old_of_new = {new_labels[p]: module.basis[v] for p, v in enumerate(perm)}
@@ -295,7 +255,9 @@ def canonical_form(module: BasedModuleTable) -> BasedModuleTable:
         for new_label in new_labels:
             row = module.action_row(alpha, old_of_new[new_label])
             action[(alpha, new_label)] = row.map_labels(lambda c: new_of_old[c])
-    return BasedModuleTable(ring, new_labels, action, name=f"canonical({module.name})")
+    form = BasedModuleTable(ring, new_labels, action, name=f"canonical({module.name})")
+    form._canonical_key = key
+    return form
 
 
 # -- the backtracking enumeration ---------------------------------------------------
@@ -366,44 +328,23 @@ class _SearchState:
 class _Searcher:
     def __init__(self, ring: BasedRingTable, config: ModuleSearchConfig):
         self.ring = ring
-        self.config = config
         dims = ring_dims(ring)
-        self.ring_dims = dims
         gens, plan = generating_set(ring)
-        if config.generators is not None:
-            chosen: list[str] = []
-            for g in config.generators:
-                rep = min(g, ring.involution_of(g))
-                if rep not in chosen:
-                    chosen.append(rep)
-            plan_override = _derivation_plan(ring, chosen)
-            if plan_override is None:
-                # pad with the default generators until completion works
-                for g in gens:
-                    if g not in chosen:
-                        chosen.append(g)
-                plan_override = _derivation_plan(ring, chosen)
-            gens, plan = tuple(chosen), plan_override
         self.gens = list(gens)
         self.plan = plan
         self.kgen = len(self.gens)
         self.d_gen = [dims(g) for g in self.gens]
         self.d_max = dims.max_value
         self.self_dual = [ring.involution_of(g) == g for g in self.gens]
-        if config.entry_bound_mode == "explicit":
-            self.entry_cap = [config.explicit_cap] * self.kgen
-        else:
-            self.entry_cap = [int(math.floor(d * self.d_max + 1e-9)) for d in self.d_gen]
-        self.row_total_cap = [int(math.floor(d * self.d_max + 1e-9)) for d in self.d_gen]
+        # no entry and no row total exceeds d(g) * d_max
+        self.entry_cap = [int(math.floor(d * self.d_max + 1e-9)) for d in self.d_gen]
         self.max_size = config.max_basis_size
         self.deadline = None
         if config.time_budget is not None:
             self.deadline = time.monotonic() + config.time_budget
         self.nodes = 0
-        self.lock = threading.Lock()
         self.found: dict[bytes, BasedModuleTable] = {}
-        T = ring.structure_tensor()
-        self.T = T
+        self.T = ring.structure_tensor()
 
     # ---- dimension propagation
 
@@ -533,7 +474,6 @@ class _Searcher:
         known target dimensions cap each multiplicity individually.
         """
         cap = self.entry_cap[gi]
-        total_cap = self.row_total_cap[gi]
         d_g = self.d_gen[gi]
         # largest admissible weighted row sum, weighing by interval bounds
         weight_hi = d_g * state.dims[b][1] * (1 + REL_TOL)
@@ -547,9 +487,9 @@ class _Searcher:
                     forced.append((c, mult))
                     forced_total += mult
                     forced_weight += mult * state.dims[c][0]
-            if forced_total > total_cap or forced_weight > weight_hi:
+            if forced_total > cap or forced_weight > weight_hi:
                 return
-        budget = total_cap - forced_total
+        budget = cap - forced_total
         room_new = self.max_size - state.nvert
         options: list[list[tuple[int, int]]] = []
 
@@ -666,9 +606,7 @@ class _Searcher:
                 )
         table = BasedModuleTable(ring, labels, action, name=f"module over {ring.name}")
         table = canonical_form(table)
-        key = canonical_key(table)
-        with self.lock:
-            self.found.setdefault(key, table)
+        self.found.setdefault(canonical_key(table), table)
 
     # ---- depth-first search
 
@@ -689,42 +627,30 @@ class _Searcher:
         child.add_row(gi, b, tuple(row), new_count, self.d_max)
         return child if self._propagate(child) else None
 
-    def _expand(self, state: _SearchState):
-        """Count ``state`` as a search node; None at a leaf, else an
-        iterator over its children that survive propagation."""
+    def _dfs(self, state: _SearchState):
+        """Count ``state`` as a search node; harvest it at a leaf, else
+        descend into its children that survive propagation."""
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise _Budget()
-        with self.lock:
-            self.nodes += 1
+        self.nodes += 1
         cell = self._next_cell(state)
         if cell is None:
-            return None
-        gi, b = cell
-        children = (self._child(state, gi, b, row) for row in self._row_options(state, gi, b))
-        return (child for child in children if child is not None)
-
-    def _dfs(self, state: _SearchState):
-        children = self._expand(state)
-        if children is None:
             self._harvest(state)
             return
-        for child in children:
-            self._dfs(child)
+        gi, b = cell
+        for row in self._row_options(state, gi, b):
+            child = self._child(state, gi, b, row)
+            if child is not None:
+                self._dfs(child)
 
     def run(self) -> EnumerationResult:
         root = _SearchState.root()
         complete = True
-        threads = self.config.threads or default_thread_count()
         try:
             if self.kgen == 0:
                 self._harvest(root)
-            elif threads <= 1:
-                self._dfs(root)
             else:
-                tasks = list(self._expand(root))
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    for future in [pool.submit(self._dfs, t) for t in tasks]:
-                        future.result()
+                self._dfs(root)
         except _Budget:
             complete = False
         classes = [self.found[k] for k in sorted(self.found)]
@@ -891,9 +817,6 @@ def unfold_word_module(module, depth: int) -> UnfoldedModule:
     weights = None
     if window.dims is not None:
         weights = tuple(float(window.dims(b)) for b in window.basis for _ in range(2))
-        weights = tuple(
-            weights[i] for i in range(2 * m)
-        )
     graph = FusionGraph(tuple(vertices), big, directed=False, weights=weights, boundary=boundary)
     return UnfoldedModule(
         vertices=tuple(vertices),
@@ -1135,7 +1058,7 @@ def free_product_module_probe(ring: LazyBasedRing, module, depth: int) -> FreePr
     if depth == 0:
         return FreeProductProbeReport(True, None, True, [], 0)
 
-    window = _word_window(module, depth) if not isinstance(module, TruncatedModule) else module
+    window = _word_window(module, depth)
     window_set = set(window.basis)
     letter_pairs_by_factor = [
         [(f"{i}:{a}", a) for a in f.basis if a != f.unit] for i, f in enumerate(factors)

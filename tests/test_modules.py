@@ -364,7 +364,6 @@ def _even_subring():
         contains_fn=lambda a: a.isdigit() and int(a) % 2 == 0,
         dims=lambda a: float(int(a) + 1),
         dim_exactness="integer",
-        min_level_dim_fn=lambda n: float(2 * n + 1),
     )
 
 

@@ -100,22 +100,33 @@ def test_enumerated_modules_are_verified_connected_cofinite():
         assert is_cofinite(module).status == "cofinite"
 
 
-def test_enumeration_deterministic_across_thread_counts():
-    for ring, size in ((permutation_group_ring(3), 6), (su2_level(5), 10)):
-        outputs = []
-        nodes = []
-        for threads in (1, 2, 8):
-            result = enumerate_modules(
-                ring, ModuleSearchConfig(max_basis_size=size, threads=threads)
-            )
-            outputs.append([canonical_key(m) for m in result.classes])
-            nodes.append(result.nodes_explored)
-        assert outputs[0] == outputs[1] == outputs[2]
-        assert nodes[0] == nodes[1] == nodes[2], ring.name
+def test_generating_set_extends_a_stalled_derivation():
+    # the representation ring of A5: 3a alone generates it, but deriving
+    # the other matrices one unknown at a time stalls at {1, 3a, 5}, so the
+    # least underivable label 3b joins the generators
+    from fusionrings import BasedRingTable, verify_based_ring
+
+    rules = {
+        ("3a", "3a"): "1 3a 5", ("3a", "3b"): "4 5", ("3a", "4"): "3b 4 5",
+        ("3a", "5"): "3a 3b 4 5", ("3b", "3b"): "1 3b 5", ("3b", "4"): "3a 4 5",
+        ("3b", "5"): "3a 3b 4 5", ("4", "4"): "1 3a 3b 4 5", ("4", "5"): "3a 3b 4 5 5",
+        ("5", "5"): "1 3a 3b 4 4 5 5",
+    }
+    basis = ["1", "3a", "3b", "4", "5"]
+    products = {(x, "1"): {x: 1} for x in basis}
+    products.update({("1", x): {x: 1} for x in basis})
+    for (x, y), terms in rules.items():
+        expansion = {c: terms.split().count(c) for c in terms.split()}
+        products[(x, y)] = products[(y, x)] = expansion
+    ring = BasedRingTable(basis, "1", {x: x for x in basis}, products, name="rep(A5)")
+    assert verify_based_ring(ring).ok
+    gens, plan = torsion.generating_set(ring)
+    assert gens == ("3a", "3b")
+    assert [step[1] for step in plan] == ["5", "4"]
 
 
-# Search nodes and the sha256 of the sorted canonical class keys, one worker,
-# at the dimension bound.  The class keys never depend on propagation; the
+# Search nodes and the sha256 of the sorted canonical class keys at the
+# dimension bound.  The class keys never depend on propagation; the
 # node counts move only when its pruning power does.
 PINNED_SEARCHES = [
     ("su2_level3", lambda: su2_level(3), 101,
@@ -130,6 +141,8 @@ PINNED_SEARCHES = [
      "cbdae7b08487c827e1fa6bff325540506b13314172b25fa2d5f078dac68b48fe"),
     ("su2_level2xZ2", lambda: tensor_product(su2_level(2), cyclic_group_ring(2)), 2325,
      "050265c1be6e1ca10cb6ec45b8b6f00422f0f8081bda1485f728a57a47faca59"),
+    ("su2_level5", lambda: su2_level(5), 7555,
+     "761a6632d7874cac7a71c3758677651f5275911e9b7cf7becf441babca63d914"),
 ]
 
 
@@ -142,11 +155,21 @@ def _keys_digest(classes):
                          ids=[case[0] for case in PINNED_SEARCHES])
 def test_search_nodes_and_classes_pinned(make, nodes, digest):
     ring = make()
-    result = enumerate_modules(
-        ring, ModuleSearchConfig(max_basis_size=dimension_bound(ring), threads=1)
-    )
+    result = enumerate_modules(ring, ModuleSearchConfig(max_basis_size=dimension_bound(ring)))
     assert result.complete
     assert (result.nodes_explored, _keys_digest(result.classes)) == (nodes, digest)
+
+
+@pytest.mark.parametrize("make", [case[1] for case in PINNED_SEARCHES],
+                         ids=[case[0] for case in PINNED_SEARCHES])
+def test_recorded_canonical_key_matches_fresh_key(make):
+    ring = make()
+    result = enumerate_modules(ring, ModuleSearchConfig(max_basis_size=dimension_bound(ring)))
+    for table in result.classes:
+        action = {(a, b): table.action_row(a, b) for a in ring.basis for b in table.basis}
+        fresh = BasedModuleTable(ring, table.basis, action)
+        assert not hasattr(fresh, "_canonical_key")
+        assert canonical_key(fresh) == table._canonical_key
 
 
 def _assert_closed(searcher, state):
@@ -203,9 +226,7 @@ def test_propagation_reaches_the_fixpoint(make, monkeypatch):
 
     monkeypatch.setattr(torsion._Searcher, "_propagate", checked)
     ring = make()
-    result = enumerate_modules(
-        ring, ModuleSearchConfig(max_basis_size=dimension_bound(ring), threads=1)
-    )
+    result = enumerate_modules(ring, ModuleSearchConfig(max_basis_size=dimension_bound(ring)))
     assert result.complete
     assert len(closed) == result.nodes_explored - 1
 
@@ -666,26 +687,6 @@ def test_witnesses_satisfy_the_verdict_contract():
             assert is_connected(witness)
             assert is_cofinite(witness).status == "cofinite"
             assert canonical_key(witness) != standard_key
-
-
-def test_generator_override_still_complete():
-    ring = su2_level(3)
-    default = enumerate_modules(ring, ModuleSearchConfig(max_basis_size=5))
-    overridden = enumerate_modules(
-        ring, ModuleSearchConfig(max_basis_size=5, generators=("3", "1"))
-    )
-    assert [canonical_key(m) for m in default.classes] == [
-        canonical_key(m) for m in overridden.classes
-    ]
-
-
-def test_explicit_entry_cap_mode():
-    ring = fibonacci()
-    result = enumerate_modules(
-        ring,
-        ModuleSearchConfig(max_basis_size=2, entry_bound_mode="explicit", explicit_cap=2),
-    )
-    assert len(result.classes) == 1
 
 
 def test_word_structure_flags_double_arrow():

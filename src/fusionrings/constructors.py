@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .elements import RingElement
 from .errors import NotAFusionSubringError, StructuralError
 from .rings import (
@@ -51,11 +53,12 @@ def group_ring(elements: list[str], mul: dict[tuple[str, str], str], name: str =
         if inv is None:
             raise StructuralError(f"element {g!r} has no inverse")
         inverse[g] = inv
-    for a in elems:
-        for b in elems:
-            for c in elems:
-                if mul[(mul[(a, b)], c)] != mul[(a, mul[(b, c)])]:
-                    raise StructuralError(f"multiplication is not associative at ({a!r}, {b!r}, {c!r})")
+    pos = {g: i for i, g in enumerate(elems)}
+    table = np.array([[pos[mul[(a, b)]] for b in elems] for a in elems])
+    bad = np.argwhere(table[table] != table[:, table])  # (ab)c against a(bc)
+    if bad.size:
+        a, b, c = (elems[i] for i in bad[0])
+        raise StructuralError(f"multiplication is not associative at ({a!r}, {b!r}, {c!r})")
 
     products = {(a, b): RingElement.basis(mul[(a, b)]) for a in elems for b in elems}
     dims = DimensionFunction({g: 1.0 for g in elems}, exactness="integer")
@@ -160,11 +163,12 @@ def _word_dual(letters: tuple[str, ...]) -> tuple[str, ...]:
 def _word_product(a: str, b: str) -> RingElement:
     w = _parse_word(a)
     z = _parse_word(b)
+    w_dual = _word_dual(w)  # the dual of the last k letters of w is w_dual[:k]
     terms = []
     for k in range(min(len(w), len(z)) + 1):
-        x, u = w[: len(w) - k], w[len(w) - k :]
-        if _word_dual(u) == z[:k]:
-            terms.append((_format_word(x + z[k:]), 1))
+        if w_dual[:k] != z[:k]:
+            break  # and so for every longer k
+        terms.append((_format_word(w[: len(w) - k] + z[k:]), 1))
     return RingElement(terms)
 
 

@@ -6,7 +6,7 @@ serves ring elements and based-module elements.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 
 _FORBIDDEN = set(' \t\n*"')
 

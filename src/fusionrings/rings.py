@@ -67,6 +67,16 @@ class DimensionFunction:
         return out
 
 
+def int_tensor(shape: tuple[int, ...], entries: Mapping[tuple[int, ...], int]) -> np.ndarray:
+    """A dense array holding ``entries`` and zeros elsewhere: int64 when every
+    entry fits, else Python ints (object dtype), so no coefficient wraps."""
+    fits = all(-(2**63) <= v < 2**63 for v in entries.values())
+    out = np.zeros(shape, dtype=np.int64 if fits else object)
+    for idx, v in entries.items():
+        out[idx] = v
+    return out
+
+
 class BasedRingTable:
     """A finite based ring given by explicit structure constants.
 
@@ -141,10 +151,10 @@ class BasedRingTable:
         return list(self.basis)
 
     def structure_tensor(self) -> np.ndarray:
-        """The array ``T[a, b, c]`` of coefficients of c in a*b (int64, cached)."""
+        """The array ``T[a, b, c]`` of coefficients of c in a*b (cached; see :func:`int_tensor`)."""
         if self._tensor is None:
             n = self.size
-            T = np.zeros((n, n, n), dtype=np.int64)
+            entries = {}
             for a, ai in self.index.items():
                 for b, bi in self.index.items():
                     for c, coeff in self.product(a, b).items():
@@ -153,8 +163,8 @@ class BasedRingTable:
                             raise StructuralError(
                                 f"product {a!r}*{b!r} leaves the basis at {c!r}"
                             )
-                        T[ai, bi, ci] = coeff
-            self._tensor = T
+                        entries[ai, bi, ci] = coeff
+            self._tensor = int_tensor((n, n, n), entries)
         return self._tensor
 
     def left_matrix(self, label: str) -> np.ndarray:
@@ -202,10 +212,13 @@ class LazyBasedRing:
         self.dim_exactness = dim_exactness
         self._iterated_power_fn = iterated_power_fn
         self._cache: dict[tuple[str, str], RingElement] = {}
+        self._members: set[str] = set()
 
     def contains(self, label: str) -> bool:
-        if self._contains_fn is not None:
-            return self._contains_fn(label)
+        if label not in self._members:
+            if self._contains_fn is not None and not self._contains_fn(label):
+                return False
+            self._members.add(label)
         return True
 
     def require(self, label: str) -> None:
@@ -213,11 +226,11 @@ class LazyBasedRing:
             raise UnknownLabelError(f"label {label!r} is not in ring {self.name}")
 
     def product(self, a: str, b: str) -> RingElement:
-        self.require(a)
-        self.require(b)
         key = (a, b)
         cached = self._cache.get(key)
-        if cached is None:
+        if cached is None:  # only validated pairs are memoized
+            self.require(a)
+            self.require(b)
             cached = self._cache[key] = self._product_fn(a, b)
         return cached
 
@@ -272,11 +285,13 @@ def fuse(ring: Ring, x: RingElement, y: RingElement) -> RingElement:
     """Bilinear extension of the basis products; exact integer coefficients."""
     _require_all(ring, x)
     _require_all(ring, y)
-    out = RingElement()
+    acc: dict[str, int] = {}
+    y_items = y.items()
     for a, ca in x.items():
-        for b, cb in y.items():
-            out = out + ca * cb * ring.product(a, b)
-    return out
+        for b, cb in y_items:
+            for c, cc in ring.product(a, b).items():
+                acc[c] = acc.get(c, 0) + ca * cb * cc
+    return RingElement(acc)
 
 
 def unit_coefficient(ring: Ring, x: RingElement) -> int:
@@ -331,6 +346,34 @@ def _first_bad(diff: np.ndarray) -> tuple[int, ...]:
     return tuple(int(i) for i in np.argwhere(diff)[0])
 
 
+def exact_dtype(terms: int, *arrays: np.ndarray):
+    """A dtype in which every sum of ``terms`` products of two entries of
+    ``arrays`` is exact in any summation order: float64 (so matmuls use
+    BLAS) while ``terms * max|entry|**2 < 2**53``, int64 below ``2**63``,
+    Python ints (object dtype) past that."""
+    big = max(int(np.abs(x).max(initial=0)) for x in arrays)
+    bound = terms * big * big
+    return np.float64 if bound < 2**53 else np.int64 if bound < 2**63 else object
+
+
+def associativity_failures(T: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """Boolean ``F[a, b]``, true when ``(a*b).v != a.(b.v)`` for some v.
+
+    ``T[a, b, e]`` are ring structure constants and ``A[a, v, w]`` is the
+    multiplicity of w in a.v; a ring is checked as its own module, A = T.
+    Works one ring label at a time, so memory is O(n m^2), not O(n^2 m^2).
+    """
+    n, m = A.shape[0], A.shape[1]
+    dtype = exact_dtype(max(n, m), T, A)
+    T, A = T.astype(dtype), A.astype(dtype)
+    rows, flat = A.reshape(n * m, m), A.reshape(n, m * m)
+    F = np.zeros((n, n), dtype=bool)
+    for a in range(n):
+        lhs = (rows @ A[a]).reshape(n, m * m)  # lhs[b] = A[b] @ A[a]: a.(b.v)
+        F[a] = (lhs != T[a] @ flat).any(axis=1)  # T[a] @ flat: (a*b).v
+    return F
+
+
 def verify_based_ring(table: BasedRingTable) -> VerificationReport:
     """Check the defining axioms of a finite based ring.
 
@@ -338,7 +381,7 @@ def verify_based_ring(table: BasedRingTable) -> VerificationReport:
     dual(a)*b is delta_{a,b}), the four-fold duality symmetry of the
     structure constants, anti-multiplicativity of the involution, and
     associativity.  Finite support is automatic for tables and recorded
-    as such.
+    as such.  All comparisons are exact integer ones.
     """
     report = VerificationReport(subject=table.name)
     report.structural_errors = _structural_scan(table)
@@ -346,52 +389,39 @@ def verify_based_ring(table: BasedRingTable) -> VerificationReport:
         return report
 
     n = table.size
-    T = table.structure_tensor().astype(np.float64)  # exact for desk-scale entries
+    T = table.structure_tensor()
     u = table.index[table.unit]
     inv = np.array([table.index[table.involution[b]] for b in table.basis])
-    eye = np.eye(n)
+    eye = np.eye(n, dtype=np.int64)
     labels = table.basis
 
     def witness(idx: tuple[int, ...]) -> str:
         return ", ".join(labels[i] for i in idx)
 
-    d = np.abs(T[u, :, :] - eye)
-    report.add("unit law (left)", not d.any(), None if not d.any() else witness(_first_bad(d)))
-    d = np.abs(T[:, u, :] - eye)
-    report.add("unit law (right)", not d.any(), None if not d.any() else witness(_first_bad(d)))
+    def add(name: str, d: np.ndarray) -> None:
+        report.add(name, not d.any(), witness(_first_bad(d)) if d.any() else None)
 
-    pairing = T[inv, :, u]
-    d = np.abs(pairing - eye)
-    report.add("dual pairing", not d.any(), None if not d.any() else witness(_first_bad(d)))
+    add("unit law (left)", T[u, :, :] != eye)
+    add("unit law (right)", T[:, u, :] != eye)
+    add("dual pairing", T[inv, :, u] != eye)
 
     report.add("finite support", True, "automatic for a finite table")
 
-    B, G, A = np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij")
-    sym1 = T[G, inv[A], inv[B]]
-    sym2 = T[inv[A], B, inv[G]]
-    sym3 = T[inv[G], inv[B], inv[A]]
-    ok = np.array_equal(T, sym1) and np.array_equal(T, sym2) and np.array_equal(T, sym3)
-    wit = None
-    if not ok:
-        for other in (sym1, sym2, sym3):
-            dd = T != other
-            if dd.any():
-                wit = witness(_first_bad(dd))
-                break
-    report.add("duality symmetry", ok, wit)
+    # T[b, g, a] against T[g, inv a, inv b], T[inv a, b, inv g] and
+    # T[inv g, inv b, inv a]; only the boolean differences are kept
+    ar = np.arange(n)
+    diffs = [
+        T != T[np.ix_(ar, inv, inv)].transpose(2, 0, 1),
+        T != T[np.ix_(inv, ar, inv)].transpose(1, 2, 0),
+        T != T[np.ix_(inv, inv, inv)].transpose(1, 0, 2),
+    ]
+    bad = next((d for d in diffs if d.any()), None)
+    report.add("duality symmetry", bad is None, None if bad is None else witness(_first_bad(bad)))
 
-    anti = T[inv[G], inv[B], inv[A]]  # dual(a*b) == dual(b)*dual(a)
-    d2 = T != anti
-    report.add("involution anti-multiplicative", not d2.any(), None if not d2.any() else witness(_first_bad(d2)))
+    add("involution anti-multiplicative", diffs[2])  # dual(a*b) == dual(b)*dual(a)
 
-    M = T  # M[a] is the left multiplication matrix of label a
-    lhs = np.matmul(M[:, None, :, :], M[None, :, :, :])  # lhs[a,b] = M[a] @ M[b]
-    rhs = np.einsum("abe,ecd->abcd", T, M)
-    # With rows indexed by the acted-on label, associativity reads
-    # M[a] @ M[b] == sum_e N_{b a}^e M[e]; swap the pair axes accordingly.
-    rhs = np.swapaxes(rhs, 0, 1)
-    d3 = lhs != rhs
-    report.add("associativity", not d3.any(), None if not d3.any() else witness(_first_bad(d3)[:2]))
+    # F[b, a] tests (b*a).c == b.(a.c); the pair is reported as (a, b)
+    add("associativity", associativity_failures(T, T).T)
     return report
 
 
@@ -490,13 +520,13 @@ def verify_lazy_ring(ring: LazyBasedRing, depth: int) -> VerificationReport:
     report.add("duality symmetry", ok, wit)
 
     ok, wit = True, None
+    basis = {a: RingElement.basis(a) for a in labels}
     for a in labels:
-        ea = RingElement.basis(a)
         for b in labels:
             ab = ring.product(a, b)
             for c in labels:
-                left = fuse(ring, ab, RingElement.basis(c))
-                right = fuse(ring, ea, ring.product(b, c))
+                left = fuse(ring, ab, basis[c])
+                right = fuse(ring, basis[a], ring.product(b, c))
                 if left != right:
                     ok, wit = False, f"{a}, {b}, {c}"
                     break

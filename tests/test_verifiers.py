@@ -1,0 +1,514 @@
+"""Exactness, memory and witness order of the axiom verifiers.
+
+The pinned reports below were derived with the per-entry loop and float64
+versions of the verifiers; the array versions must reproduce every line,
+witness and check order.  The associativity helper is compared with a
+pure-Python triple-sum oracle that shares no code with it.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fusionrings import (
+    BasedModuleTable,
+    BasedRingTable,
+    LazyBasedRing,
+    RingElement,
+    StructuralError,
+    UnknownLabelError,
+    cyclic_group_ring,
+    group_ring,
+    permutation_group_ring,
+    standard_module,
+    su2_level,
+    tensor_product,
+    verify_based_ring,
+    verify_lazy_ring,
+    verify_module,
+)
+from fusionrings import cli
+from fusionrings.constructors import _is_canonical_nat, _su2_product
+from fusionrings.documents import ring_to_document, write_document
+from fusionrings.rings import associativity_failures, exact_dtype
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+# -- deliberately broken inputs, one per check ---------------------------------------
+
+
+def _retabled(ring, changes=None, involution=None):
+    products = {(a, b): ring.product(a, b) for a in ring.basis for b in ring.basis}
+    products.update({key: RingElement(value) for key, value in (changes or {}).items()})
+    return BasedRingTable(ring.basis, ring.unit, involution or ring.involution, products, name="broken")
+
+
+def _remoduled(module, changes=None):
+    action = {(a, b): module.action_row(a, b) for a in module.ring.basis for b in module.basis}
+    action.update({key: RingElement(value) for key, value in (changes or {}).items()})
+    return BasedModuleTable(module.ring, module.basis, action, name="broken module")
+
+
+def _rank3(xxx, xxy, xyy, yyy):
+    """Self-dual rank-3 ring on {1, x, y} with fully symmetric constants."""
+    n = {("x", "x", "x"): xxx, ("x", "x", "y"): xxy, ("x", "y", "y"): xyy, ("y", "y", "y"): yyy}
+
+    def const(a, b, c):
+        return n[tuple(sorted((a, b, c)))]
+
+    products = {("1", b): {b: 1} for b in "1xy"} | {(b, "1"): {b: 1} for b in "xy"}
+    for a in "xy":
+        for b in "xy":
+            products[(a, b)] = {"1": int(a == b)} | {c: const(a, b, c) for c in "xy"}
+    return BasedRingTable("1xy", "1", {b: b for b in "1xy"}, products, name="rank3")
+
+
+def _lazy_su2(changes=None, involution=lambda a: a):
+    def product(a, b):
+        if (a, b) in (changes or {}):
+            return RingElement(changes[(a, b)])
+        return _su2_product(a, b)
+
+    return LazyBasedRing(
+        name="broken su2",
+        unit="0",
+        product_fn=product,
+        involution_fn=involution,
+        level_fn=int,
+        enumerate_level_fn=lambda n: [str(n)],
+        contains_fn=_is_canonical_nat,
+    )
+
+
+S3 = permutation_group_ring(3)
+Z4 = cyclic_group_ring(4)
+SU3 = su2_level(3)
+
+BROKEN_RINGS = {
+    "unit law (left)": lambda: _retabled(S3, {("012", "120"): {"201": 1}}),
+    "unit law (right)": lambda: _retabled(S3, {("201", "012"): {"120": 1}}),
+    "dual pairing": lambda: _retabled(Z4, involution={b: b for b in Z4.basis}),
+    "duality symmetry": lambda: _retabled(SU3, {("2", "3"): {"1": 1, "3": 1}}),
+    "involution anti-multiplicative": lambda: _retabled(S3, {("102", "120"): {"021": 1, "210": 1}}),
+    "associativity": lambda: _rank3(1, 1, 1, 1),
+    "structural": lambda: _retabled(Z4, {("2", "3"): {"1": -1}}),
+}
+
+S3_STD = standard_module(S3)
+Z4_STD = standard_module(Z4)
+SU3_STD = standard_module(SU3)
+SU2_2 = su2_level(2)
+
+BROKEN_MODULES = {
+    "unit law": lambda: _remoduled(Z4_STD, {("0", "2"): {"1": 1}}),
+    "Frobenius reciprocity": lambda: _remoduled(Z4_STD, {("1", "0"): {"2": 1}}),
+    "associativity": lambda: BasedModuleTable(
+        SU2_2,
+        ["p", "q"],
+        {("0", "p"): {"p": 1}, ("0", "q"): {"q": 1}, ("1", "p"): {"p": 1, "q": 1},
+         ("1", "q"): {"p": 1, "q": 1}, ("2", "p"): {"q": 1}, ("2", "q"): {"p": 1}},
+        name="broken module",
+    ),
+    "actions never vanish": lambda: _remoduled(S3_STD, {("120", "021"): {}}),
+    "pairing normalization and symmetry": lambda: standard_module(
+        _retabled(Z4, involution={"0": "0", "1": "0", "2": "0", "3": "0"})
+    ),
+    "pairing compatibility with the action": lambda: _remoduled(SU3_STD, {("3", "2"): {"1": 1, "3": 1}}),
+    "structural": lambda: _remoduled(Z4_STD, {("2", "3"): {"x": 1}}),
+}
+
+BROKEN_LAZY = {
+    "nonnegative structure constants": lambda: _lazy_su2({("1", "2"): {"1": 1, "3": -1}}),
+    "unit law": lambda: _lazy_su2({("0", "2"): {"2": 1, "4": 1}}),
+    "dual pairing": lambda: _lazy_su2(involution=lambda a: {"1": "3", "3": "1"}.get(a, a)),
+    "involution anti-multiplicative": lambda: _lazy_su2({("2", "1"): {"1": 1, "3": 2}}),
+    "duality symmetry": lambda: _lazy_su2({("2", "3"): {"1": 1, "3": 1, "5": 2}}),
+    "associativity": lambda: _lazy_su2({("2", "2"): {"0": 1, "2": 1, "4": 1, "6": 1}}),
+    "structural": lambda: _lazy_su2(involution=lambda a: "x" if a == "2" else a),
+}
+
+
+def _report_lines(kind, name):
+    if kind == "ring":
+        return verify_based_ring(BROKEN_RINGS[name]()).lines()
+    if kind == "module":
+        return verify_module(BROKEN_MODULES[name]()).lines()
+    return verify_lazy_ring(BROKEN_LAZY[name](), 4).lines()
+
+
+PINNED_REPORTS = {
+    ("ring", "unit law (left)"): [
+        "verification of broken",
+        "FAIL  unit law (left)  [120, 120]",
+        "pass  unit law (right)",
+        "pass  dual pairing",
+        "pass  finite support  [automatic for a finite table]",
+        "FAIL  duality symmetry  [012, 120, 120]",
+        "FAIL  involution anti-multiplicative  [012, 120, 120]",
+        "FAIL  associativity  [012, 021]",
+        "result: failed",
+    ],
+    ("ring", "unit law (right)"): [
+        "verification of broken",
+        "pass  unit law (left)",
+        "FAIL  unit law (right)  [201, 120]",
+        "pass  dual pairing",
+        "pass  finite support  [automatic for a finite table]",
+        "FAIL  duality symmetry  [120, 201, 012]",
+        "FAIL  involution anti-multiplicative  [012, 120, 120]",
+        "FAIL  associativity  [012, 201]",
+        "result: failed",
+    ],
+    ("ring", "dual pairing"): [
+        "verification of broken",
+        "pass  unit law (left)",
+        "pass  unit law (right)",
+        "FAIL  dual pairing  [1, 1]",
+        "pass  finite support  [automatic for a finite table]",
+        "FAIL  duality symmetry  [0, 1, 1]",
+        "pass  involution anti-multiplicative",
+        "pass  associativity",
+        "result: failed",
+    ],
+    ("ring", "duality symmetry"): [
+        "verification of broken",
+        "pass  unit law (left)",
+        "pass  unit law (right)",
+        "pass  dual pairing",
+        "pass  finite support  [automatic for a finite table]",
+        "FAIL  duality symmetry  [2, 3, 3]",
+        "FAIL  involution anti-multiplicative  [2, 3, 3]",
+        "FAIL  associativity  [1, 1]",
+        "result: failed",
+    ],
+    ("ring", "involution anti-multiplicative"): [
+        "verification of broken",
+        "pass  unit law (left)",
+        "pass  unit law (right)",
+        "pass  dual pairing",
+        "pass  finite support  [automatic for a finite table]",
+        "FAIL  duality symmetry  [102, 120, 210]",
+        "FAIL  involution anti-multiplicative  [102, 120, 210]",
+        "FAIL  associativity  [021, 102]",
+        "result: failed",
+    ],
+    ("ring", "associativity"): [
+        "verification of rank3",
+        "pass  unit law (left)",
+        "pass  unit law (right)",
+        "pass  dual pairing",
+        "pass  finite support  [automatic for a finite table]",
+        "pass  duality symmetry",
+        "pass  involution anti-multiplicative",
+        "FAIL  associativity  [x, x]",
+        "result: failed",
+    ],
+    ("ring", "structural"): [
+        "verification of broken",
+        "STRUCTURAL  negative structure constant in '2'*'3'",
+        "result: failed",
+    ],
+    ("module", "unit law"): [
+        "verification of broken module",
+        "pass  row finiteness  [automatic for a finite table]",
+        "FAIL  unit law  [2, 1]",
+        "FAIL  Frobenius reciprocity  [0, 1, 2]",
+        "FAIL  associativity  [0, 1]",
+        "pass  actions never vanish",
+        "pass  cofinite  [finite module over a finite ring]",
+        "FAIL  pairing normalization and symmetry  [1, 2]",
+        "FAIL  pairing compatibility with the action  [0, 2, 0]",
+        "result: failed",
+    ],
+    ("module", "Frobenius reciprocity"): [
+        "verification of broken module",
+        "pass  row finiteness  [automatic for a finite table]",
+        "pass  unit law",
+        "FAIL  Frobenius reciprocity  [1, 0, 1]",
+        "FAIL  associativity  [1, 1]",
+        "pass  actions never vanish",
+        "pass  cofinite  [finite module over a finite ring]",
+        "FAIL  pairing normalization and symmetry  [0, 1]",
+        "FAIL  pairing compatibility with the action  [1, 0, 0]",
+        "result: failed",
+    ],
+    ("module", "associativity"): [
+        "verification of broken module",
+        "pass  row finiteness  [automatic for a finite table]",
+        "pass  unit law",
+        "pass  Frobenius reciprocity",
+        "FAIL  associativity  [1, 1]",
+        "pass  actions never vanish",
+        "pass  cofinite  [finite module over a finite ring]",
+        "pass  pairing normalization and symmetry",
+        "FAIL  pairing compatibility with the action  [1, p, p]",
+        "result: failed",
+    ],
+    ("module", "actions never vanish"): [
+        "verification of broken module",
+        "pass  row finiteness  [automatic for a finite table]",
+        "pass  unit law",
+        "FAIL  Frobenius reciprocity  [120, 021, 102]",
+        "FAIL  associativity  [021, 120]",
+        "FAIL  actions never vanish  [120, 021]",
+        "pass  cofinite  [finite module over a finite ring]",
+        "FAIL  pairing normalization and symmetry  [021, 102]",
+        "FAIL  pairing compatibility with the action  [021, 012, 102]",
+        "result: failed",
+    ],
+    ("module", "pairing normalization and symmetry"): [
+        "verification of standard(broken)",
+        "pass  row finiteness  [automatic for a finite table]",
+        "pass  unit law",
+        "FAIL  Frobenius reciprocity  [1, 0, 0]",
+        "pass  associativity",
+        "pass  actions never vanish",
+        "pass  cofinite  [finite module over a finite ring]",
+        "FAIL  pairing normalization and symmetry  [0, 1]",
+        "FAIL  pairing compatibility with the action  [1, 0, 0]",
+        "result: failed",
+    ],
+    ("module", "pairing compatibility with the action"): [
+        "verification of broken module",
+        "pass  row finiteness  [automatic for a finite table]",
+        "pass  unit law",
+        "FAIL  Frobenius reciprocity  [3, 2, 3]",
+        "FAIL  associativity  [1, 2]",
+        "pass  actions never vanish",
+        "pass  cofinite  [finite module over a finite ring]",
+        "FAIL  pairing normalization and symmetry  [2, 3]",
+        "FAIL  pairing compatibility with the action  [1, 1, 3]",
+        "result: failed",
+    ],
+    ("module", "structural"): [
+        "verification of broken module",
+        "STRUCTURAL  action ('2', '3') leaves the module basis at 'x'",
+        "result: failed",
+    ],
+    ("lazy", "nonnegative structure constants"): [
+        "verification of broken su2 (depth 4)",
+        "FAIL  nonnegative structure constants  [1, 2]",
+        "pass  unit law",
+        "pass  dual pairing",
+        "FAIL  involution anti-multiplicative  [1, 2]",
+        "pass  finite support  [every single product is a finite combination]",
+        "FAIL  duality symmetry  [1, 2, 3]",
+        "FAIL  associativity  [1, 1, 1]",
+        "result: failed",
+    ],
+    ("lazy", "unit law"): [
+        "verification of broken su2 (depth 4)",
+        "pass  nonnegative structure constants",
+        "FAIL  unit law  [2]",
+        "pass  dual pairing",
+        "FAIL  involution anti-multiplicative  [0, 2]",
+        "pass  finite support  [every single product is a finite combination]",
+        "FAIL  duality symmetry  [0, 2, 4]",
+        "FAIL  associativity  [0, 0, 2]",
+        "result: failed",
+    ],
+    ("lazy", "dual pairing"): [
+        "verification of broken su2 (depth 4)",
+        "pass  nonnegative structure constants",
+        "pass  unit law",
+        "FAIL  dual pairing  [1, 1]",
+        "FAIL  involution anti-multiplicative  [1, 1]",
+        "pass  finite support  [every single product is a finite combination]",
+        "FAIL  duality symmetry  [0, 1, 1]",
+        "pass  associativity",
+        "result: failed",
+    ],
+    ("lazy", "involution anti-multiplicative"): [
+        "verification of broken su2 (depth 4)",
+        "pass  nonnegative structure constants",
+        "pass  unit law",
+        "pass  dual pairing",
+        "FAIL  involution anti-multiplicative  [1, 2]",
+        "pass  finite support  [every single product is a finite combination]",
+        "FAIL  duality symmetry  [1, 2, 3]",
+        "FAIL  associativity  [1, 1, 1]",
+        "result: failed",
+    ],
+    ("lazy", "duality symmetry"): [
+        "verification of broken su2 (depth 4)",
+        "pass  nonnegative structure constants",
+        "pass  unit law",
+        "pass  dual pairing",
+        "FAIL  involution anti-multiplicative  [2, 3]",
+        "pass  finite support  [every single product is a finite combination]",
+        "FAIL  duality symmetry  [2, 3, 5]",
+        "FAIL  associativity  [1, 1, 3]",
+        "result: failed",
+    ],
+    ("lazy", "associativity"): [
+        "verification of broken su2 (depth 4)",
+        "pass  nonnegative structure constants",
+        "pass  unit law",
+        "pass  dual pairing",
+        "pass  involution anti-multiplicative",
+        "pass  finite support  [every single product is a finite combination]",
+        "FAIL  duality symmetry  [2, 2, 6]",
+        "FAIL  associativity  [1, 1, 2]",
+        "result: failed",
+    ],
+    ("lazy", "structural"): [
+        "verification of broken su2 (depth 4)",
+        "STRUCTURAL  involution leaves the ring at '2'",
+        "result: failed",
+    ],
+}
+
+
+@pytest.mark.parametrize("kind, name", list(PINNED_REPORTS), ids=[f"{k}: {n}" for k, n in PINNED_REPORTS])
+def test_broken_input_reports_are_pinned(kind, name):
+    assert _report_lines(kind, name) == PINNED_REPORTS[(kind, name)]
+
+
+
+def test_group_ring_names_the_first_nonassociative_triple():
+    # a loop of order 5 (every element self-inverse) that is not a group
+    rows = {"e": "eabcd", "a": "aecdb", "b": "bdeac", "c": "cbdea", "d": "dcabe"}
+    mul = {(x, y): rows[x][i] for x in rows for i, y in enumerate("eabcd")}
+    with pytest.raises(StructuralError, match=r"not associative at \('a', 'a', 'b'\)"):
+        group_ring(list("eabcd"), mul)
+
+
+def test_lazy_ring_memo_still_rejects_unknown_labels():
+    ring = _lazy_su2()
+    for _ in range(2):
+        assert ring.product("1", "1") == RingElement({"0": 1, "2": 1})
+        with pytest.raises(UnknownLabelError):
+            ring.product("1", "01")
+        assert not ring.contains("01")
+
+
+# -- exactness at large multiplicities -------------------------------------------------
+
+
+def _rank2(n):
+    """The ring {1, x} with x*x = 1 + n*x, associative for every n."""
+    products = {("1", "1"): {"1": 1}, ("1", "x"): {"x": 1}, ("x", "1"): {"x": 1}, ("x", "x"): {"1": 1, "x": n}}
+    return BasedRingTable(["1", "x"], "1", {"1": "1", "x": "x"}, products)
+
+
+@pytest.mark.parametrize("n", [2**26 + 1, 2**27 + 1, 2**40 + 1])
+def test_tensor_squares_with_large_multiplicities_verify(n):
+    # the dense float64 check gave a false associativity FAIL at 2**27 + 1;
+    # at 2**40 + 1 the coefficients (about 2**80) no longer fit int64
+    square = tensor_product(_rank2(n), _rank2(n))
+    assert verify_based_ring(square).ok
+    assert verify_module(standard_module(square)).ok
+
+
+def test_off_by_one_past_float64_resolution_is_caught():
+    # N**2 + 1 rounds to N**2 in float64, so only exact sums see the change
+    square = tensor_product(_rank2(2**40 + 1), _rank2(2**40 + 1))
+    products = {(a, b): square.product(a, b) for a in square.basis for b in square.basis}
+    products[("x|x", "x|x")] = products[("x|x", "x|x")] + RingElement.basis("x|x")
+    broken = BasedRingTable(square.basis, square.unit, square.involution, products)
+    assert [c.name for c in verify_based_ring(broken).failed_checks()] == ["associativity"]
+
+
+def test_cli_verify_past_int64(tmp_path, capsys):
+    n = 2**40 + 1
+    square = tensor_product(_rank2(n), _rank2(n))
+    assert square.product("x|x", "x|x").coefficient("x|x") > 2**63
+    path = str(tmp_path / "square.json")
+    write_document(path, ring_to_document(square))
+    assert cli.main(["verify", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "result: ok"
+    assert not any(line.startswith("FAIL") for line in lines)
+
+
+@pytest.mark.parametrize(
+    "big, dtype",
+    [(2**26 - 1, np.float64), (2**26, np.int64), (-(2**26), np.int64), (2**31 - 1, np.int64), (2**31, object)],
+)
+def test_exact_dtype_bounds(big, dtype):
+    # two terms: 2 * big**2 against 2**53 and 2**63
+    assert exact_dtype(2, np.array([[0, big]], dtype=np.int64)) is dtype
+
+
+# -- the associativity helper against a triple-sum oracle ----------------------------
+
+VALUES = [0, 1, 2, 2**26 + 1, 2**40 + 1]
+
+
+def _oracle_failures(T, A):
+    """F[a][b]: whether some (a*b).v differs from a.(b.v), by direct Python-int sums."""
+    n, m = len(A), len(A[0])
+    return [
+        [
+            any(
+                sum(A[b][v][x] * A[a][x][w] for x in range(m)) != sum(T[a][b][e] * A[e][v][w] for e in range(n))
+                for v in range(m)
+                for w in range(m)
+            )
+            for b in range(n)
+        ]
+        for a in range(n)
+    ]
+
+
+def _cube(draw, n, m):
+    return [[[draw(st.sampled_from(VALUES)) for _ in range(m)] for _ in range(m)] for _ in range(n)]
+
+
+@st.composite
+def ring_and_module(draw):
+    """Random tables, or associative rings (x*x = p + q*x; scaled orthogonal
+    idempotents), each acting on itself or on a random module table."""
+    kind = draw(st.sampled_from(["random", "rank2", "idempotents"]))
+    if kind == "rank2":
+        T = [[[1, 0], [0, 1]], [[0, 1], [draw(st.sampled_from(VALUES)), draw(st.sampled_from(VALUES))]]]
+    elif kind == "idempotents":
+        scale = [draw(st.sampled_from(VALUES)) for _ in range(draw(st.integers(1, 4)))]
+        T = [[[s if a == b == c else 0 for c in range(len(scale))] for b in range(len(scale))] for a, s in enumerate(scale)]
+    else:
+        n = draw(st.integers(1, 4))
+        T = _cube(draw, n, n)
+    A = T if draw(st.booleans()) else _cube(draw, len(T), draw(st.integers(1, 4)))
+    return kind, T, A
+
+
+@settings(max_examples=300, deadline=None)
+@given(ring_and_module())
+def test_associativity_helper_matches_the_oracle(case):
+    kind, T, A = case
+    expected = _oracle_failures(T, A)
+    if kind != "random" and A is T:
+        assert not any(map(any, expected))
+    F = associativity_failures(np.array(T, dtype=np.int64), np.array(A, dtype=np.int64))
+    assert F.tolist() == expected
+    first = next(((a, b) for a, row in enumerate(expected) for b, bad in enumerate(row) if bad), None)
+    assert (tuple(int(i) for i in np.argwhere(F)[0]) if F.any() else None) == first
+
+
+# -- memory -----------------------------------------------------------------------------
+
+
+def test_symmetric5_verifies_in_bounded_memory():
+    # dense n^4 temporaries for S5 (n = 120) would need about 3.5 GB
+    code = (
+        "import resource, sys\n"
+        "from fusionrings import cli\n"
+        "rc = cli.main(['verify', 'builtin:symmetric?n=5'])\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "sys.exit(rc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=600
+    )
+    lines = proc.stdout.splitlines()
+    assert proc.returncode == 0, proc.stderr
+    assert lines[-2] == "result: ok"
+    maxrss_mb = int(lines[-1]) / (1024 * 1024 if sys.platform == "darwin" else 1024)
+    assert maxrss_mb < 400

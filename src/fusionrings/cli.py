@@ -39,6 +39,18 @@ from .torsion import ModuleSearchConfig, dimension_bound, enumerate_modules, is_
 PASS, NEGATIVE, INPUT_ERROR, INCONCLUSIVE = 0, 1, 2, 3
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+_CONFIG_VALUES = {
+    "max_size": ("an integer >= 1", lambda v: _is_int(v) and v >= 1),
+    "depth": ("an integer >= 0", lambda v: _is_int(v) and v >= 0),
+    "budget": ("a number >= 0 or null",
+               lambda v: v is None or ((_is_int(v) or isinstance(v, float)) and v >= 0)),
+}
+
+
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
@@ -49,6 +61,9 @@ def _load_config(path: str | None) -> dict:
         raise MalformedDocumentError(f"cannot read config {path!r}: {exc}") from None
     if not isinstance(config, dict):
         raise MalformedDocumentError("config must be a JSON object")
+    for key, (wanted, valid) in _CONFIG_VALUES.items():
+        if key in config and not valid(config[key]):
+            raise MalformedDocumentError(f"config {key!r} must be {wanted}, got {config[key]!r}")
     return config
 
 

@@ -23,6 +23,7 @@ from .rings import (
     LazyBasedRing,
     Ring,
 )
+from .spectra import components
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -537,6 +538,40 @@ def check_fusion_subring(ring: BasedRingTable, subset) -> tuple[str, ...]:
     return labels
 
 
+def match_standard_copy(component, pairs, unit, act, product) -> dict | None:
+    """A bijection from ``component`` onto a based ring's basis that carries
+    an action on the component to the ring's standard action, or None.
+
+    ``pairs`` lists (label, bare label) for every basis label of the ring,
+    the unit optional: ``act(label, b)`` acts on a component element, and
+    ``product(bare, x)`` is the standard action of the bare label on the
+    ring label x.  Each element of the component in turn is the anchor that
+    plays the unit; that forces the image of every bare label to be the
+    single element its label sends the anchor to.  The forced mapping must
+    then carry every row of the action to the standard one.  The anchor is
+    the first key of the bijection returned.
+    """
+    members = set(component)
+    for anchor in component:
+        mapping = {anchor: unit}
+        for label, bare in pairs:
+            image = act(label, anchor)
+            if image.total() != 1:
+                break
+            target = image.support()[0]
+            if target not in members or mapping.setdefault(target, bare) != bare:
+                break
+        else:
+            inverse = {bare: b for b, bare in mapping.items()}
+            if len(mapping) == len(component) and all(
+                act(label, b) == product(bare, mapping[b]).map_labels(inverse.__getitem__)
+                for b in component
+                for label, bare in pairs
+            ):
+                return mapping
+    return None
+
+
 def is_divisible(ring: BasedRingTable, subset) -> DivisibilityResult:
     """Test whether a fusion subring decomposes the ring as based right modules.
 
@@ -548,81 +583,29 @@ def is_divisible(ring: BasedRingTable, subset) -> DivisibilityResult:
     if ring.is_lazy:
         raise StructuralError("divisibility testing requires a finite ring")
     sub = check_fusion_subring(ring, subset)
-    sset = set(sub)
 
-    # connected components under right multiplication by subring labels
-    adjacency: dict[str, set[str]] = {b: set() for b in ring.basis}
-    for b in ring.basis:
-        for beta in sub:
-            for c in ring.product(b, beta).support():
-                adjacency[b].add(c)
-                adjacency[c].add(b)
-    seen: set[str] = set()
-    components: list[list[str]] = []
-    for start in ring.basis:
-        if start in seen:
-            continue
-        stack, comp = [start], []
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in adjacency[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        components.append(sorted(comp))
-
+    edges = ((b, c) for b in ring.basis for beta in sub for c in ring.product(b, beta).support())
+    parts = components(ring.basis, edges)
     anchors: list[str] = []
     bijections: list[dict[str, str]] = []
-    for comp in components:
+    for comp in parts:
         if len(comp) != len(sub):
             return DivisibilityResult(
-                False, sub, components, [], [],
+                False, sub, parts, [], [],
                 reason=f"component {comp} has size {len(comp)} != {len(sub)}",
             )
-        found = None
-        for anchor in comp:
-            mapping = {anchor: ring.unit}
-            ok = True
-            # the anchor plays the subring unit: its right actions are forced
-            for beta in sub:
-                image = ring.product(anchor, beta)
-                if image.total() != 1:
-                    ok = False
-                    break
-                target = image.support()[0]
-                if target not in comp:
-                    ok = False
-                    break
-                if target in mapping and mapping[target] != beta:
-                    ok = False
-                    break
-                mapping[target] = beta
-            if not ok or len(mapping) != len(comp):
-                continue
-            # full table comparison against the standard right module
-            inverse = {v: k for k, v in mapping.items()}
-            for c in comp:
-                for beta in sub:
-                    actual = ring.product(c, beta)
-                    sub_image = ring.product(mapping[c], beta)
-                    transported = RingElement(
-                        (inverse[s], coeff) for s, coeff in sub_image.items()
-                    )
-                    if actual != transported:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                found = mapping
-                break
+        found = match_standard_copy(
+            comp,
+            [(beta, beta) for beta in sub],
+            ring.unit,
+            lambda beta, b: ring.product(b, beta),
+            lambda beta, x: ring.product(x, beta),
+        )
         if found is None:
             return DivisibilityResult(
-                False, sub, components, [], [],
+                False, sub, parts, [], [],
                 reason=f"component {comp} is not a standard right module copy",
             )
-        anchors.append(next(k for k, v in found.items() if v == ring.unit))
+        anchors.append(next(iter(found)))
         bijections.append(found)
-    return DivisibilityResult(True, sub, components, anchors, bijections)
+    return DivisibilityResult(True, sub, parts, anchors, bijections)

@@ -36,6 +36,7 @@ from .rings import (
     int_tensor,
     ring_dims,
 )
+from .spectra import components
 from .verification import VerificationReport
 
 
@@ -364,30 +365,15 @@ def is_cofinite(module: Module, depth: int = 32) -> CofiniteResult:
 
 def _component_partition(module: Module, ring_labels: list[str]) -> list[list[str]]:
     basis = list(module.basis)
-    adjacency: dict[str, set[str]] = {b: set() for b in basis}
     bset = set(basis)
-    for alpha in ring_labels:
-        for b in basis:
-            for c in module.action_row(alpha, b).support():
-                if c in bset:
-                    adjacency[b].add(c)
-                    adjacency[c].add(b)
-    seen: set[str] = set()
-    components: list[list[str]] = []
-    for start in basis:
-        if start in seen:
-            continue
-        stack, comp = [start], []
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in adjacency[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        components.append(sorted(comp))
-    return sorted(components, key=lambda c: c[0])
+    edges = (
+        (b, c)
+        for alpha in ring_labels
+        for b in basis
+        for c in module.action_row(alpha, b).support()
+        if c in bset
+    )
+    return sorted(components(basis, edges), key=lambda c: c[0])
 
 
 def _quantifier_labels(module: Module, depth: int | None) -> list[str]:

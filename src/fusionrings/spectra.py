@@ -18,6 +18,29 @@ POWER_TOL = 1e-12
 POWER_MAX_ITERS = 100_000
 
 
+def components(vertices, edges) -> list[list]:
+    """Connected components of the undirected graph on ``vertices``.
+
+    ``edges`` are pairs of vertices; self-loops and repeats are allowed.
+    Each component is sorted, and the components are listed in the order
+    of their first vertex in ``vertices``.  Union-find with path halving.
+    """
+    root = {v: v for v in vertices}
+
+    def find(v):
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    for a, b in edges:
+        root[find(a)] = find(b)
+    groups: dict = {}
+    for v in vertices:
+        groups.setdefault(find(v), []).append(v)
+    return [sorted(group) for group in groups.values()]
+
+
 @dataclass(frozen=True)
 class FusionGraph:
     """A finite directed or symmetrized multigraph with integer adjacency.
@@ -54,24 +77,7 @@ class FusionGraph:
         return self.matrix.sum(axis=1)
 
     def undirected_components(self) -> list[list[int]]:
-        n = self.size
-        adj = self.matrix + self.matrix.T
-        seen = [False] * n
-        comps = []
-        for start in range(n):
-            if seen[start]:
-                continue
-            stack, comp = [start], []
-            seen[start] = True
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for w in np.nonzero(adj[v])[0]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(int(w))
-            comps.append(sorted(comp))
-        return comps
+        return components(range(self.size), np.argwhere(self.matrix).tolist())
 
     def is_connected(self) -> bool:
         return self.size > 0 and len(self.undirected_components()) == 1

@@ -26,7 +26,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constructors import pair_label, saturate, split_pair_label, subring_generated, tensor_product
+from .constructors import (
+    match_standard_copy,
+    pair_label,
+    saturate,
+    split_pair_label,
+    subring_generated,
+    tensor_product,
+)
 from .elements import RingElement
 from .errors import FusionError, StructuralError
 from .modules import (
@@ -38,8 +45,8 @@ from .modules import (
     singleton_module,
     standard_module,
 )
-from .rings import REL_TOL, BasedRingTable, LazyBasedRing, fuse, ring_dims
-from .spectra import FusionGraph
+from .rings import REL_TOL, BasedRingTable, LazyBasedRing, associativity_failures, fuse, ring_dims
+from .spectra import FusionGraph, components
 
 
 @dataclass(frozen=True)
@@ -58,6 +65,8 @@ class ModuleSearchConfig:
     def __post_init__(self):
         if self.max_basis_size < 1:
             raise ValueError("max_basis_size must be at least 1")
+        if self.time_budget is not None and not self.time_budget >= 0:
+            raise ValueError("time_budget must be a nonnegative number of seconds")
 
 
 @dataclass
@@ -550,7 +559,7 @@ class _Searcher:
                 return None
             mats[target] = acc // coeff
 
-        A = np.stack([mats[a] for a in ring.basis]).astype(np.float64)
+        A = np.stack([mats[a] for a in ring.basis])
         u = ring.index[ring.unit]
         if not np.array_equal(A[u], np.eye(m)):
             return None
@@ -559,21 +568,10 @@ class _Searcher:
             return None
         if np.any(A.sum(axis=2) == 0):
             return None
-        lhs = np.matmul(A[None, :, :, :], A[:, None, :, :])
-        rhs = np.einsum("abe,eij->abij", self.T.astype(np.float64), A)
-        if not np.array_equal(lhs, rhs):
+        if associativity_failures(self.T, A).any():
             return None
         # connectedness of the union graph
-        union = (A.sum(axis=0) + A.sum(axis=0).T) > 0
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for w in np.nonzero(union[v])[0]:
-                if int(w) not in seen:
-                    seen.add(int(w))
-                    stack.append(int(w))
-        if len(seen) != m:
+        if len(components(range(m), np.argwhere(A.sum(axis=0)).tolist())) != 1:
             return None
         # joint positive eigenvector, root minimality
         gm = [mats[g] for g in self.gens]
@@ -897,15 +895,7 @@ def word_module_structure_check(module, depth: int) -> WordStructureReport:
     U = ((M + M.T) > 0).astype(np.int64)
     np.fill_diagonal(U, 0)
     edges = int(U.sum() // 2)
-    seen = {0} if m else set()
-    stack = [0] if m else []
-    while stack:
-        v = stack.pop()
-        for w in np.nonzero(U[v])[0]:
-            if int(w) not in seen:
-                seen.add(int(w))
-                stack.append(int(w))
-    connected = len(seen) == m
+    connected = len(components(range(m), np.argwhere(U).tolist())) <= 1  # an empty window too
     is_tree = connected and edges == m - 1
     if not is_tree:
         violations.append("underlying graph is not a tree")
@@ -996,51 +986,6 @@ def _factor_submodule(module, letters: list[str], start: str, window_set: set[st
     return sorted(comp), complete
 
 
-def _standard_copy_anchor(module, factor, letter_pairs, component: list[str]):
-    """An element of the component playing the factor unit under the
-    anchored left-module matching, or None.
-
-    ``letter_pairs`` lists (free-product label, bare factor label) for the
-    non-unit letters of the factor.
-    """
-    if len(component) != factor.size:
-        return None
-    comp_set = set(component)
-    for anchor in component:
-        mapping = {anchor: factor.unit}
-        ok = True
-        for free_label, bare in sorted(letter_pairs):
-            row = module.action_row(free_label, anchor)
-            if row.total() != 1:
-                ok = False
-                break
-            target = row.support()[0]
-            if target not in comp_set:
-                ok = False
-                break
-            if target in mapping and mapping[target] != bare:
-                ok = False
-                break
-            mapping[target] = bare
-        if not ok or len(mapping) != len(component):
-            continue
-        for b in component:
-            for free_label, bare in letter_pairs:
-                row = module.action_row(free_label, b)
-                expected = factor.product(bare, mapping[b])
-                image = RingElement(
-                    (mapping[c], coeff) for c, coeff in row.items() if c in mapping
-                )
-                if image != expected or set(row.support()) - set(mapping):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return anchor
-    return None
-
-
 def free_product_module_probe(ring: LazyBasedRing, module, depth: int) -> FreeProductProbeReport:
     """Replay the descent that identifies a module over a free product with
     the standard module, on a truncation.
@@ -1079,8 +1024,7 @@ def free_product_module_probe(ring: LazyBasedRing, module, depth: int) -> FreePr
             if not complete:
                 continue
             checked += 1
-            anchor = _standard_copy_anchor(window, factor, pairs, component)
-            if anchor is None:
+            if match_standard_copy(component, pairs, factor.unit, window.action_row, factor.product) is None:
                 obstructions.append(
                     f"factor {s} submodule at {b} is not a standard copy "
                     f"(size {len(component)} vs {factor.size})"
@@ -1116,21 +1060,21 @@ def free_product_module_probe(ring: LazyBasedRing, module, depth: int) -> FreePr
                 f"descent left the truncation window at {current} (factor {bad_factor})"
             )
             break
-        anchor = _standard_copy_anchor(window, factors[bad_factor], pairs, component)
-        if anchor is None:
+        factor = factors[bad_factor]
+        match = match_standard_copy(component, pairs, factor.unit, window.action_row, factor.product)
+        if match is None:
             obstructions.append(
                 f"factor {bad_factor} submodule at {current} admits no unit anchor"
             )
             break
-        current = anchor
+        current = next(iter(match))
 
     identification_ok = False
     if base is not None:
         image: dict[str, str] = {}
         identification_ok = True
         for label in ring.labels_up_to(depth):
-            value = act(window.parent if isinstance(window, TruncatedModule) else window,
-                        RingElement.basis(label), RingElement.basis(base))
+            value = act(window.parent, RingElement.basis(label), RingElement.basis(base))
             if value.total() != 1:
                 identification_ok = False
                 obstructions.append(f"{label} does not act irreducibly on {base}")

@@ -80,3 +80,21 @@ def dihedral_data(n):
                     i = (i1 + (i2 if j1 == 0 else -i2)) % n
                     mul[(label(i1, j1), label(i2, j2))] = label(i, (j1 + j2) % 2)
     return elems, mul, "r0"
+
+
+def fusion_subrings(ring) -> list[tuple[str, ...]]:
+    """Every fusion subring of a finite ring, by exhaustion over basis subsets.
+
+    Independent of the library's saturation loop: a subset qualifies when it
+    holds the unit and is closed under the involution and under products.
+    """
+    others = [a for a in ring.basis if a != ring.unit]
+    found = []
+    for r in range(len(others) + 1):
+        for extra in itertools.combinations(others, r):
+            sset = {ring.unit, *extra}
+            if all(ring.involution_of(a) in sset for a in sset) and all(
+                set(ring.product(a, b).support()) <= sset for a in sset for b in sset
+            ):
+                found.append(tuple(sorted(sset)))
+    return sorted(found)

@@ -177,6 +177,51 @@ def test_config_file_defaults(tmp_path, capsys):
     assert main(["verify", "builtin:a2", "--config", str(config)]) == 0
 
 
+@pytest.mark.parametrize("command,config", [
+    ("torsion", {"max_size": "8"}),
+    ("enumerate", {"max_size": "8"}),
+    ("torsion", {"max_size": 0}),
+    ("enumerate", {"max_size": 2.0}),
+    ("enumerate", {"max_size": True}),
+    ("enumerate", {"max_size": None}),
+    ("verify", {"depth": "3"}),
+    ("verify", {"depth": -1}),
+    ("enumerate", {"budget": "x"}),
+    ("torsion", {"budget": -1}),
+    ("torsion", {"budget": False}),
+])
+def test_malformed_config_value_exit_2(tmp_path, capsys, command, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert main([command, "builtin:fibonacci", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: config {next(iter(config))!r} must be")
+
+
+@pytest.mark.parametrize("budget", ["-1", "nan"])
+def test_bad_budget_flag_exit_2(capsys, budget):
+    assert main(["torsion", "builtin:fibonacci", "--budget", budget]) == 2
+    assert capsys.readouterr().err == "error: time_budget must be a nonnegative number of seconds\n"
+
+
+def test_config_search_values_accepted(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"max_size": 2, "budget": None, "depth": 0}), encoding="utf-8")
+    assert main(["enumerate", "builtin:fibonacci", "--config", str(path)]) == 0
+    path.write_text(json.dumps({"max_size": 2, "budget": 60}), encoding="utf-8")
+    assert main(["torsion", "builtin:fibonacci", "--config", str(path)]) == 0
+
+
+def test_import_loads_numpy_only():
+    code = (
+        "import sys, fusionrings, fusionrings.cli\n"
+        "print(sorted(m for m in ('networkx', 'scipy', 'hypothesis') if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
+
+
 def test_cli_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "fusionrings.cli", "torsion", "builtin:fibonacci"],

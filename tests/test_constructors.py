@@ -3,6 +3,7 @@
 import itertools
 import math
 
+import networkx as nx
 import pytest
 
 from fusionrings import (
@@ -26,6 +27,9 @@ from fusionrings import (
     verify_based_ring,
     verify_lazy_ring,
 )
+from fusionrings.constructors import match_standard_copy
+
+from conftest import fusion_subrings, klein_four_data
 
 
 # -- group rings ------------------------------------------------------------------
@@ -322,6 +326,63 @@ def test_trivial_subring_always_divides():
         result = is_divisible(ring, [ring.unit])
         assert result.divisible
         assert all(len(c) == 1 for c in result.components)
+
+
+SMALL_RINGS = [
+    *(cyclic_group_ring(n) for n in range(1, 7)),
+    group_ring(*klein_four_data()[:2], name="klein4"),
+    permutation_group_ring(3),
+    fibonacci(),
+    *(su2_level(k) for k in range(1, 6)),
+    tensor_product(fibonacci(), fibonacci()),
+    tensor_product(su2_level(2), cyclic_group_ring(2)),
+]
+
+
+def _right_module_copies(ring, sub):
+    """Components of the right action of ``sub`` (by networkx) and, for each,
+    whether some bijection onto ``sub`` carries it to the standard right
+    module; every bijection is tried."""
+    graph = nx.Graph()
+    graph.add_nodes_from(ring.basis)
+    graph.add_edges_from((b, c) for b in ring.basis for beta in sub for c in ring.product(b, beta).support())
+    comps = sorted(sorted(c) for c in nx.connected_components(graph))
+    found = [
+        len(comp) == len(sub)
+        and any(_is_right_isomorphism(ring, sub, dict(zip(comp, perm))) for perm in itertools.permutations(sub))
+        for comp in comps
+    ]
+    return comps, found
+
+
+def _is_right_isomorphism(ring, sub, f):
+    return all(ring.product(c, beta).map_labels(f.get) == ring.product(f[c], beta) for c in f for beta in sub)
+
+
+@pytest.mark.parametrize("ring", SMALL_RINGS, ids=lambda r: r.name)
+def test_is_divisible_matches_brute_force_bijections(ring):
+    for sub in fusion_subrings(ring):
+        result = is_divisible(ring, sub)
+        comps, found = _right_module_copies(ring, sub)
+        assert sorted(result.components) == comps
+        assert result.divisible == all(found), sub
+        for anchor, f in zip(result.anchors, result.bijections):
+            assert f[anchor] == ring.unit and sorted(f.values()) == list(sub)
+            assert _is_right_isomorphism(ring, sub, f)
+
+
+def test_match_standard_copy_checks_every_row():
+    z3 = cyclic_group_ring(3)
+    cycle = {"a": "b", "b": "c", "c": "a"}
+    regular = {"1": cycle, "2": {v: cycle[cycle[v]] for v in cycle}}
+    swaps = {"1": {"a": "b", "b": "a", "c": "c"}, "2": {"a": "c", "c": "a", "b": "b"}}
+    pairs = [("1", "1"), ("2", "2")]
+    for table, expected in ((regular, {"a": "0", "b": "1", "c": "2"}), (swaps, None)):
+        # anchor a forces b -> 1 and c -> 2 in both tables; only the rows of b and c differ
+        match = match_standard_copy(
+            ["a", "b", "c"], pairs, "0", lambda label, v: RingElement.basis(table[label][v]), z3.product
+        )
+        assert match == expected
 
 
 def test_is_divisible_rejects_non_subring():

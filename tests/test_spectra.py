@@ -2,8 +2,11 @@
 
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fusionrings import (
     FusionGraph,
@@ -25,6 +28,7 @@ from fusionrings import (
     symmetrize,
     free_unitary_ring,
 )
+from fusionrings.spectra import components
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -400,3 +404,35 @@ def test_matrix_homomorphism_all_pairs_on_verified_modules():
         for a in module.ring.basis:
             for b in module.ring.basis:
                 assert matrix_homomorphism_check(module, a, b), (module.name, a, b)
+
+
+# -- the components helper against networkx ----------------------------------------------------
+
+
+@st.composite
+def _graphs(draw):
+    label = draw(st.sampled_from([st.integers(-3, 30), st.text("abc|", max_size=3)]))
+    vertices = draw(st.lists(label, unique=True, max_size=12))
+    if not vertices:
+        return vertices, []
+    edges = draw(st.lists(st.tuples(st.sampled_from(vertices), st.sampled_from(vertices)), max_size=20))
+    return vertices, edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graphs())
+@example(([], []))
+@example((["b", "a"], []))
+@example(([2, 0, 1], [(1, 1), (1, 2)]))
+def test_components_match_networkx(graph):
+    vertices, edges = graph
+    reference = nx.Graph()
+    reference.add_nodes_from(vertices)
+    reference.add_edges_from(edges)  # self-loops included
+    comps = components(vertices, edges)
+    assert sorted(comps) == sorted(sorted(c) for c in nx.connected_components(reference))
+    assert all(c == sorted(c) for c in comps)
+    position = {v: i for i, v in enumerate(vertices)}
+    firsts = [min(position[v] for v in c) for c in comps]
+    assert firsts == sorted(firsts)
+

@@ -27,6 +27,7 @@ from fusionrings import (
     integer_dim_shortcut,
     is_cofinite,
     is_connected,
+    is_divisible,
     is_torsion_free,
     permutation_group_ring,
     quotient_module,
@@ -51,6 +52,7 @@ from fusionrings.rings import REL_TOL
 from conftest import (
     cyclic_group_data,
     dihedral_data,
+    fusion_subrings,
     klein_four_data,
     subgroups_up_to_conjugacy,
     symmetric3_data,
@@ -376,21 +378,26 @@ def test_unfold_singleton_has_two_vertices():
     assert len(unfolded.vertices) == 2
 
 
-def test_unfold_detects_planted_loop():
+def _planted_word_module(at, extra):
+    """The standard word-ring module with ``extra`` added to the action of
+    p+ on ``at``; the other rows stay standard."""
     from fusionrings import LazyBasedModule
 
     a2 = free_unitary_ring()
     std = standard_module(a2)
 
-    def looped(alpha, b):
+    def act(alpha, b):
         row = std.action_row(alpha, b)
-        if alpha == "p+" and b == "p+":
-            # a loop at an interior vertex: its minus copy gains a third edge
-            row = row + RingElement.basis("p+")
+        if alpha == "p+" and b == at:
+            row = row + RingElement.basis(extra)
         return row
 
-    bad = LazyBasedModule(a2, looped, std.level, std.enumerate_level, dims=a2.dim, anchor="e")
-    unfolded = unfold_word_module(bad, 3)
+    return LazyBasedModule(a2, act, std.level, std.enumerate_level, dims=a2.dim, anchor="e")
+
+
+def test_unfold_detects_planted_loop():
+    # a loop at an interior vertex: its minus copy gains a third edge
+    unfolded = unfold_word_module(_planted_word_module("p+", "p+"), 3)
     assert not all(a_infinity_check(c) for c in unfolded.components)
 
 
@@ -412,19 +419,7 @@ def test_word_structure_depth_one_shape():
 
 
 def test_word_structure_flags_planted_loop():
-    from fusionrings import LazyBasedModule
-
-    a2 = free_unitary_ring()
-    std = standard_module(a2)
-
-    def looped(alpha, b):
-        row = std.action_row(alpha, b)
-        if alpha == "p+" and b == "p+":
-            row = row + RingElement.basis("p+")
-        return row
-
-    bad = LazyBasedModule(a2, looped, std.level, std.enumerate_level, dims=a2.dim, anchor="e")
-    report = word_module_structure_check(bad, 3)
+    report = word_module_structure_check(_planted_word_module("p+", "p+"), 3)
     assert not report.loop_free
     assert any("loop" in v for v in report.violations)
 
@@ -452,7 +447,8 @@ def test_probe_depth_zero_vacuous():
     assert report.vacuous and report.ok
 
 
-def test_probe_detects_torsion_coset_module():
+def _coset_module():
+    """Z2 * Z3 acting on the cosets of its order-two factor: a torsion module."""
     from fusionrings import LazyBasedModule
 
     ring = free_product([cyclic_group_ring(2), cyclic_group_ring(3)])
@@ -508,11 +504,15 @@ def test_probe_detects_torsion_coset_module():
         gen((), None)
         return sorted(l for l in reps if len(parse(l)) == n)
 
-    coset = LazyBasedModule(
+    return LazyBasedModule(
         ring, coset_act, lambda b: len(parse(b)), enum,
         dims=lambda b: 2.0, anchor="e", name="cosets by the order-two factor",
     )
-    report = free_product_module_probe(ring, coset, 3)
+
+
+def test_probe_detects_torsion_coset_module():
+    coset = _coset_module()
+    report = free_product_module_probe(coset.ring, coset, 3)
     assert not report.ok
     assert any("factor 0" in o or "collide" in o for o in report.obstructions)
 
@@ -690,36 +690,89 @@ def test_witnesses_satisfy_the_verdict_contract():
 
 
 def test_word_structure_flags_double_arrow():
-    from fusionrings import LazyBasedModule
-
-    a2 = free_unitary_ring()
-    std = standard_module(a2)
-
-    def doubled(alpha, b):
-        row = std.action_row(alpha, b)
-        if alpha == "p+" and b == "e":
-            row = row + RingElement.basis("p+")  # p+ appears twice now
-        return row
-
-    bad = LazyBasedModule(a2, doubled, std.level, std.enumerate_level, dims=a2.dim, anchor="e")
-    report = word_module_structure_check(bad, 2)
+    # p+ appears twice in p+ acting on e
+    report = word_module_structure_check(_planted_word_module("e", "p+"), 2)
     assert not report.multi_edge_free
     assert any("double arrow" in v for v in report.violations)
 
 
 def test_word_structure_flags_two_way_pair():
-    from fusionrings import LazyBasedModule
-
-    a2 = free_unitary_ring()
-    std = standard_module(a2)
-
-    def opposed(alpha, b):
-        row = std.action_row(alpha, b)
-        if alpha == "p+" and b == "p+":
-            row = row + RingElement.basis("e")  # e -> p+ already exists
-        return row
-
-    bad = LazyBasedModule(a2, opposed, std.level, std.enumerate_level, dims=a2.dim, anchor="e")
-    report = word_module_structure_check(bad, 2)
+    # e -> p+ already exists
+    report = word_module_structure_check(_planted_word_module("p+", "e"), 2)
     assert not report.two_way_free
     assert any("opposed" in v for v in report.violations)
+
+
+# -- pinned replay outputs ---------------------------------------------------------------------
+#
+# The sha256 of the sorted ``repr`` lines of every output field of the
+# divisibility test and the word-ring and free-product replays over the
+# inputs below, dict order included.  The component and standard-copy
+# matching behind them may change its code, never these lines.
+
+DIVISIBILITY_RINGS = [
+    *(cyclic_group_ring(n) for n in range(1, 7)),
+    group_ring(*klein_four_data()[:2], name="klein4"),
+    permutation_group_ring(3),
+    group_ring(*dihedral_data(4)[:2], name="dihedral8"),
+    fibonacci(),
+    *(su2_level(k) for k in range(1, 6)),
+    tensor_product(fibonacci(), fibonacci()),
+    tensor_product(su2_level(2), cyclic_group_ring(2)),
+    tensor_product(su2_level(3), cyclic_group_ring(2)),
+]
+
+
+def _divisibility_lines():
+    for ring in DIVISIBILITY_RINGS:
+        for sub in fusion_subrings(ring):
+            r = is_divisible(ring, sub)
+            yield repr((ring.name, r.subring, r.divisible, r.components, r.anchors, r.bijections, r.reason))
+
+
+def _free_product_probe_lines():
+    for factors in ([fibonacci(), fibonacci()], [cyclic_group_ring(2), cyclic_group_ring(3)],
+                    [cyclic_group_ring(2), cyclic_group_ring(2)], [fibonacci(), cyclic_group_ring(2)]):
+        ring = free_product(factors)
+        for depth in range(4):
+            yield repr((ring.name, depth, free_product_module_probe(ring, standard_module(ring), depth)))
+    coset = _coset_module()
+    for depth in range(1, 4):
+        yield repr(("cosets", depth, free_product_module_probe(coset.ring, coset, depth)))
+
+
+def _word_modules():
+    yield "standard", standard_module(free_unitary_ring())
+    for at, extra in (("p+", "p+"), ("e", "p+"), ("p+", "e")):
+        yield f"planted {extra} at {at}", _planted_word_module(at, extra)
+
+
+def _word_structure_lines():
+    for name, module in _word_modules():
+        for depth in range(6):
+            yield repr((name, depth, word_module_structure_check(module, depth)))
+
+
+def _unfold_lines():
+    for name, module in _word_modules():
+        for depth in range(6):
+            unfolded = unfold_word_module(module, depth)
+            yield repr((name, depth, [c.vertices for c in unfolded.components]))
+
+
+PINNED_REPLAYS = [
+    ("divisibility", _divisibility_lines,
+     "7896a7fd998c4027b475f22673a787e6956b99ff730df5a4589536fc51b01472"),
+    ("free_product_probe", _free_product_probe_lines,
+     "2ef221c5e5f48a1ddb8542bf2688cb95c53d6b622a220bcc5cc1f1c3adac0326"),
+    ("word_structure", _word_structure_lines,
+     "21e9fc489d0d36eb328309246abe2a671e129567a31395e423859160c627766c"),
+    ("unfold_components", _unfold_lines,
+     "016870a959a94d761e054b0b94a97bf7c202b03a0cdd0a36cbdd0713402622fe"),
+]
+
+
+@pytest.mark.parametrize("lines,digest", [case[1:] for case in PINNED_REPLAYS],
+                         ids=[case[0] for case in PINNED_REPLAYS])
+def test_replay_outputs_pinned(lines, digest):
+    assert hashlib.sha256(repr(sorted(lines())).encode()).hexdigest() == digest

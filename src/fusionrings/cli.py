@@ -255,8 +255,14 @@ def cmd_graph(args) -> int:
         print(args.dot)
     else:
         sys.stdout.write(text)
-    verdict = dynkin_classify(symmetrize(graph))
-    print(f"verdict: {verdict.describe()}")
+    symmetric = symmetrize(graph)
+    parts = symmetric.components()
+    if len(parts) <= 1:
+        print(f"verdict: {dynkin_classify(symmetric).describe()}")
+        return PASS
+    print(f"verdict: disconnected, {len(parts)} components")
+    for part in parts:
+        print(f"component {' '.join(part.vertices)}: {dynkin_classify(part).describe()}")
     return PASS
 
 

@@ -292,6 +292,13 @@ class _SearchState:
     ``(b, mult)`` entries of column c of generator gi in row order.  The
     indices hold tuples that are replaced, never mutated, so ``clone``
     copies only the outer containers.
+
+    ``exact[label][b]`` is row b of a ring label's action matrix, as a
+    ``{c: entry}`` dict of its nonzero entries, for every row that
+    ``_Searcher._exact_rows`` found fixed by the generator rows (unit rows
+    are implicit).  Rows are never mutated; ``clone`` shares ``exact``
+    with the parent, and ``_exact_rows`` copies the outer dict and each
+    per-label dict before it first writes to it.
     """
 
     nvert: int
@@ -301,10 +308,13 @@ class _SearchState:
     vrows: list
     vcols: list
     cols: dict
+    exact: dict
 
     @classmethod
     def root(cls) -> "_SearchState":
-        return cls(nvert=1, rows={}, dims=[(1.0, 1.0)], pending=[], vrows=[()], vcols=[()], cols={})
+        return cls(
+            nvert=1, rows={}, dims=[(1.0, 1.0)], pending=[], vrows=[()], vcols=[()], cols={}, exact={}
+        )
 
     def clone(self) -> "_SearchState":
         return _SearchState(
@@ -315,6 +325,7 @@ class _SearchState:
             list(self.vrows),
             list(self.vcols),
             dict(self.cols),
+            self.exact,
         )
 
     def add_row(self, gi: int, b: int, row: tuple, new_count: int, d_max: float) -> None:
@@ -354,6 +365,25 @@ class _Searcher:
         self.nodes = 0
         self.found: dict[bytes, BasedModuleTable] = {}
         self.T = ring.structure_tensor()
+        # the plan's product steps on label indices; an exact row b of a
+        # label feeds row b of the steps in ``feeds_row`` (as M_y or a rest
+        # term) and the rows b' of the steps in ``feeds_x`` whose M_y row b'
+        # has b in its support
+        index = ring.index
+        self.unit = index[ring.unit]
+        self.gen_label = [index[g] for g in self.gens]
+        steps = [
+            (index[t], index[x], index[y], coeff, tuple((index[a], m) for a, m in rest))
+            for kind, t, x, y, coeff, rest in (step for step in plan if step[0] == "product")
+        ]
+        self.feeds_row = [[] for _ in ring.basis]
+        self.feeds_x = [[] for _ in ring.basis]
+        for step in steps:
+            _, x, y, _, rest = step
+            self.feeds_x[x].append(step)
+            for a in {y} | {a for a, _ in rest}:
+                self.feeds_row[a].append(step)
+        self.dual_label = [index[ring.involution_of(a)] for a in ring.basis]
 
     # ---- dimension propagation
 
@@ -473,6 +503,92 @@ class _Searcher:
                 return True
         return True
 
+    # ---- refutation on exact derived rows
+
+    def _exact_rows(self, state: _SearchState) -> bool:
+        """Extend ``state.exact`` from the row just fixed; False refutes the node.
+
+        A row of a label's action matrix is exact when the fixed generator
+        rows determine it, so that it is the same in every completion of
+        the node.  Unit rows are always exact, and a generator row is exact
+        once fixed.  A self-dual generator is its own dual; the rows of the
+        dual of any other generator are its columns, never exact before a
+        leaf.
+        Row b of a plan target t = (M_y M_x - sum rest) / coeff is exact
+        once row b of M_y, row c of M_x for every c in that row's support
+        and row b of every ``rest`` label are.  The node is refuted when an
+        exact plan row is not divisible by ``coeff``, has a negative entry
+        or is all zero, or when two exact rows break reciprocity
+        M_abar[b, c] = M_a[c, b].
+
+        Soundness: ``_complete`` builds every leaf below the node from the
+        same fixed rows, so each exact row reappears there unchanged, and
+        the leaf fails the same check: the plan's divisibility and sign
+        test, the zero-row test or the reciprocity test.  Refuting the node
+        therefore removes only leaves that ``_complete`` would reject, and
+        the class list stays the same; only node counts move.  The cut
+        uses integers only.
+
+        Exactness only grows along a branch, so the parent's rows are kept
+        and only the rows that a newly exact row feeds are computed;
+        reciprocity is checked once per pair, when its second row turns
+        exact.
+        """
+        exact = state.exact = dict(state.exact)
+        unit = self.unit
+        copied: set[int] = set()
+        queue: list[tuple[int, int]] = []
+
+        def get(label: int, b: int) -> dict | None:
+            return {b: 1} if label == unit else exact.get(label, {}).get(b)
+
+        def add(label: int, b: int, row: dict) -> bool:
+            for c, other in exact.get(self.dual_label[label], {}).items():
+                if row.get(c, 0) != other.get(b, 0):
+                    return False
+            if label not in copied:
+                copied.add(label)
+                exact[label] = dict(exact.get(label, {}))
+            exact[label][b] = row
+            queue.append((label, b))
+            return True
+
+        gi, b, row = state.pending[-1]
+        if not add(self.gen_label[gi], b, dict(row)):
+            return False
+        while queue:
+            label, b = queue.pop()
+            cells = [(step, b) for step in self.feeds_row[label]]
+            for step in self.feeds_x[label]:
+                # the plan never multiplies by the unit, so M_y is not the unit
+                cells.extend((step, w) for w, row_y in exact.get(step[2], {}).items() if b in row_y)
+            for (target, x, y, coeff, rest), w in cells:
+                if w in exact.get(target, {}):
+                    continue
+                row_y = get(y, w)
+                terms = [get(a, w) for a, _ in rest]
+                if row_y is None or None in terms:
+                    continue
+                rows_x = [get(x, c) for c in row_y]
+                if None in rows_x:
+                    continue
+                acc: dict[int, int] = {}
+                for (c, m), row_x in zip(row_y.items(), rows_x):
+                    for d, n in row_x.items():
+                        acc[d] = acc.get(d, 0) + m * n
+                for (_, m), term in zip(rest, terms):
+                    for d, n in term.items():
+                        acc[d] = acc.get(d, 0) - m * n
+                derived = {}
+                for d, n in acc.items():
+                    if n < 0 or n % coeff:
+                        return False
+                    if n:
+                        derived[d] = n // coeff
+                if not derived or not add(target, w, derived):
+                    return False
+        return True
+
     # ---- row candidate generation
 
     def _row_options(self, state: _SearchState, gi: int, b: int):
@@ -573,17 +689,12 @@ class _Searcher:
         # connectedness of the union graph
         if len(components(range(m), np.argwhere(A.sum(axis=0)).tolist())) != 1:
             return None
-        # joint positive eigenvector, root minimality
-        gm = [mats[g] for g in self.gens]
-        D = _joint_perron(gm, m)
+        # root minimality on the joint positive eigenvector; the eigen
+        # equations M_g D = d(g) D hold on every connected based module that
+        # passed the exact checks (Frobenius-Perron for transitive Z+-modules)
+        D = _joint_perron([mats[g] for g in self.gens], m)
         if D is None:
             return None
-        for gi, g in enumerate(self.gens):
-            target = self.d_gen[gi] * D
-            if np.any(np.abs(gm[gi] @ D - target) > REL_TOL * np.maximum(target, 1.0)):
-                return None
-            if np.any(np.abs(gm[gi].T @ D - target) > REL_TOL * np.maximum(target, 1.0)):
-                return None
         if D[0] > D.min() * (1 + REL_TOL):
             return None
         return {a: mats[a] for a in ring.basis}
@@ -617,13 +728,14 @@ class _Searcher:
 
     def _child(self, state: _SearchState, gi: int, b: int, row) -> _SearchState | None:
         """``state`` with row (gi, b) fixed and propagated, or None when the
-        row exceeds the size bound or propagation refutes it."""
+        row exceeds the size bound, propagation refutes it or an exact
+        derived row does."""
         new_count = sum(1 for c, _ in row if c >= state.nvert)
         if state.nvert + new_count > self.max_size:
             return None
         child = state.clone()
         child.add_row(gi, b, tuple(row), new_count, self.d_max)
-        return child if self._propagate(child) else None
+        return child if self._propagate(child) and self._exact_rows(child) else None
 
     def _dfs(self, state: _SearchState):
         """Count ``state`` as a search node; harvest it at a leaf, else

@@ -171,6 +171,22 @@ def test_graph_quotient_module_cycle(tmp_path, capsys):
     assert '"0" -> "1";' in out and '"1" -> "0";' in out
 
 
+@pytest.mark.parametrize(
+    "uri,alpha,lines",
+    [
+        ("builtin:fibonacci", "1",
+         ["component 1: tadpole T_1 (norm < 2)", "component phi: tadpole T_1 (norm < 2)"]),
+        ("builtin:su2?level=2", "2",
+         ["component 0 2: A_2 (norm < 2)", "component 1: tadpole T_1 (norm < 2)"]),
+    ],
+)
+def test_graph_classifies_each_component(uri, alpha, lines, capsys):
+    assert main(["graph", uri, "--standard", "--alpha", alpha]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("digraph fusion {")
+    assert out.splitlines()[-3:] == ["verdict: disconnected, 2 components"] + lines
+
+
 def test_config_file_defaults(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"depth": 2}), encoding="utf-8")

@@ -127,25 +127,52 @@ def test_generating_set_extends_a_stalled_derivation():
     assert [step[1] for step in plan] == ["5", "4"]
 
 
+def _multiplicity_two_ring():
+    """The rank-3 fusion ring x*x = 1 + 2y, x*y = 2x + y, y*y = 1 + x + 2y:
+    its derivation plan divides by 2 (y = (x*x - 1) / 2)."""
+    from fusionrings import BasedRingTable
+
+    basis = ["1", "x", "y"]
+    rules = {("x", "x"): {"1": 1, "y": 2}, ("x", "y"): {"x": 2, "y": 1},
+             ("y", "y"): {"1": 1, "x": 1, "y": 2}}
+    products = {(a, "1"): {a: 1} for a in basis}
+    products.update({("1", a): {a: 1} for a in basis})
+    for (a, b), expansion in rules.items():
+        products[(a, b)] = products[(b, a)] = expansion
+    return BasedRingTable(basis, "1", {a: a for a in basis}, products, name="x2=1+2y")
+
+
 # Search nodes and the sha256 of the sorted canonical class keys at the
-# dimension bound.  The class keys never depend on propagation; the
-# node counts move only when its pruning power does.
+# dimension bound.  The class keys never depend on propagation or on the
+# exact-row cut; the node counts move only when their pruning power does.
 PINNED_SEARCHES = [
     ("su2_level3", lambda: su2_level(3), 101,
      "4d68450ef2c51ee11c400d22e6e1151ce5ba0195ef2c06b01ba576f3e5389c48"),
-    ("su2_level4", lambda: su2_level(4), 324,
+    ("su2_level4", lambda: su2_level(4), 80,
      "fc473629c056adb4ba198df4c4c240896dd53a7abab77e1ed1fbac6a01ada0d0"),
     ("sym3", lambda: permutation_group_ring(3), 91,
      "06bd43d938ba09b27aa5f3f6fd53d964b57eed0fcccc30ca58349cb063b108f6"),
     ("cyclic6", lambda: cyclic_group_ring(6), 12,
      "1c98f462295ece7be1ca8106d1f4f54d5f8520dbcc9b19c6c011f39d7adbd069"),
-    ("fib_squared", lambda: tensor_product(fibonacci(), fibonacci()), 664,
+    ("fib_squared", lambda: tensor_product(fibonacci(), fibonacci()), 224,
      "cbdae7b08487c827e1fa6bff325540506b13314172b25fa2d5f078dac68b48fe"),
-    ("su2_level2xZ2", lambda: tensor_product(su2_level(2), cyclic_group_ring(2)), 2325,
+    ("su2_level2xZ2", lambda: tensor_product(su2_level(2), cyclic_group_ring(2)), 590,
      "050265c1be6e1ca10cb6ec45b8b6f00422f0f8081bda1485f728a57a47faca59"),
-    ("su2_level5", lambda: su2_level(5), 7555,
+    ("su2_level5", lambda: su2_level(5), 150,
      "761a6632d7874cac7a71c3758677651f5275911e9b7cf7becf441babca63d914"),
+    ("dihedral8", lambda: group_ring(*dihedral_data(4)[:2], name="dihedral8"), 163,
+     "cc26c9c36ed8e234a386b4a99110f0a0d6dc356b45c4d13b918839d2a38766e9"),
+    ("rank3_mult2", _multiplicity_two_ring, 24,
+     "43f8f05658d3aeb2f805551e4d37b184103033290623e8584a351b2abb793623"),
 ]
+
+
+# Node counts of the same searches without the exact-row cut, as pinned
+# before the cut existed.
+NODES_WITHOUT_CUT = {
+    "su2_level3": 101, "su2_level4": 324, "sym3": 91, "cyclic6": 12, "fib_squared": 664,
+    "su2_level2xZ2": 2325, "su2_level5": 7555, "dihedral8": 17328, "rank3_mult2": 935,
+}
 
 
 def _keys_digest(classes):
@@ -217,7 +244,9 @@ def _assert_closed(searcher, state):
 )
 def test_propagation_reaches_the_fixpoint(make, monkeypatch):
     propagate = torsion._Searcher._propagate
+    exact_rows = torsion._Searcher._exact_rows
     closed = []
+    refuted = []
 
     def checked(searcher, state):
         if not propagate(searcher, state):
@@ -226,11 +255,62 @@ def test_propagation_reaches_the_fixpoint(make, monkeypatch):
         closed.append(len(state.rows))
         return True
 
+    def counted(searcher, state):
+        if exact_rows(searcher, state):
+            return True
+        refuted.append(len(state.rows))
+        return False
+
     monkeypatch.setattr(torsion._Searcher, "_propagate", checked)
+    monkeypatch.setattr(torsion._Searcher, "_exact_rows", counted)
     ring = make()
     result = enumerate_modules(ring, ModuleSearchConfig(max_basis_size=dimension_bound(ring)))
     assert result.complete
-    assert len(closed) == result.nodes_explored - 1
+    # every closed state is a node, except those the exact-row cut refutes
+    assert refuted
+    assert len(closed) == result.nodes_explored - 1 + len(refuted)
+
+
+@pytest.mark.parametrize("name,make,digest", [(case[0], case[1], case[3]) for case in PINNED_SEARCHES],
+                         ids=[case[0] for case in PINNED_SEARCHES])
+def test_exact_row_cut_keeps_the_classes(name, make, digest, monkeypatch):
+    ring = make()
+    config = ModuleSearchConfig(max_basis_size=dimension_bound(ring))
+    with_cut = enumerate_modules(ring, config)
+    monkeypatch.setattr(torsion._Searcher, "_exact_rows", lambda searcher, state: True)
+    without_cut = enumerate_modules(ring, config)
+    assert without_cut.complete
+    assert _keys_digest(without_cut.classes) == _keys_digest(with_cut.classes) == digest
+    assert with_cut.nodes_explored <= without_cut.nodes_explored == NODES_WITHOUT_CUT[name]
+
+
+PERRON_RINGS = [case[:2] for case in PINNED_SEARCHES] + [
+    (f"su2_level{level}", lambda level=level: su2_level(level)) for level in range(6, 13)
+]
+
+
+@pytest.mark.parametrize("make", [case[1] for case in PERRON_RINGS],
+                         ids=[case[0] for case in PERRON_RINGS])
+def test_harvested_classes_have_a_joint_perron_vector(make):
+    # Leaf completion does not test the eigen equations M_a D = d(a) D:
+    # by Frobenius-Perron they hold on every connected based module.  The
+    # oracle here shares no code with the search: d(a) is the spectral
+    # radius of left multiplication by a, and D the Perron vector of the
+    # sum of the action matrices, unique up to scale since the module is
+    # connected, so a common positive eigenvector exists only if D is one.
+    ring = make()
+    result = enumerate_modules(ring, ModuleSearchConfig(max_basis_size=dimension_bound(ring)))
+    assert result.complete and result.classes
+    T = ring.structure_tensor().astype(float)
+    d = [max(abs(np.linalg.eigvals(T[a]))) for a in range(ring.size)]
+    for module in result.classes:
+        mats = [module.matrix(a).astype(float) for a in ring.basis]
+        values, vectors = np.linalg.eig(sum(mats))
+        v = np.real(vectors[:, np.argmax(np.real(values))])
+        v = v / v.sum()
+        assert v.min() > 0
+        for a, M in enumerate(mats):
+            assert np.allclose(M @ v, d[a] * v, rtol=1e-9, atol=1e-12)
 
 
 def test_budget_exhaustion_flags_incomplete():
@@ -554,7 +634,19 @@ VERLINDE_EXPECTED = {
     3: [("tadpole", 2), ("A_n", 4)],
     4: [("A_n", 5), ("D_n", 4)],
     5: [("tadpole", 3), ("A_n", 6)],
+    6: [("A_n", 7), ("D_n", 5)],
+    7: [("tadpole", 4), ("A_n", 8)],
+    8: [("A_n", 9), ("D_n", 6)],
+    9: [("tadpole", 5), ("A_n", 10)],
+    10: [("A_n", 11), ("D_n", 7), ("E6", 6)],
+    11: [("tadpole", 6), ("A_n", 12)],
+    12: [("A_n", 13), ("D_n", 8)],
+    16: [("A_n", 17), ("D_n", 10), ("E7", 7)],
 }
+
+# Search nodes with the exact-row cut from level 6 on (level 6 took 54,805
+# nodes without it); its sign test prunes from level 10 on.
+VERLINDE_NODES = {6: 237, 7: 433, 8: 484, 9: 491, 10: 768, 11: 762, 12: 826, 16: 1264}
 
 
 @pytest.mark.parametrize("level", sorted(VERLINDE_EXPECTED))
@@ -571,6 +663,8 @@ def test_su2_level_module_classification(level):
     assert sorted(found) == sorted(
         (kind, size) for kind, size in VERLINDE_EXPECTED[level]
     )
+    if level in VERLINDE_NODES:
+        assert result.nodes_explored == VERLINDE_NODES[level]
 
 
 # -- brute-force cross-validation of the search ---------------------------------------

@@ -9,6 +9,7 @@ stored, so the reconstruction identity holds by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -30,11 +31,13 @@ from .rings import (
     REL_TOL,
     Ring,
     associativity_failures,
+    associativity_witnesses,
     exact_dtype,
     fuse,  # unused here; perfbench/tracing.py wraps the name modules.fuse
     group_of_units,
     int_tensor,
     ring_dims,
+    window_products,
 )
 from .spectra import components
 from .verification import VerificationReport
@@ -480,37 +483,11 @@ def _verify_finite_module(module: BasedModuleTable) -> VerificationReport:
     inv = np.array([ring.index[ring.involution_of(a)] for a in labels_r])
 
     report.add("row finiteness", True, "automatic for a finite table")
-
-    d = A[u] != np.eye(m, dtype=np.int64)
-    wit = None
-    if d.any():
-        bi, ci = np.argwhere(d)[0]
-        wit = f"{labels_m[bi]}, {labels_m[ci]}"
-    report.add("unit law", not d.any(), wit)
-
-    recip = A[inv].transpose(0, 2, 1)
-    d = A != recip
-    wit = None
-    if d.any():
-        ai, bi, ci = np.argwhere(d)[0]
-        wit = f"{labels_r[ai]}, {labels_m[bi]}, {labels_m[ci]}"
-    report.add("Frobenius reciprocity", not d.any(), wit)
-
+    report.first_index("unit law", A[u] != np.eye(m, dtype=np.int64), labels_m, labels_m)
+    report.first_index("Frobenius reciprocity", A != A[inv].transpose(0, 2, 1), labels_r, labels_m, labels_m)
     T = ring.structure_tensor()
-    d = associativity_failures(T, A)
-    wit = None
-    if d.any():
-        ai, bi = np.argwhere(d)[0]
-        wit = f"{labels_r[ai]}, {labels_r[bi]}"
-    report.add("associativity", not d.any(), wit)
-
-    zero_rows = np.argwhere(A.sum(axis=2) == 0)
-    wit = None
-    if zero_rows.size:
-        ai, bi = zero_rows[0]
-        wit = f"{labels_r[ai]}, {labels_m[bi]}"
-    report.add("actions never vanish", not zero_rows.size, wit)
-
+    report.first_index("associativity", associativity_failures(T, A), labels_r, labels_r)
+    report.first_index("actions never vanish", A.sum(axis=2) == 0, labels_r, labels_m)
     report.add("cofinite", True, "finite module over a finite ring")
 
     def dualise(X: np.ndarray) -> np.ndarray:
@@ -522,24 +499,15 @@ def _verify_finite_module(module: BasedModuleTable) -> VerificationReport:
     # P[b, c, k]: coefficient of ring label k in inner(b, c)
     P = dualise(A.transpose(1, 2, 0))
     d = (P[:, :, u] != np.eye(m, dtype=np.int64)) | (P != dualise(P.transpose(1, 0, 2))).any(axis=2)
-    wit = None
-    if d.any():
-        bi, ci = np.argwhere(d)[0]
-        wit = f"{labels_m[bi]}, {labels_m[ci]}"
-    report.add("pairing normalization and symmetry", not d.any(), wit)
+    report.first_index("pairing normalization and symmetry", d, labels_m, labels_m)
 
     # alpha.inner(b, c) against the sum over e of N_{alpha b}^e inner(e, c)
     dtype = exact_dtype(max(n, m), A, P, T)
     Ad, Pd, Td = A.astype(dtype), P.astype(dtype), T.astype(dtype)
-    wit = None
-    for ai in range(n):
-        lhs = (Ad[ai] @ Pd.reshape(m, m * n)).reshape(m, m, n)
-        d = (lhs != (Pd.reshape(m * m, n) @ Td[ai]).reshape(m, m, n)).any(axis=2)
-        if d.any():
-            bi, ci = np.argwhere(d)[0]
-            wit = f"{labels_r[ai]}, {labels_m[bi]}, {labels_m[ci]}"
-            break
-    report.add("pairing compatibility with the action", wit is None, wit)
+    lhs = ((Ad[ai] @ Pd.reshape(m, m * n)).reshape(m, m, n) for ai in range(n))
+    rhs = ((Pd.reshape(m * m, n) @ Td[ai]).reshape(m, m, n) for ai in range(n))
+    d = np.stack([(x != y).any(axis=2) for x, y in zip(lhs, rhs)])
+    report.first_index("pairing compatibility with the action", d, labels_r, labels_m, labels_m)
     return report
 
 
@@ -550,60 +518,32 @@ def _verify_truncated_module(module: TruncatedModule, depth: int | None) -> Veri
     report = VerificationReport(subject=f"{module.name} (ring depth {depth})")
     ring_labels = ring.labels_up_to(depth)
 
-    ok, wit = True, None
-    for b in module.basis:
-        for alpha in ring_labels:
-            row = module.action_row(alpha, b)
-            if not row.is_zero and not row.is_nonnegative():
-                ok, wit = False, f"{alpha}, {b}"
-                break
-            if row.is_zero:
-                ok, wit = False, f"{alpha}, {b} (vanishing action)"
-                break
-        if not ok:
-            break
-    report.add("nonnegative, never-vanishing actions", ok, wit)
+    report.structural_errors += window_products(ring, ring_labels)[1]
+    rows = {(alpha, b): module.action_row(alpha, b) for b in module.basis for alpha in ring_labels}
+    contains = module.parent.contains
+    outside = next(((alpha, b, c) for (alpha, b), row in rows.items() for c in row.support() if not contains(c)), None)
+    if outside is not None:
+        report.structural_errors.append("action ({!r}, {!r}) leaves the module at {!r}".format(*outside))
+    if report.structural_errors:
+        return report
 
-    ok, wit = True, None
-    for b in module.basis:
-        if module.action_row(ring.unit, b) != RingElement.basis(b):
-            ok, wit = False, b
-            break
-    report.add("unit law", ok, wit)
-
-    ok, wit = True, None
-    for alpha in ring_labels:
-        alpha_bar = ring.involution_of(alpha)
-        for b in module.basis:
-            row = module.action_row(alpha, b)
-            for c in module.basis:
-                if row.coefficient(c) != module.action_row(alpha_bar, c).coefficient(b):
-                    ok, wit = False, f"{alpha}, {b}, {c}"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    report.add("Frobenius reciprocity", ok, wit)
-
-    ok, wit = True, None
-    for alpha in ring_labels:
-        ea = RingElement.basis(alpha)
-        for beta in ring_labels:
-            expansion = ring.product(alpha, beta)
-            for c in module.basis:
-                lhs = act(module.parent, ea, module.action_row(beta, c))
-                rhs = RingElement()
-                for eps, coeff in expansion.items():
-                    rhs = rhs + coeff * module.parent.action_row(eps, c)
-                if lhs != rhs:
-                    ok, wit = False, f"{alpha}, {beta}, {c}"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    report.add("associativity", ok, wit)
+    faults = (
+        f"{alpha}, {b}" + (" (vanishing action)" if row.is_zero else "")
+        for (alpha, b), row in rows.items()
+        if row.is_zero or not row.is_nonnegative()
+    )
+    report.first("nonnegative, never-vanishing actions", faults)
+    report.first("unit law", (b for b in module.basis if module.action_row(ring.unit, b) != RingElement.basis(b)))
+    reciprocity = (
+        f"{alpha}, {b}, {c}"
+        for alpha in ring_labels
+        for b in module.basis
+        for c in module.basis
+        if rows[alpha, b].coefficient(c) != module.action_row(ring.involution_of(alpha), c).coefficient(b)
+    )
+    report.first("Frobenius reciprocity", reciprocity)
+    acted = associativity_witnesses(ring, ring_labels, module.basis, module.action_row, partial(act, module.parent))
+    report.first("associativity", acted)
 
     cof = is_cofinite(module, depth=max(depth, 8))
     report.add(f"cofinite ({cof.status})", cof.status != "not_cofinite", cof.detail or None)

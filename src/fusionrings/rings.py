@@ -9,7 +9,8 @@ matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from functools import partial
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -342,10 +343,6 @@ def _structural_scan(table: BasedRingTable) -> list[str]:
     return errors
 
 
-def _first_bad(diff: np.ndarray) -> tuple[int, ...]:
-    return tuple(int(i) for i in np.argwhere(diff)[0])
-
-
 def exact_dtype(terms: int, *arrays: np.ndarray):
     """A dtype in which every sum of ``terms`` products of two entries of
     ``arrays`` is exact in any summation order: float64 (so matmuls use
@@ -374,6 +371,30 @@ def associativity_failures(T: np.ndarray, A: np.ndarray) -> np.ndarray:
     return F
 
 
+def associativity_witnesses(
+    ring: Ring,
+    labels: list[str],
+    basis: Sequence[str],
+    row: Callable[[str, str], RingElement],
+    act: Callable[[RingElement, RingElement], RingElement],
+) -> Iterator[str]:
+    """Witnesses ``"a, b, c"`` of (a*b).c != a.(b.c), for a, b in ``labels``
+    and c in ``basis``, in that loop order.
+
+    ``row(b, c)`` is the basis product b.c and ``act(x, v)`` its bilinear
+    extension: a lazy ring checks itself with ``ring.product`` and
+    :func:`fuse`, a truncated module with its action rows and
+    :func:`fusionrings.modules.act` on the whole module.
+    """
+    elems = {c: RingElement.basis(c) for c in (*labels, *basis)}
+    for a in labels:
+        for b in labels:
+            ab = ring.product(a, b)
+            for c in basis:
+                if act(ab, elems[c]) != act(elems[a], row(b, c)):
+                    yield f"{a}, {b}, {c}"
+
+
 def verify_based_ring(table: BasedRingTable) -> VerificationReport:
     """Check the defining axioms of a finite based ring.
 
@@ -395,15 +416,9 @@ def verify_based_ring(table: BasedRingTable) -> VerificationReport:
     eye = np.eye(n, dtype=np.int64)
     labels = table.basis
 
-    def witness(idx: tuple[int, ...]) -> str:
-        return ", ".join(labels[i] for i in idx)
-
-    def add(name: str, d: np.ndarray) -> None:
-        report.add(name, not d.any(), witness(_first_bad(d)) if d.any() else None)
-
-    add("unit law (left)", T[u, :, :] != eye)
-    add("unit law (right)", T[:, u, :] != eye)
-    add("dual pairing", T[inv, :, u] != eye)
+    report.first_index("unit law (left)", T[u, :, :] != eye, labels, labels)
+    report.first_index("unit law (right)", T[:, u, :] != eye, labels, labels)
+    report.first_index("dual pairing", T[inv, :, u] != eye, labels, labels)
 
     report.add("finite support", True, "automatic for a finite table")
 
@@ -415,14 +430,25 @@ def verify_based_ring(table: BasedRingTable) -> VerificationReport:
         T != T[np.ix_(inv, ar, inv)].transpose(1, 2, 0),
         T != T[np.ix_(inv, inv, inv)].transpose(1, 0, 2),
     ]
-    bad = next((d for d in diffs if d.any()), None)
-    report.add("duality symmetry", bad is None, None if bad is None else witness(_first_bad(bad)))
+    bad = next((d for d in diffs if d.any()), diffs[0])
+    report.first_index("duality symmetry", bad, labels, labels, labels)
 
-    add("involution anti-multiplicative", diffs[2])  # dual(a*b) == dual(b)*dual(a)
+    # dual(a*b) == dual(b)*dual(a)
+    report.first_index("involution anti-multiplicative", diffs[2], labels, labels, labels)
 
     # F[b, a] tests (b*a).c == b.(a.c); the pair is reported as (a, b)
-    add("associativity", associativity_failures(T, T).T)
+    report.first_index("associativity", associativity_failures(T, T).T, labels, labels)
     return report
+
+
+def window_products(
+    ring: LazyBasedRing, labels: list[str]
+) -> tuple[dict[tuple[str, str], RingElement], list[str]]:
+    """The products a*b for a, b in ``labels``, in row-major order, and a
+    structural error naming the first one that leaves the ring, if any."""
+    window = {(a, b): ring.product(a, b) for a in labels for b in labels}
+    outside = next(((a, b, c) for (a, b), p in window.items() for c in p.support() if not ring.contains(c)), None)
+    return window, [] if outside is None else ["product {!r}*{!r} leaves the ring at {!r}".format(*outside)]
 
 
 def verify_lazy_ring(ring: LazyBasedRing, depth: int) -> VerificationReport:
@@ -448,93 +474,40 @@ def verify_lazy_ring(ring: LazyBasedRing, depth: int) -> VerificationReport:
             break
     if ring.involution_of(ring.unit) != ring.unit:
         report.structural_errors.append("involution does not fix the unit")
+    window, errors = window_products(ring, labels)
+    report.structural_errors += errors
     if report.structural_errors:
         return report
+    pairs = list(window)
 
-    ok, wit = True, None
-    for a in labels:
-        for b in labels:
-            p = ring.product(a, b)
-            if not p.is_zero and not p.is_nonnegative():
-                ok, wit = False, f"{a}, {b}"
-                break
-        if not ok:
-            break
-    report.add("nonnegative structure constants", ok, wit)
+    negative = (f"{a}, {b}" for (a, b), p in window.items() if not p.is_nonnegative())
+    report.first("nonnegative structure constants", negative)
 
-    unit_elem = RingElement.basis(ring.unit)
-    ok, wit = True, None
-    for a in labels:
-        basis_a = RingElement.basis(a)
-        if ring.product(ring.unit, a) != basis_a or ring.product(a, ring.unit) != basis_a:
-            ok, wit = False, a
-            break
-    report.add("unit law", ok, wit)
-
-    ok, wit = True, None
-    for a in labels:
-        for b in labels:
-            expected = 1 if a == b else 0
-            if ring.product(ring.involution_of(a), b).coefficient(ring.unit) != expected:
-                ok, wit = False, f"{a}, {b}"
-                break
-        if not ok:
-            break
-    report.add("dual pairing", ok, wit)
-
-    ok, wit = True, None
-    for a in labels:
-        for b in labels:
-            left = dual(ring, ring.product(a, b))
-            right = ring.product(ring.involution_of(b), ring.involution_of(a))
-            if left != right:
-                ok, wit = False, f"{a}, {b}"
-                break
-        if not ok:
-            break
-    report.add("involution anti-multiplicative", ok, wit)
+    u, inv = ring.unit, ring.involution_of
+    e = {a: RingElement.basis(a) for a in labels}
+    report.first("unit law", (a for a in labels if ring.product(u, a) != e[a] or ring.product(a, u) != e[a]))
+    pairing = (f"{a}, {b}" for a, b in pairs if ring.product(inv(a), b).coefficient(u) != int(a == b))
+    report.first("dual pairing", pairing)
+    anti = (f"{a}, {b}" for a, b in pairs if dual(ring, ring.product(a, b)) != ring.product(inv(b), inv(a)))
+    report.first("involution anti-multiplicative", anti)
 
     report.add("finite support", True, "every single product is a finite combination")
 
     # four-fold symmetry of the structure constants, quantified over pairs
     # within the depth; the third index ranges over the full product support
-    ok, wit = True, None
-    for b in labels:
-        for g in labels:
-            expansion = ring.product(b, g)
-            for a, coeff in expansion.items():
-                a_bar = ring.involution_of(a)
-                b_bar = ring.involution_of(b)
-                g_bar = ring.involution_of(g)
-                if (
-                    ring.product(g, a_bar).coefficient(b_bar) != coeff
-                    or ring.product(a_bar, b).coefficient(g_bar) != coeff
-                    or ring.product(g_bar, b_bar).coefficient(a_bar) != coeff
-                ):
-                    ok, wit = False, f"{b}, {g}, {a}"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    report.add("duality symmetry", ok, wit)
+    symmetry = (
+        f"{b}, {g}, {a}"
+        for b, g in pairs
+        for a, coeff in ring.product(b, g).items()
+        for a_bar, b_bar, g_bar in [(inv(a), inv(b), inv(g))]
+        if ring.product(g, a_bar).coefficient(b_bar) != coeff
+        or ring.product(a_bar, b).coefficient(g_bar) != coeff
+        or ring.product(g_bar, b_bar).coefficient(a_bar) != coeff
+    )
+    report.first("duality symmetry", symmetry)
 
-    ok, wit = True, None
-    basis = {a: RingElement.basis(a) for a in labels}
-    for a in labels:
-        for b in labels:
-            ab = ring.product(a, b)
-            for c in labels:
-                left = fuse(ring, ab, basis[c])
-                right = fuse(ring, basis[a], ring.product(b, c))
-                if left != right:
-                    ok, wit = False, f"{a}, {b}, {c}"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    report.add("associativity", ok, wit)
+    fused = associativity_witnesses(ring, labels, labels, ring.product, partial(fuse, ring))
+    report.first("associativity", fused)
     return report
 
 

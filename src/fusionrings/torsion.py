@@ -686,16 +686,10 @@ class _Searcher:
             return None
         if associativity_failures(self.T, A).any():
             return None
-        # connectedness of the union graph
+        # connectedness of the union graph; a leaf anchored at a vertex of
+        # non-minimal dimension can only repeat a class found from its
+        # minimal anchor, and the canonical key does not see the anchor
         if len(components(range(m), np.argwhere(A.sum(axis=0)).tolist())) != 1:
-            return None
-        # root minimality on the joint positive eigenvector; the eigen
-        # equations M_g D = d(g) D hold on every connected based module that
-        # passed the exact checks (Frobenius-Perron for transitive Z+-modules)
-        D = _joint_perron([mats[g] for g in self.gens], m)
-        if D is None:
-            return None
-        if D[0] > D.min() * (1 + REL_TOL):
             return None
         return {a: mats[a] for a in ring.basis}
 

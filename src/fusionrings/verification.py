@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable, Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -43,6 +46,21 @@ class VerificationReport:
 
     def add(self, name: str, passed: bool, witness: str | None = None) -> None:
         self.checks.append(CheckResult(name, passed, witness))
+
+    def first(self, name: str, witnesses: Iterable[str]) -> None:
+        """Record ``name`` as failed at the first witness, or as passed when
+        there is none; the iterable is consumed only up to that witness."""
+        witness = next(iter(witnesses), None)
+        self.add(name, witness is None, witness)
+
+    def first_index(self, name: str, bad: np.ndarray, *axis_labels: Sequence[str]) -> None:
+        """Record ``name`` as failed at the first true entry of ``bad`` in
+        row-major order, named by one label list per axis, or as passed."""
+        if not bad.any():
+            self.add(name, True)
+            return
+        idx = np.unravel_index(int(bad.argmax()), bad.shape)
+        self.add(name, False, ", ".join(labels[i] for labels, i in zip(axis_labels, idx)))
 
     def lines(self) -> list[str]:
         out = [f"verification of {self.subject}"]

@@ -1,9 +1,13 @@
 """Exactness, memory and witness order of the axiom verifiers.
 
 The pinned reports below were derived with the per-entry loop and float64
-versions of the verifiers; the array versions must reproduce every line,
-witness and check order.  The associativity helper is compared with a
-pure-Python triple-sum oracle that shares no code with it.
+versions of the verifiers, the lazy-module ones with hand-written
+flag-and-break loops; the array versions and the shared witness search
+must reproduce every line, witness and check order.  The exception is a
+product or action that leaves the ring or module, which those versions
+raised on and which is now a structural error.  The associativity helper
+is compared with a pure-Python triple-sum oracle that shares no code
+with it.
 """
 
 import os
@@ -19,6 +23,7 @@ from hypothesis import strategies as st
 from fusionrings import (
     BasedModuleTable,
     BasedRingTable,
+    LazyBasedModule,
     LazyBasedRing,
     RingElement,
     StructuralError,
@@ -28,6 +33,7 @@ from fusionrings import (
     permutation_group_ring,
     standard_module,
     su2_level,
+    su2_ring,
     tensor_product,
     verify_based_ring,
     verify_lazy_ring,
@@ -37,6 +43,7 @@ from fusionrings import cli
 from fusionrings.constructors import _is_canonical_nat, _su2_product
 from fusionrings.documents import ring_to_document, write_document
 from fusionrings.rings import associativity_failures, exact_dtype
+from fusionrings.verification import VerificationReport
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -132,6 +139,34 @@ BROKEN_LAZY = {
     "duality symmetry": lambda: _lazy_su2({("2", "3"): {"1": 1, "3": 1, "5": 2}}),
     "associativity": lambda: _lazy_su2({("2", "2"): {"0": 1, "2": 1, "4": 1, "6": 1}}),
     "structural": lambda: _lazy_su2(involution=lambda a: "x" if a == "2" else a),
+    "product leaves the ring": lambda: _lazy_su2({("1", "1"): {"0": 1, "x": 1}}),
+}
+
+A1 = su2_ring()
+
+
+def _lazy_su2_module(changes=None, anchor="0"):
+    """The standard su2 module with the action rows in ``changes`` replaced."""
+
+    def act(alpha, b):
+        if (alpha, b) in (changes or {}):
+            return RingElement(changes[(alpha, b)])
+        return A1.product(alpha, b)
+
+    return LazyBasedModule(
+        A1, act, int, lambda n: [str(n)], name="broken su2 module", dims=A1.dim, anchor=anchor, contains_fn=_is_canonical_nat
+    )
+
+
+BROKEN_LAZY_MODULES = {
+    "negative row": lambda: _lazy_su2_module({("1", "2"): {"1": 1, "3": -1}}),
+    "vanishing row": lambda: _lazy_su2_module({("2", "1"): {}}),
+    "unit law": lambda: _lazy_su2_module({("0", "2"): {"2": 1, "4": 1}}),
+    "Frobenius reciprocity": lambda: _lazy_su2_module({("1", "2"): {"1": 1, "3": 2}}),
+    "associativity": lambda: _lazy_su2_module({("2", "2"): {"0": 1, "2": 2, "4": 1}}),
+    "not cofinite": lambda: _lazy_su2_module(anchor="1"),  # the budget d(1) = 2 is met by 0 and overshot by 2
+    "action leaves the module": lambda: _lazy_su2_module({("1", "1"): {"0": 1, "x": 1}}),
+    "product leaves the ring": lambda: standard_module(BROKEN_LAZY["product leaves the ring"]()),
 }
 
 
@@ -140,6 +175,10 @@ def _report_lines(kind, name):
         return verify_based_ring(BROKEN_RINGS[name]()).lines()
     if kind == "module":
         return verify_module(BROKEN_MODULES[name]()).lines()
+    if kind == "lazy module":
+        return verify_module(BROKEN_LAZY_MODULES[name](), depth=4).lines()
+    if kind == "truncated module":
+        return verify_module(BROKEN_LAZY_MODULES[name]().truncate(3)).lines()
     return verify_lazy_ring(BROKEN_LAZY[name](), 4).lines()
 
 
@@ -363,6 +402,141 @@ PINNED_REPORTS = {
         "STRUCTURAL  involution leaves the ring at '2'",
         "result: failed",
     ],
+    ("lazy", "product leaves the ring"): [
+        "verification of broken su2 (depth 4)",
+        "STRUCTURAL  product '1'*'1' leaves the ring at 'x'",
+        "result: failed",
+    ],
+    ("lazy module", "action leaves the module"): [
+        "verification of broken su2 module (depth 4) (ring depth 4)",
+        "STRUCTURAL  action ('1', '1') leaves the module at 'x'",
+        "result: failed",
+    ],
+    ("truncated module", "action leaves the module"): [
+        "verification of broken su2 module (depth 3) (ring depth 3)",
+        "STRUCTURAL  action ('1', '1') leaves the module at 'x'",
+        "result: failed",
+    ],
+    ("lazy module", "product leaves the ring"): [
+        "verification of standard(broken su2) (depth 4) (ring depth 4)",
+        "STRUCTURAL  product '1'*'1' leaves the ring at 'x'",
+        "STRUCTURAL  action ('1', '1') leaves the module at 'x'",
+        "result: failed",
+    ],
+    ("truncated module", "product leaves the ring"): [
+        "verification of standard(broken su2) (depth 3) (ring depth 3)",
+        "STRUCTURAL  product '1'*'1' leaves the ring at 'x'",
+        "STRUCTURAL  action ('1', '1') leaves the module at 'x'",
+        "result: failed",
+    ],
+    ("lazy module", "negative row"): [
+        "verification of broken su2 module (depth 4) (ring depth 4)",
+        "FAIL  nonnegative, never-vanishing actions  [1, 2]",
+        "pass  unit law",
+        "FAIL  Frobenius reciprocity  [1, 2, 3]",
+        "FAIL  associativity  [1, 1, 1]",
+        "pass  cofinite (cofinite)  [anchor pairing mass met the budget at level 0]",
+        "result: failed",
+    ],
+    ("truncated module", "negative row"): [
+        "verification of broken su2 module (depth 3) (ring depth 3)",
+        "FAIL  nonnegative, never-vanishing actions  [1, 2]",
+        "pass  unit law",
+        "FAIL  Frobenius reciprocity  [1, 2, 3]",
+        "FAIL  associativity  [1, 1, 1]",
+        "pass  cofinite (cofinite)  [anchor pairing mass met the budget at level 0]",
+        "result: failed",
+    ],
+    ("lazy module", "vanishing row"): [
+        "verification of broken su2 module (depth 4) (ring depth 4)",
+        "FAIL  nonnegative, never-vanishing actions  [2, 1 (vanishing action)]",
+        "pass  unit law",
+        "FAIL  Frobenius reciprocity  [2, 1, 3]",
+        "FAIL  associativity  [1, 1, 1]",
+        "pass  cofinite (cofinite)  [anchor pairing mass met the budget at level 0]",
+        "result: failed",
+    ],
+    ("truncated module", "vanishing row"): [
+        "verification of broken su2 module (depth 3) (ring depth 3)",
+        "FAIL  nonnegative, never-vanishing actions  [2, 1 (vanishing action)]",
+        "pass  unit law",
+        "FAIL  Frobenius reciprocity  [2, 1, 3]",
+        "FAIL  associativity  [1, 1, 1]",
+        "pass  cofinite (cofinite)  [anchor pairing mass met the budget at level 0]",
+        "result: failed",
+    ],
+    ("lazy module", "unit law"): [
+        "verification of broken su2 module (depth 4) (ring depth 4)",
+        "pass  nonnegative, never-vanishing actions",
+        "FAIL  unit law  [2]",
+        "FAIL  Frobenius reciprocity  [0, 2, 4]",
+        "FAIL  associativity  [0, 0, 2]",
+        "pass  cofinite (cofinite)  [anchor pairing mass met the budget at level 0]",
+        "result: failed",
+    ],
+    ("truncated module", "unit law"): [
+        "verification of broken su2 module (depth 3) (ring depth 3)",
+        "pass  nonnegative, never-vanishing actions",
+        "FAIL  unit law  [2]",
+        "pass  Frobenius reciprocity",
+        "FAIL  associativity  [0, 0, 2]",
+        "pass  cofinite (cofinite)  [anchor pairing mass met the budget at level 0]",
+        "result: failed",
+    ],
+    ("lazy module", "Frobenius reciprocity"): [
+        "verification of broken su2 module (depth 4) (ring depth 4)",
+        "pass  nonnegative, never-vanishing actions",
+        "pass  unit law",
+        "FAIL  Frobenius reciprocity  [1, 2, 3]",
+        "FAIL  associativity  [1, 1, 1]",
+        "pass  cofinite (cofinite)  [anchor pairing mass met the budget at level 0]",
+        "result: failed",
+    ],
+    ("truncated module", "Frobenius reciprocity"): [
+        "verification of broken su2 module (depth 3) (ring depth 3)",
+        "pass  nonnegative, never-vanishing actions",
+        "pass  unit law",
+        "FAIL  Frobenius reciprocity  [1, 2, 3]",
+        "FAIL  associativity  [1, 1, 1]",
+        "pass  cofinite (cofinite)  [anchor pairing mass met the budget at level 0]",
+        "result: failed",
+    ],
+    ("lazy module", "associativity"): [
+        "verification of broken su2 module (depth 4) (ring depth 4)",
+        "pass  nonnegative, never-vanishing actions",
+        "pass  unit law",
+        "pass  Frobenius reciprocity",
+        "FAIL  associativity  [1, 1, 2]",
+        "pass  cofinite (cofinite)  [anchor pairing mass met the budget at level 0]",
+        "result: failed",
+    ],
+    ("truncated module", "associativity"): [
+        "verification of broken su2 module (depth 3) (ring depth 3)",
+        "pass  nonnegative, never-vanishing actions",
+        "pass  unit law",
+        "pass  Frobenius reciprocity",
+        "FAIL  associativity  [1, 1, 2]",
+        "pass  cofinite (cofinite)  [anchor pairing mass met the budget at level 0]",
+        "result: failed",
+    ],
+    ("lazy module", "not cofinite"): [
+        "verification of broken su2 module (depth 4) (ring depth 4)",
+        "pass  nonnegative, never-vanishing actions",
+        "pass  unit law",
+        "pass  Frobenius reciprocity",
+        "pass  associativity",
+        "FAIL  cofinite (not_cofinite)  [anchor pairing mass 4.0 exceeds the dimension budget 2.0]",
+        "result: failed",
+    ],
+    ("truncated module", "not cofinite"): [
+        "verification of broken su2 module (depth 3) (ring depth 3)",
+        "pass  nonnegative, never-vanishing actions",
+        "pass  unit law",
+        "pass  Frobenius reciprocity",
+        "pass  associativity",
+        "FAIL  cofinite (not_cofinite)  [anchor pairing mass 4.0 exceeds the dimension budget 2.0]",
+        "result: failed",
+    ],
 }
 
 
@@ -370,6 +544,32 @@ PINNED_REPORTS = {
 def test_broken_input_reports_are_pinned(kind, name):
     assert _report_lines(kind, name) == PINNED_REPORTS[(kind, name)]
 
+
+
+def test_report_names_the_first_witness():
+    seen = []
+
+    def witnesses():
+        for w in ["a, b", "c, d"]:
+            seen.append(w)
+            yield w
+
+    bad = np.zeros((2, 3), dtype=bool)
+    bad[1, 2] = bad[1, 0] = True
+    report = VerificationReport("toy")
+    report.first("lazy", witnesses())
+    report.first("none", iter(()))
+    report.first_index("array", bad, ["r0", "r1"], ["c0", "c1", "c2"])
+    report.first_index("clean", bad[:, 1:2], ["r0", "r1"], ["c1"])
+    assert seen == ["a, b"]  # consumed only up to the first witness
+    assert report.lines() == [
+        "verification of toy",
+        "FAIL  lazy  [a, b]",
+        "pass  none",
+        "FAIL  array  [r1, c0]",
+        "pass  clean",
+        "result: failed",
+    ]
 
 
 def test_group_ring_names_the_first_nonassociative_triple():

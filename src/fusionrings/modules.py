@@ -475,6 +475,11 @@ def _verify_finite_module(module: BasedModuleTable) -> VerificationReport:
             break
     if report.structural_errors:
         return report
+    try:
+        T = ring.structure_tensor()
+    except StructuralError as exc:  # a product of the ring leaves its basis
+        report.structural_errors.append(str(exc))
+        return report
 
     A = module.action_tensor()
     n, m = ring.size, module.size
@@ -485,7 +490,6 @@ def _verify_finite_module(module: BasedModuleTable) -> VerificationReport:
     report.add("row finiteness", True, "automatic for a finite table")
     report.first_index("unit law", A[u] != np.eye(m, dtype=np.int64), labels_m, labels_m)
     report.first_index("Frobenius reciprocity", A != A[inv].transpose(0, 2, 1), labels_r, labels_m, labels_m)
-    T = ring.structure_tensor()
     report.first_index("associativity", associativity_failures(T, A), labels_r, labels_r)
     report.first_index("actions never vanish", A.sum(axis=2) == 0, labels_r, labels_m)
     report.add("cofinite", True, "finite module over a finite ring")

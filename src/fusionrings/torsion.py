@@ -201,28 +201,90 @@ def _color_bucket(value: float) -> int:
     return int(math.floor(value * 1e6 + 0.5))
 
 
+def _stack_key(matrices: list[np.ndarray], perm: list[int]) -> bytes:
+    """The stacked bytes of the matrices relabeled by ``perm``."""
+    idx = np.array(perm)
+    return b"".join(M[np.ix_(idx, idx)].tobytes() for M in matrices)
+
+
+def _byte_ranks(A: np.ndarray) -> list[list[int]]:
+    """``A`` with each entry replaced by its rank among the entries in the
+    order their bytes compare (for int64 that is little-endian, which is
+    not numeric order once an entry reaches 256)."""
+    m, width = A.shape[0], A.itemsize
+    raw = A.tobytes()
+    chunks = [raw[k : k + width] for k in range(0, len(raw), width)]
+    rank = {chunk: r for r, chunk in enumerate(sorted(set(chunks)))}
+    return [[rank[c] for c in chunks[v * m : (v + 1) * m]] for v in range(m)]
+
+
 def _canonical_data(matrices: list[np.ndarray], dims: np.ndarray):
     """Minimal (colors, stacked bytes, permutation) over color-preserving
-    relabelings; vertices are pre-sorted by dimension color."""
+    relabelings; vertices are pre-sorted by dimension color.
+
+    The minimum is that of the stacked bytes of every relabeled matrix, and
+    the permutation is the least one reaching it, as a brute force over the
+    color-preserving permutations would find them; the search visits at
+    most as many complete permutations.  Positions are filled in order,
+    each from the first of an ordered list of cells of candidate vertices
+    (at first the color groups).  A candidate v at position i fixes row i
+    of the first matrix A up to the order within each cell: the columns
+    already placed, then A[v, v], then the entries of A[v, .] over each
+    remaining cell sorted, compared as bytes compare.  Only candidates whose
+    row is least go on, and every cell is split by A[v, .] in ascending
+    order, so row i is the same for every completion.  Depth first, a
+    branch stops where its rows exceed those of the best permutation found
+    so far; the later matrices break the remaining ties at complete
+    permutations, by their full stacked bytes.
+    """
     m = dims.shape[0]
     colors = [_color_bucket(v) for v in dims]
     order = sorted(range(m), key=lambda i: (colors[i], i))
+    color_key = tuple(colors[i] for i in order)
+    if not matrices:
+        return color_key, b"", order
     groups: list[list[int]] = []
     for i in order:
         if groups and colors[groups[-1][0]] == colors[i]:
             groups[-1].append(i)
         else:
             groups.append([i])
+    R = _byte_ranks(matrices[0])
     best_key: bytes | None = None
-    best_perm: list[int] | None = None
-    for pieces in itertools.product(*(itertools.permutations(g) for g in groups)):
-        perm = [i for piece in pieces for i in piece]
-        idx = np.array(perm)
-        key = b"".join(M[np.ix_(idx, idx)].tobytes() for M in matrices)
-        if best_key is None or key < best_key:
-            best_key, best_perm = key, perm
-    color_key = tuple(colors[i] for i in (best_perm or []))
-    return color_key, best_key or b"", best_perm or []
+    best_perm: list[int] = []
+    best_rows: list[tuple] = []
+
+    def descend(prefix: list[int], rows: list[tuple], cells: list[list[int]]) -> None:
+        nonlocal best_key, best_perm, best_rows
+        if not cells:
+            key = _stack_key(matrices, prefix)
+            if best_key is None or key < best_key:
+                best_key, best_perm, best_rows = key, prefix, rows
+            return
+        head, rest = cells[0], cells[1:]
+        options = {}
+        for v in head:
+            Rv = R[v]
+            tail = [sorted(Rv[w] for w in head if w != v)] + [sorted(Rv[w] for w in c) for c in rest]
+            options[v] = tuple(Rv[u] for u in prefix) + (Rv[v],) + tuple(x for part in tail for x in part)
+        row = min(options.values())
+        i = len(prefix)
+        if best_key is not None and rows == best_rows[:i] and row > best_rows[i]:
+            return
+        for v in head:
+            if options[v] != row:
+                continue
+            Rv = R[v]
+            split: list[list[int]] = []
+            for cell in [[w for w in head if w != v]] + rest:
+                parts: dict[int, list[int]] = {}
+                for w in cell:
+                    parts.setdefault(Rv[w], []).append(w)
+                split.extend(parts[value] for value in sorted(parts))
+            descend(prefix + [v], rows + [row], split)
+
+    descend([], [], groups)
+    return color_key, best_key, best_perm
 
 
 def _key_and_perm(module: BasedModuleTable) -> tuple[bytes, list[int]]:
@@ -248,8 +310,10 @@ def canonical_key(module: BasedModuleTable) -> bytes:
 def canonical_form(module: BasedModuleTable) -> BasedModuleTable:
     """Relabel a module so isomorphic modules become identical tables.
 
-    Vertices are sorted by dimension color, ties broken by minimizing the
-    stacked generator matrices; the result uses labels ``v00``, ``v01``, ...
+    Vertices are sorted by dimension color, ties broken by the least
+    stacked bytes of the generator matrices over all color-preserving
+    relabelings, found row by row without trying each one (see
+    ``_canonical_data``); the result uses labels ``v00``, ``v01``, ...
     The canonical key, which the relabeling leaves unchanged, is recorded on
     the result.
     """

@@ -1,7 +1,10 @@
 """Shared fixtures and independent oracles for the test suite."""
 
 import itertools
+import math
+from collections import Counter
 
+import numpy as np
 import pytest
 
 
@@ -98,3 +101,42 @@ def fusion_subrings(ring) -> list[tuple[str, ...]]:
             ):
                 found.append(tuple(sorted(sset)))
     return sorted(found)
+
+
+def _color_bucket(value: float) -> int:
+    return int(math.floor(value * 1e6 + 0.5))
+
+
+def brute_force_canonical_data(matrices: list[np.ndarray], dims: np.ndarray):
+    """Minimal (colors, stacked bytes, permutation) over color-preserving
+    relabelings; vertices are pre-sorted by dimension color.
+
+    The brute force that ``torsion._canonical_data`` once was, kept as an
+    oracle for the search that replaced it: it tries every color-preserving
+    permutation and keeps the first one with the least stacked bytes.
+    """
+    m = dims.shape[0]
+    colors = [_color_bucket(v) for v in dims]
+    order = sorted(range(m), key=lambda i: (colors[i], i))
+    groups: list[list[int]] = []
+    for i in order:
+        if groups and colors[groups[-1][0]] == colors[i]:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    best_key: bytes | None = None
+    best_perm: list[int] | None = None
+    for pieces in itertools.product(*(itertools.permutations(g) for g in groups)):
+        perm = [i for piece in pieces for i in piece]
+        idx = np.array(perm)
+        key = b"".join(M[np.ix_(idx, idx)].tobytes() for M in matrices)
+        if best_key is None or key < best_key:
+            best_key, best_perm = key, perm
+    color_key = tuple(colors[i] for i in (best_perm or []))
+    return color_key, best_key or b"", best_perm or []
+
+
+def color_preserving_count(dims: np.ndarray) -> int:
+    """How many permutations the brute force tries for these dimensions."""
+    sizes = Counter(_color_bucket(v) for v in dims)
+    return math.prod(math.factorial(k) for k in sizes.values())

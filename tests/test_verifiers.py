@@ -129,6 +129,12 @@ BROKEN_MODULES = {
     ),
     "pairing compatibility with the action": lambda: _remoduled(SU3_STD, {("3", "2"): {"1": 1, "3": 1}}),
     "structural": lambda: _remoduled(Z4_STD, {("2", "3"): {"x": 1}}),
+    "product leaves the basis": lambda: BasedModuleTable(
+        _retabled(Z4, {("2", "3"): {"x": 1}}),
+        Z4_STD.basis,
+        {(a, b): Z4_STD.action_row(a, b) for a in Z4.basis for b in Z4.basis},
+        name="broken module",
+    ),
 }
 
 BROKEN_LAZY = {
@@ -329,6 +335,11 @@ PINNED_REPORTS = {
     ("module", "structural"): [
         "verification of broken module",
         "STRUCTURAL  action ('2', '3') leaves the module basis at 'x'",
+        "result: failed",
+    ],
+    ("module", "product leaves the basis"): [
+        "verification of broken module",
+        "STRUCTURAL  product '2'*'3' leaves the basis at 'x'",
         "result: failed",
     ],
     ("lazy", "nonnegative structure constants"): [

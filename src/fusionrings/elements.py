@@ -42,10 +42,6 @@ class RingElement:
         self._terms = acc
 
     @classmethod
-    def zero(cls) -> "RingElement":
-        return cls()
-
-    @classmethod
     def basis(cls, label: str) -> "RingElement":
         return cls(((label, 1),))
 

@@ -52,10 +52,6 @@ class DimensionFunction:
     def max_value(self) -> float:
         return max(self.values.values())
 
-    @property
-    def min_value(self) -> float:
-        return min(self.values.values())
-
     def all_integer(self, tol: float = DIM_TOL) -> bool:
         return all(abs(v - round(v)) <= tol for v in self.values.values())
 

@@ -14,8 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-POWER_TOL = 1e-12
-POWER_MAX_ITERS = 100_000
+from .rings import REL_TOL, dim_of
 
 
 def components(vertices, edges) -> list[list]:
@@ -71,10 +70,6 @@ class FusionGraph:
 
     def is_symmetric(self) -> bool:
         return bool(np.array_equal(self.matrix, self.matrix.T))
-
-    def degrees(self) -> np.ndarray:
-        """Row sums; a loop contributes its diagonal entry once."""
-        return self.matrix.sum(axis=1)
 
     def undirected_components(self) -> list[list[int]]:
         return components(range(self.size), np.argwhere(self.matrix).tolist())
@@ -146,48 +141,28 @@ def matrix_homomorphism_check(module, alpha: str, beta: str) -> bool:
     return True
 
 
-def spectral_radius(matrix: np.ndarray, tol: float = POWER_TOL, max_iters: int = POWER_MAX_ITERS) -> float:
-    """Perron radius of a nonnegative square matrix by power iteration.
+def spectral_radius(matrix: np.ndarray) -> float:
+    """The l2 operator norm of a nonnegative square matrix, by LAPACK's SVD.
 
-    Symmetric input is handled directly after a unit diagonal shift, which
-    makes every irreducible block primitive and keeps bipartite graphs from
-    stalling the Rayleigh quotient.  Non-symmetric input goes through
-    M M^T, yielding the l2 operator norm; on the fusion matrices of verified
-    modules the two coincide.
+    On symmetric input, and on the fusion and action matrices of verified
+    rings and modules, this is the Perron radius.
     """
     M = np.asarray(matrix, dtype=np.float64)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("spectral_radius needs a square matrix")
-    n = M.shape[0]
-    if n == 0:
+    if M.shape[0] == 0:
         return 0.0
     if (M < 0).any():
         raise ValueError("spectral_radius needs a nonnegative matrix")
-    symmetric = np.array_equal(M, M.T)
-    if symmetric:
-        A = M + np.eye(n)
-        shift = 1.0
-        sqrt = False
-    else:
-        A = M @ M.T + np.eye(n)
-        shift = 1.0
-        sqrt = True
-    v = np.ones(n)
-    rayleigh = 0.0
-    for _ in range(max_iters):
-        w = A @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        w /= norm
-        new_rayleigh = float(w @ (A @ w)) / float(w @ w)
-        if abs(new_rayleigh - rayleigh) < tol:
-            rayleigh = new_rayleigh
-            break
-        rayleigh = new_rayleigh
-        v = w
-    value = max(rayleigh - shift, 0.0)
-    return float(np.sqrt(value)) if sqrt else float(value)
+    return float(np.linalg.norm(M, 2))
+
+
+def perron_vector(C: np.ndarray) -> np.ndarray:
+    """Unit eigenvector of the top eigenvalue of the symmetric matrix ``C``,
+    signed so that its entries sum to a nonnegative number."""
+    _, V = np.linalg.eigh(C)
+    v = V[:, -1]
+    return -v if v.sum() < 0 else v
 
 
 # -- exact eigenvalue-2 kernel ------------------------------------------------
@@ -337,17 +312,7 @@ def _certified_verdict(m: np.ndarray) -> DynkinVerdict:
     if _norm_two_exact(m):
         return DynkinVerdict("loop_norm2", None, "eq2")
     rho = spectral_radius(m)
-    n = m.shape[0]
-    # Perron vector for the certificate
-    shifted = m.astype(np.float64) + np.eye(n)
-    v = np.ones(n)
-    for _ in range(2000):
-        w = shifted @ v
-        w /= np.linalg.norm(w)
-        if np.linalg.norm(w - v) < 1e-14:
-            v = w
-            break
-        v = w
+    v = perron_vector(m)
     if rho > 2.0:
         # Collatz-Wielandt from below: min over the support of (Mv)_i / v_i > 2
         support = v > 1e-12
@@ -548,15 +513,13 @@ class SchurCheck:
         )
 
 
-def schur_norm_check(module, dims, alpha: str, rel_tol: float = 1e-6) -> SchurCheck:
+def schur_norm_check(module, dims, alpha: str, rel_tol: float = REL_TOL) -> SchurCheck:
     """Verify M D = d(alpha) D on complete rows and the norm bound.
 
     ``dims`` maps module labels to their dimension values; rows cut by a
     truncation are skipped for the eigen equation, while the radius bound
     uses the full truncated matrix (a compression, so still dominated).
     """
-    from .rings import dim_of
-
     M = module.matrix(alpha)
     D = np.array([float(dims(b)) for b in module.basis])
     d_alpha = float(dim_of(module.ring, alpha))

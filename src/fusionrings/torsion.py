@@ -46,7 +46,7 @@ from .modules import (
     standard_module,
 )
 from .rings import REL_TOL, BasedRingTable, LazyBasedRing, associativity_failures, fuse, ring_dims
-from .spectra import FusionGraph, components
+from .spectra import FusionGraph, components, perron_vector
 
 
 @dataclass(frozen=True)
@@ -188,10 +188,7 @@ def _joint_perron(matrices: list[np.ndarray], size: int) -> np.ndarray | None:
     C = np.zeros((size, size), dtype=np.float64)
     for M in matrices:
         C += M + M.T
-    w, V = np.linalg.eigh(C)
-    v = V[:, -1]
-    if v.sum() < 0:
-        v = -v
+    v = perron_vector(C)
     if v.min() <= 1e-12:
         return None
     return v / v.min()
@@ -785,12 +782,9 @@ class _Searcher:
         return None
 
     def _child(self, state: _SearchState, gi: int, b: int, row) -> _SearchState | None:
-        """``state`` with row (gi, b) fixed and propagated, or None when the
-        row exceeds the size bound, propagation refutes it or an exact
-        derived row does."""
+        """``state`` with row (gi, b) fixed and propagated, or None when
+        propagation refutes it or an exact derived row does."""
         new_count = sum(1 for c, _ in row if c >= state.nvert)
-        if state.nvert + new_count > self.max_size:
-            return None
         child = state.clone()
         child.add_row(gi, b, tuple(row), new_count, self.d_max)
         return child if self._propagate(child) and self._exact_rows(child) else None
@@ -1281,7 +1275,7 @@ def _ring_isomorphic(r1: BasedRingTable, r2: BasedRingTable) -> bool:
     for perm in itertools.permutations(labels2):
         mapping = {r1.unit: r2.unit}
         mapping.update(dict(zip(labels1, perm)))
-        if any(abs(d1(a) - d2(mapping[a])) > 1e-6 for a in r1.basis):
+        if any(abs(d1(a) - d2(mapping[a])) > REL_TOL for a in r1.basis):
             continue
         if any(mapping[r1.involution_of(a)] != r2.involution_of(mapping[a]) for a in r1.basis):
             continue

@@ -1,6 +1,7 @@
 """Document round trips, canonical emission, and builtin resolution."""
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ from fusionrings.documents import (
     write_document,
 )
 from fusionrings.modules import quotient_module, standard_module
-from fusionrings.rings import verify_based_ring
+from fusionrings.rings import frobenius_perron_dims, verify_based_ring
 
 
 def test_ring_round_trip_bytes():
@@ -40,6 +41,18 @@ def test_ring_document_reconstructs_table():
         for b in ring.basis:
             assert loaded.product(a, b) == ring.product(a, b)
     assert verify_based_ring(loaded).ok
+
+
+def test_round_trip_su2_dims_match_closed_form():
+    # the document keeps no dimensions for numeric rings, so they are
+    # recomputed from the products
+    for level in range(1, 41):
+        loaded = ring_from_document(ring_to_document(su2_level(level)))
+        dims = frobenius_perron_dims(loaded)
+        q = math.pi / (level + 2)
+        for label in loaded.basis:
+            exact = math.sin((int(label) + 1) * q) / math.sin(q)
+            assert dims(label) == pytest.approx(exact, rel=1e-13)
 
 
 @settings(max_examples=10, deadline=None)

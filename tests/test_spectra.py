@@ -159,6 +159,14 @@ def test_spectral_radius_nonsymmetric_is_operator_norm():
     assert spectral_radius(m) == pytest.approx(expected, abs=1e-9)
 
 
+def test_spectral_radius_exact_on_a_large_disjoint_union():
+    # path(100) has a tiny spectral gap, which an iterative method converges on slowly
+    m = np.zeros((104, 104), dtype=np.int64)
+    m[:4, :4] = cycle(4)
+    m[4:, 4:] = path(100)
+    assert spectral_radius(m) == pytest.approx(2.0, abs=1e-12)
+
+
 # -- Dynkin recognition ------------------------------------------------------------------
 
 
@@ -259,6 +267,19 @@ def test_supercritical_certificates():
 
     verdict = dynkin_classify(graph_of(star([1, 2, 6])))
     assert verdict.kind == "norm_exceeds_2"
+
+
+def test_supercritical_certificate_on_a_long_tree():
+    # legs 1, 2 and 142 off one branch vertex: norm just above 2
+    m = np.zeros((146, 146), dtype=np.int64)
+    m[:145, :145] = path(145)
+    m[2, 145] = m[145, 2] = 1
+    verdict = dynkin_classify(graph_of(m))
+    assert verdict.norm_class == "gt2"
+    assert verdict.certificate is not None
+    v = np.array(verdict.certificate)
+    support = v > 1e-12
+    assert np.all((m @ v)[support] / v[support] > 2.0)
 
 
 def test_classifier_rejects_bad_input():

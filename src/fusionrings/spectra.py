@@ -1,16 +1,15 @@
 """Fusion graphs, spectral radii, and the norm <= 2 classification.
 
-The classification of connected graphs of norm exactly 2 (extended Dynkin
-diagrams and their loop/multi-edge degenerations) is decided structurally:
-named families by shape matching, the boundary case by an exact rational
-kernel computation at eigenvalue 2.  Floating point only decides the strict
-inequalities, cross-checked by certificates.
+Where a connected graph's norm lies against 2 (below, equal or above) is
+decided exactly: named families (Dynkin and extended Dynkin diagrams and
+their loop/multi-edge degenerations) by shape matching, every other graph
+by one integer elimination of 2I - M.  Floating point only supplies Perron
+vectors as certificates; it decides no norm class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -55,7 +54,10 @@ class FusionGraph:
     boundary: frozenset = frozenset()
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.int64)
+        raw = np.asarray(self.matrix)
+        m = raw.astype(np.int64)
+        if not np.array_equal(m, raw):
+            raise ValueError("adjacency entries must be integers")
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] != len(self.vertices):
             raise ValueError("adjacency matrix shape does not match the vertex list")
         if (m < 0).any():
@@ -165,52 +167,31 @@ def perron_vector(C: np.ndarray) -> np.ndarray:
     return -v if v.sum() < 0 else v
 
 
-# -- exact eigenvalue-2 kernel ------------------------------------------------
+def _norm_class(m: np.ndarray) -> str:
+    """``lt2``, ``eq2`` or ``gt2``: the Perron root of the connected
+    nonnegative symmetric integer matrix ``m`` against 2, decided exactly.
 
-def _kernel_at_two(matrix: np.ndarray) -> list[Fraction] | None:
-    """A nonzero rational kernel vector of (M - 2I), or None when trivial."""
-    n = matrix.shape[0]
-    A = [[Fraction(int(matrix[i, j])) - (2 if i == j else 0) for j in range(n)] for i in range(n)]
-    # Gauss-Jordan over the rationals.
-    pivots: list[int] = []
-    row = 0
-    for col in range(n):
-        pivot = next((r for r in range(row, n) if A[r][col] != 0), None)
-        if pivot is None:
-            continue
-        A[row], A[pivot] = A[pivot], A[row]
-        scale = A[row][col]
-        A[row] = [x / scale for x in A[row]]
-        for r in range(n):
-            if r != row and A[r][col] != 0:
-                factor = A[r][col]
-                A[r] = [a - factor * b for a, b in zip(A[r], A[row])]
-        pivots.append(col)
-        row += 1
-        if row == n:
-            break
-    free = [c for c in range(n) if c not in pivots]
-    if not free:
-        return None
-    # back-substitute with the first free variable set to 1
-    fcol = free[0]
-    vec = [Fraction(0)] * n
-    vec[fcol] = Fraction(1)
-    for r, col in enumerate(pivots):
-        vec[col] = -A[r][fcol]
-    return vec
-
-
-def _norm_two_exact(matrix: np.ndarray) -> bool:
-    """True iff the connected nonnegative symmetric matrix has norm exactly 2."""
-    vec = _kernel_at_two(matrix)
-    if vec is None:
-        return False
-    # For an irreducible matrix the eigenspace at the Perron value is spanned
-    # by a positive vector; any other eigenvector at 2 must change sign.
-    if all(x > 0 for x in vec) or all(x < 0 for x in vec):
-        return True
-    return False
+    A fraction-free (Bareiss) elimination of 2I - M over Python ints, with
+    no row swaps: its pivots are the leading principal minors of 2I - M,
+    and by Sylvester's identity each division by the previous pivot is
+    exact.  A proper principal submatrix of a connected nonnegative matrix
+    has a strictly smaller Perron root, so a pivot <= 0 before the last
+    means gt2; otherwise the sign of the last pivot (the determinant)
+    decides.
+    """
+    n = m.shape[0]
+    a = [[(2 if i == j else 0) - x for j, x in enumerate(row)] for i, row in enumerate(m.tolist())]
+    prev = 1
+    for k in range(n - 1):
+        pivot = a[k][k]
+        if pivot <= 0:
+            return "gt2"
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (pivot * a[i][j] - a[i][k] * a[k][j]) // prev
+        prev = pivot
+    det = a[n - 1][n - 1]
+    return "lt2" if det > 0 else "eq2" if det == 0 else "gt2"
 
 
 @dataclass(frozen=True)
@@ -254,7 +235,6 @@ class DynkinVerdict:
 
 
 def _simple_degree_data(m: np.ndarray):
-    n = m.shape[0]
     has_loop = bool(np.any(np.diag(m) != 0))
     off = m.copy()
     np.fill_diagonal(off, 0)
@@ -308,12 +288,13 @@ def _path_order(m: np.ndarray) -> list[int] | None:
 
 
 def _certified_verdict(m: np.ndarray) -> DynkinVerdict:
-    """Fallback for unmatched shapes: exact test at 2, certificates else."""
-    if _norm_two_exact(m):
+    """Fallback for unmatched shapes: the exact norm class, with a float
+    Perron-vector certificate on either side of 2 as extra evidence."""
+    norm_class = _norm_class(m)
+    if norm_class == "eq2":
         return DynkinVerdict("loop_norm2", None, "eq2")
-    rho = spectral_radius(m)
     v = perron_vector(m)
-    if rho > 2.0:
+    if norm_class == "gt2":
         # Collatz-Wielandt from below: min over the support of (Mv)_i / v_i > 2
         support = v > 1e-12
         ratios = (m @ v)[support] / v[support]
@@ -329,9 +310,11 @@ def dynkin_classify(graph: FusionGraph) -> DynkinVerdict:
     """Recognize a connected symmetrized graph within the norm <= 2 landscape.
 
     Exact members of the finite list (paths, D/E types, tadpoles) get
-    norm < 2; the extended list (cycles, extended D/E, loop and double-edge
-    degenerations) gets norm = 2, decided by shape or by an exact rational
-    kernel at eigenvalue 2.  Everything else is certified above or below 2.
+    norm < 2 and the extended list (cycles, extended D/E, loop and
+    double-edge degenerations) norm = 2, by shape.  Any other graph gets its
+    norm class (< 2, = 2 or > 2) from an integer elimination of 2I - M; on
+    either strict side a float Perron vector is attached as a certificate
+    when it confirms the class.
     """
     if graph.size == 0:
         raise ValueError("cannot classify the empty graph")
@@ -444,21 +427,11 @@ def a_infinity_check(graph: FusionGraph, boundary: frozenset | None = None) -> b
     m = symmetrize(graph).matrix
     if np.any(np.diag(m) != 0):
         return False
-    off = m.copy()
-    np.fill_diagonal(off, 0)
-    if np.any(off > 1):
+    order = _path_order(m)
+    if order is None:
         return False
-    deg = off.sum(axis=1)
-    if np.any(deg > 2):
-        return False
-    n = graph.size
-    if int(off.sum() // 2) != n - 1:  # connected input with V-1 edges: a tree
-        return False
-    if not graph.is_connected():
-        return False
-    endpoints = [graph.vertices[i] for i in range(n) if deg[i] <= 1]
-    unmarked = [v for v in endpoints if v not in marked]
-    return len(unmarked) <= 1
+    ends = {order[0], order[-1]}
+    return sum(graph.vertices[i] not in marked for i in ends) <= 1
 
 
 def export_dot(graph: FusionGraph) -> str:

@@ -3,6 +3,7 @@
 import itertools
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -140,3 +141,52 @@ def color_preserving_count(dims: np.ndarray) -> int:
     """How many permutations the brute force tries for these dimensions."""
     sizes = Counter(_color_bucket(v) for v in dims)
     return math.prod(math.factorial(k) for k in sizes.values())
+
+
+# The exact test at eigenvalue 2 that ``spectra`` used before its integer
+# elimination, kept as an independent oracle for the eq2 class.
+
+def _kernel_at_two(matrix: np.ndarray) -> list[Fraction] | None:
+    """A nonzero rational kernel vector of (M - 2I), or None when trivial."""
+    n = matrix.shape[0]
+    A = [[Fraction(int(matrix[i, j])) - (2 if i == j else 0) for j in range(n)] for i in range(n)]
+    # Gauss-Jordan over the rationals.
+    pivots: list[int] = []
+    row = 0
+    for col in range(n):
+        pivot = next((r for r in range(row, n) if A[r][col] != 0), None)
+        if pivot is None:
+            continue
+        A[row], A[pivot] = A[pivot], A[row]
+        scale = A[row][col]
+        A[row] = [x / scale for x in A[row]]
+        for r in range(n):
+            if r != row and A[r][col] != 0:
+                factor = A[r][col]
+                A[r] = [a - factor * b for a, b in zip(A[r], A[row])]
+        pivots.append(col)
+        row += 1
+        if row == n:
+            break
+    free = [c for c in range(n) if c not in pivots]
+    if not free:
+        return None
+    # back-substitute with the first free variable set to 1
+    fcol = free[0]
+    vec = [Fraction(0)] * n
+    vec[fcol] = Fraction(1)
+    for r, col in enumerate(pivots):
+        vec[col] = -A[r][fcol]
+    return vec
+
+
+def _norm_two_exact(matrix: np.ndarray) -> bool:
+    """True iff the connected nonnegative symmetric matrix has norm exactly 2."""
+    vec = _kernel_at_two(matrix)
+    if vec is None:
+        return False
+    # For an irreducible matrix the eigenspace at the Perron value is spanned
+    # by a positive vector; any other eigenvector at 2 must change sign.
+    if all(x > 0 for x in vec) or all(x < 0 for x in vec):
+        return True
+    return False

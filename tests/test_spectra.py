@@ -28,7 +28,9 @@ from fusionrings import (
     symmetrize,
     free_unitary_ring,
 )
-from fusionrings.spectra import components
+from fusionrings.spectra import _norm_class, components
+
+from conftest import _norm_two_exact
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -293,6 +295,12 @@ def test_classifier_rejects_bad_input():
         dynkin_classify(directed)
 
 
+def test_fusion_graph_rejects_non_integer_entries():
+    with pytest.raises(ValueError, match="integers"):
+        FusionGraph(("a", "b"), [[0, 1.5], [1.5, 0]], directed=False)
+    assert FusionGraph(("a", "b"), [[0, 1.0], [1.0, 0]]).matrix.dtype == np.int64
+
+
 # -- A-infinity truncations ------------------------------------------------------------------
 
 
@@ -384,24 +392,45 @@ def test_export_dot_deterministic():
     assert "\r" not in one and one.endswith("}\n")
 
 
-def test_classifier_norm_class_matches_eigensolver_on_random_graphs():
-    # seeded fuzz: the structural verdict agrees with the dense eigensolver
-    rng = np.random.default_rng(20240809)
-    for _ in range(200):
-        n = int(rng.integers(1, 9))
-        m = rng.integers(0, 3, size=(n, n))
-        m = np.minimum(m + m.T, 2).astype(np.int64)
-        graph = FusionGraph(tuple(f"v{i}" for i in range(n)), m, directed=False)
-        if not graph.is_connected():
-            continue
-        verdict = dynkin_classify(graph)
-        rho = float(np.max(np.abs(np.linalg.eigvalsh(m.astype(float)))))
-        if verdict.norm_class == "lt2":
-            assert rho < 2.0 + 1e-9
-        elif verdict.norm_class == "eq2":
-            assert abs(rho - 2.0) <= 1e-8
-        else:
-            assert rho > 2.0 - 1e-9
+@st.composite
+def _connected_symmetric(draw):
+    """Connected symmetric matrices on at most 8 vertices, entries 0-3 with
+    loops and multi-edges, in any vertex order (so a leading block of the
+    matrix need not be connected)."""
+    n = draw(st.integers(1, 8))
+    m = np.zeros((n, n), dtype=np.int64)
+    cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, 3))
+    for i, j, x in draw(st.lists(cells, max_size=n * (n + 1) // 2)):
+        m[i, j] = m[j, i] = x
+    for i in range(1, n):  # a spanning tree keeps the graph connected
+        j = draw(st.integers(0, i - 1))
+        m[i, j] = m[j, i] = max(m[i, j], 1)
+    order = draw(st.permutations(range(n)))
+    return m[np.ix_(order, order)]
+
+
+@settings(max_examples=600, deadline=None)
+@given(_connected_symmetric())
+@example(star([1, 1, 1, 1, 1]))  # the leading 5x5 block is D~4, of norm 2
+@example(star([1, 1, 1, 1])[::-1, ::-1])
+@example(cycle(7)[np.ix_([0, 3, 5, 1, 6, 2, 4], [0, 3, 5, 1, 6, 2, 4])])
+@example(np.array([[1, 1, 0], [1, 0, 1], [0, 1, 1]]))
+@example(np.array([[0, 3], [3, 0]]))
+def test_classifier_norm_class_matches_eigensolver_on_random_graphs(m):
+    # the verdict agrees with the dense eigensolver, and the integer
+    # elimination finds norm 2 exactly when the rational kernel oracle does
+    verdict = dynkin_classify(graph_of(m))
+    rho = float(np.max(np.abs(np.linalg.eigvalsh(m.astype(float)))))
+    if verdict.norm_class == "lt2":
+        assert rho < 2.0 + 1e-9
+    elif verdict.norm_class == "eq2":
+        assert abs(rho - 2.0) <= 1e-8
+    else:
+        assert rho > 2.0 - 1e-9
+    norm_class = _norm_class(m)
+    assert (norm_class == "eq2") == _norm_two_exact(m)
+    if abs(rho - 2.0) > 1e-6:
+        assert norm_class == ("lt2" if rho < 2.0 else "gt2")
 
 
 def test_symmetrize_rules():

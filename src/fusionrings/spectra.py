@@ -55,9 +55,13 @@ class FusionGraph:
 
     def __post_init__(self):
         raw = np.asarray(self.matrix)
-        m = raw.astype(np.int64)
-        if not np.array_equal(m, raw):
-            raise ValueError("adjacency entries must be integers")
+        try:
+            with np.errstate(invalid="ignore"):
+                m = raw.astype(np.int64)
+        except (OverflowError, TypeError, ValueError):
+            m = None
+        if m is None or not np.array_equal(m, raw):
+            raise ValueError("adjacency entries must be integers that fit in int64")
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] != len(self.vertices):
             raise ValueError("adjacency matrix shape does not match the vertex list")
         if (m < 0).any():

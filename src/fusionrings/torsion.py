@@ -41,12 +41,13 @@ from .modules import (
     LazyBasedModule,
     TruncatedModule,
     act,
+    dim_vector,
     inner,
     singleton_module,
     standard_module,
 )
 from .rings import REL_TOL, BasedRingTable, LazyBasedRing, associativity_failures, fuse, ring_dims
-from .spectra import FusionGraph, components, perron_vector
+from .spectra import FusionGraph, components
 
 
 @dataclass(frozen=True)
@@ -179,120 +180,114 @@ def generating_set(ring: BasedRingTable) -> tuple[tuple[str, ...], list[tuple]]:
 # -- canonical forms ----------------------------------------------------------------
 
 
-def _joint_perron(matrices: list[np.ndarray], size: int) -> np.ndarray | None:
-    """Positive joint eigenvector candidate, normalized to minimum 1."""
-    if size == 0:
-        return None
-    if not matrices:
-        return np.ones(size)
-    C = np.zeros((size, size), dtype=np.float64)
-    for M in matrices:
-        C += M + M.T
-    v = perron_vector(C)
-    if v.min() <= 1e-12:
-        return None
-    return v / v.min()
+def _refined_cells(entry: list[list[tuple]]) -> list[list[int]]:
+    """The ordered cells of colour refinement (1-dimensional Weisfeiler-Leman)
+    of the digraph whose edge (v, w) is labelled by the tuple ``entry[v][w]``.
 
-
-def _color_bucket(value: float) -> int:
-    return int(math.floor(value * 1e6 + 0.5))
-
-
-def _stack_key(matrices: list[np.ndarray], perm: list[int]) -> bytes:
-    """The stacked bytes of the matrices relabeled by ``perm``."""
-    idx = np.array(perm)
-    return b"".join(M[np.ix_(idx, idx)].tobytes() for M in matrices)
-
-
-def _byte_ranks(A: np.ndarray) -> list[list[int]]:
-    """``A`` with each entry replaced by its rank among the entries in the
-    order their bytes compare (for int64 that is little-endian, which is
-    not numeric order once an entry reaches 256)."""
-    m, width = A.shape[0], A.itemsize
-    raw = A.tobytes()
-    chunks = [raw[k : k + width] for k in range(0, len(raw), width)]
-    rank = {chunk: r for r, chunk in enumerate(sorted(set(chunks)))}
-    return [[rank[c] for c in chunks[v * m : (v + 1) * m]] for v in range(m)]
-
-
-def _canonical_data(matrices: list[np.ndarray], dims: np.ndarray):
-    """Minimal (colors, stacked bytes, permutation) over color-preserving
-    relabelings; vertices are pre-sorted by dimension color.
-
-    The minimum is that of the stacked bytes of every relabeled matrix, and
-    the permutation is the least one reaching it, as a brute force over the
-    color-preserving permutations would find them; the search visits at
-    most as many complete permutations.  Positions are filled in order,
-    each from the first of an ordered list of cells of candidate vertices
-    (at first the color groups).  A candidate v at position i fixes row i
-    of the first matrix A up to the order within each cell: the columns
-    already placed, then A[v, v], then the entries of A[v, .] over each
-    remaining cell sorted, compared as bytes compare.  Only candidates whose
-    row is least go on, and every cell is split by A[v, .] in ascending
-    order, so row i is the same for every completion.  Depth first, a
-    branch stops where its rows exceed those of the best permutation found
-    so far; the later matrices break the remaining ties at complete
-    permutations, by their full stacked bytes.
+    Vertices start coloured by their diagonal tuple.  Each round recolours v
+    by its colour, the sorted (entry[v][w], colour of w) over its out-row and
+    the sorted (entry[w][v], colour of w) over its in-row, numbering the
+    colours in the sorted order of these signatures; so the cells and their
+    order do not depend on the labelling.  The old colour leads the
+    signature, so a round only splits cells in place, and refinement stops
+    at the first round that splits none.
     """
-    m = dims.shape[0]
-    colors = [_color_bucket(v) for v in dims]
-    order = sorted(range(m), key=lambda i: (colors[i], i))
-    color_key = tuple(colors[i] for i in order)
-    if not matrices:
-        return color_key, b"", order
-    groups: list[list[int]] = []
-    for i in order:
-        if groups and colors[groups[-1][0]] == colors[i]:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    R = _byte_ranks(matrices[0])
-    best_key: bytes | None = None
+    m = len(entry)
+    signatures: list = [entry[v][v] for v in range(m)]
+    count = 0
+    while True:
+        rank = {s: r for r, s in enumerate(sorted(set(signatures)))}
+        colour = [rank[s] for s in signatures]
+        if len(rank) == count:
+            break
+        count = len(rank)
+        signatures = [
+            (
+                colour[v],
+                tuple(sorted((entry[v][w], colour[w]) for w in range(m))),
+                tuple(sorted((entry[w][v], colour[w]) for w in range(m))),
+            )
+            for v in range(m)
+        ]
+    cells: list[list[int]] = [[] for _ in range(count)]
+    for v in range(m):
+        cells[colour[v]].append(v)
+    return cells
+
+
+def _canonical_data(matrices: list[np.ndarray], size: int, deadline: float | None = None):
+    """(key, permutation, complete permutations compared) of the stacked
+    ``size`` x ``size`` generator matrices.
+
+    Entry (v, w) is the tuple of every matrix's entry there, compared
+    numerically.  The key is the size and the least sequence of rows of the
+    tuple matrix over the relabelings that keep the cells of
+    ``_refined_cells`` in order (stored as big-endian int64 bytes, whose
+    order is that of the rows); the permutation is the least one reaching
+    it, as a brute force over those relabelings would find them.  Every
+    automorphism keeps the cells, so keys are equal exactly for isomorphic
+    stacks, and the complete permutations reaching the key are exactly the
+    automorphisms (it may complete worse ones on the way).
+
+    Positions are filled in order, each from the first of an ordered list
+    of cells of candidate vertices (at first the refined cells).  A
+    candidate v at position i fixes row i up to the order within each cell:
+    the columns already placed, then entry (v, v), then the entries of row v
+    over each remaining cell sorted.  Only candidates whose row is least go
+    on, and every cell is split by row v in ascending order, so row i is
+    the same for every completion.  Depth first, a branch stops where its
+    rows exceed those of the best permutation found so far.  Past
+    ``deadline`` (a ``time.monotonic`` reading) it raises ``_Budget``.
+    """
+    T = np.stack(matrices, axis=-1) if matrices else np.zeros((size, size, 0), dtype=np.int64)
+    entry = [[tuple(e) for e in row] for row in T.tolist()]
+    best_rows: list[tuple] | None = None
     best_perm: list[int] = []
-    best_rows: list[tuple] = []
+    leaves = 0
 
     def descend(prefix: list[int], rows: list[tuple], cells: list[list[int]]) -> None:
-        nonlocal best_key, best_perm, best_rows
+        nonlocal best_rows, best_perm, leaves
+        if deadline is not None and time.monotonic() > deadline:
+            raise _Budget()
         if not cells:
-            key = _stack_key(matrices, prefix)
-            if best_key is None or key < best_key:
-                best_key, best_perm, best_rows = key, prefix, rows
+            leaves += 1
+            if best_rows is None or rows < best_rows:
+                best_rows, best_perm = rows, prefix
             return
         head, rest = cells[0], cells[1:]
         options = {}
         for v in head:
-            Rv = R[v]
-            tail = [sorted(Rv[w] for w in head if w != v)] + [sorted(Rv[w] for w in c) for c in rest]
-            options[v] = tuple(Rv[u] for u in prefix) + (Rv[v],) + tuple(x for part in tail for x in part)
+            Ev = entry[v]
+            tail = [sorted(Ev[w] for w in head if w != v)] + [sorted(Ev[w] for w in c) for c in rest]
+            options[v] = tuple(Ev[u] for u in prefix) + (Ev[v],) + tuple(x for part in tail for x in part)
         row = min(options.values())
         i = len(prefix)
-        if best_key is not None and rows == best_rows[:i] and row > best_rows[i]:
+        if best_rows is not None and rows == best_rows[:i] and row > best_rows[i]:
             return
         for v in head:
             if options[v] != row:
                 continue
-            Rv = R[v]
+            Ev = entry[v]
             split: list[list[int]] = []
             for cell in [[w for w in head if w != v]] + rest:
-                parts: dict[int, list[int]] = {}
+                parts: dict[tuple, list[int]] = {}
                 for w in cell:
-                    parts.setdefault(Rv[w], []).append(w)
+                    parts.setdefault(Ev[w], []).append(w)
                 split.extend(parts[value] for value in sorted(parts))
             descend(prefix + [v], rows + [row], split)
 
-    descend([], [], groups)
-    return color_key, best_key, best_perm
+    descend([], [], _refined_cells(entry))
+    idx = np.array(best_perm, dtype=np.intp)
+    key = f"{size}|".encode() + T[np.ix_(idx, idx)].astype(">i8").tobytes()
+    return key, best_perm, leaves
 
 
 def _key_and_perm(module: BasedModuleTable) -> tuple[bytes, list[int]]:
     gens, _ = generating_set(module.ring)
     matrices = [module.matrix(g) for g in gens]
-    dims = _joint_perron(matrices, module.size)
-    if dims is None:
-        raise StructuralError("module carries no positive joint eigenvector")
-    color_key, stack, perm = _canonical_data(matrices, dims)
-    head = f"{module.size}|{color_key}".encode()
-    return head + b"#" + stack, perm
+    # a table built by the module search carries the search's deadline
+    key, perm, _ = _canonical_data(matrices, module.size, getattr(module, "_deadline", None))
+    return key, perm
 
 
 def canonical_key(module: BasedModuleTable) -> bytes:
@@ -307,12 +302,12 @@ def canonical_key(module: BasedModuleTable) -> bytes:
 def canonical_form(module: BasedModuleTable) -> BasedModuleTable:
     """Relabel a module so isomorphic modules become identical tables.
 
-    Vertices are sorted by dimension color, ties broken by the least
-    stacked bytes of the generator matrices over all color-preserving
-    relabelings, found row by row without trying each one (see
-    ``_canonical_data``); the result uses labels ``v00``, ``v01``, ...
-    The canonical key, which the relabeling leaves unchanged, is recorded on
-    the result.
+    Vertices are ordered by exact colour refinement over the generator
+    matrices, ties broken by the least rows of the stacked matrices over
+    the relabelings that keep that order, found row by row without trying
+    each one (see ``_canonical_data``); no float enters.  The result uses
+    labels ``v00``, ``v01``, ...  The canonical key, which the relabeling
+    leaves unchanged, is recorded on the result.
     """
     ring = module.ring
     key, perm = _key_and_perm(module)
@@ -769,6 +764,7 @@ class _Searcher:
                     (labels[c], int(M[b, c])) for c in range(state.nvert) if M[b, c]
                 )
         table = BasedModuleTable(ring, labels, action, name=f"module over {ring.name}")
+        table._deadline = self.deadline
         table = canonical_form(table)
         self.found.setdefault(canonical_key(table), table)
 
@@ -1342,12 +1338,9 @@ def tensor_obstruction_probe(
     pure = [pair_label(a, r2.unit) for a in r1.basis if a != r1.unit]
     pure += [pair_label(r1.unit, b) for b in r2.basis if b != r2.unit]
     for witness in verdict.witnesses:
-        gens_mats = [witness.matrix(g) for g in generating_set(square)[0]]
-        D = _joint_perron(gens_mats, witness.size)
+        D = dim_vector(witness)
         base = None
-        order = sorted(range(witness.size), key=lambda i: (D[i], witness.basis[i])) if D is not None else range(witness.size)
-        for i in order:
-            b = witness.basis[i]
+        for b in sorted(witness.basis, key=lambda b: (D(b), b)):
             if all(witness.action_row(alpha, b).total() == 1 for alpha in pure):
                 base = b
                 break

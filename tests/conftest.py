@@ -2,7 +2,6 @@
 
 import itertools
 import math
-from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -104,43 +103,99 @@ def fusion_subrings(ring) -> list[tuple[str, ...]]:
     return sorted(found)
 
 
-def _color_bucket(value: float) -> int:
-    return int(math.floor(value * 1e6 + 0.5))
+def _entry_tuples(matrices: list[np.ndarray], size: int) -> dict:
+    """(v, w) -> the tuple of every matrix's entry there, as Python ints."""
+    return {
+        (v, w): tuple(int(M[v][w]) for M in matrices) for v in range(size) for w in range(size)
+    }
 
 
-def brute_force_canonical_data(matrices: list[np.ndarray], dims: np.ndarray):
-    """Minimal (colors, stacked bytes, permutation) over color-preserving
-    relabelings; vertices are pre-sorted by dimension color.
+def refinement_cells(matrices: list[np.ndarray], size: int) -> list[list[int]]:
+    """Colour classes of 1-dimensional Weisfeiler-Leman refinement on the
+    digraph whose edges carry the entry tuples, in the order of their
+    signatures.
 
-    The brute force that ``torsion._canonical_data`` once was, kept as an
-    oracle for the search that replaced it: it tries every color-preserving
-    permutation and keeps the first one with the least stacked bytes.
+    Written apart from ``torsion``: a vertex starts with its diagonal tuple
+    as colour; a round gives it the triple (colour index, sorted
+    (out-entry, colour index) pairs, sorted (in-entry, colour index) pairs),
+    and a colour's index is its position in the sorted list of colours.
+    Rounds go on while the number of colours grows.
     """
-    m = dims.shape[0]
-    colors = [_color_bucket(v) for v in dims]
-    order = sorted(range(m), key=lambda i: (colors[i], i))
-    groups: list[list[int]] = []
-    for i in order:
-        if groups and colors[groups[-1][0]] == colors[i]:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    best_key: bytes | None = None
-    best_perm: list[int] | None = None
-    for pieces in itertools.product(*(itertools.permutations(g) for g in groups)):
-        perm = [i for piece in pieces for i in piece]
-        idx = np.array(perm)
-        key = b"".join(M[np.ix_(idx, idx)].tobytes() for M in matrices)
-        if best_key is None or key < best_key:
-            best_key, best_perm = key, perm
-    color_key = tuple(colors[i] for i in (best_perm or []))
-    return color_key, best_key or b"", best_perm or []
+    e = _entry_tuples(matrices, size)
+    colors = [e[v, v] for v in range(size)]
+    while True:
+        palette = sorted(set(colors))
+        index = [palette.index(c) for c in colors]
+        out_pairs = [tuple(sorted((e[v, w], index[w]) for w in range(size))) for v in range(size)]
+        in_pairs = [tuple(sorted((e[w, v], index[w]) for w in range(size))) for v in range(size)]
+        refined = [(index[v], out_pairs[v], in_pairs[v]) for v in range(size)]
+        if len(set(refined)) == len(palette):
+            break
+        colors = refined
+    return [[v for v in range(size) if index[v] == k] for k in range(len(palette))]
 
 
-def color_preserving_count(dims: np.ndarray) -> int:
-    """How many permutations the brute force tries for these dimensions."""
-    sizes = Counter(_color_bucket(v) for v in dims)
-    return math.prod(math.factorial(k) for k in sizes.values())
+def brute_force_canonical_data(matrices: list[np.ndarray], size: int):
+    """(key, permutation): the least tuple rows over every cell-preserving
+    relabeling, by exhaustion.
+
+    Entry (v, w) is the tuple of the matrices' entries; positions are
+    filled cell by cell, in the order of ``refinement_cells``.  Relabelings
+    are tried in lexicographic order and the first with the least rows is
+    kept.  The key is the size, ``|`` and every entry of those rows as
+    8-byte big-endian signed integers.
+    """
+    e = _entry_tuples(matrices, size)
+    cells = refinement_cells(matrices, size)
+    best_rows, best_perm = None, []
+    for pieces in itertools.product(*(itertools.permutations(cell) for cell in cells)):
+        perm = [v for piece in pieces for v in piece]
+        rows = [[e[v, w] for w in perm] for v in perm]
+        if best_rows is None or rows < best_rows:
+            best_rows, best_perm = rows, perm
+    body = b"".join(
+        x.to_bytes(8, "big", signed=True) for row in best_rows or [] for entry in row for x in entry
+    )
+    return f"{size}|".encode() + body, best_perm
+
+
+def color_preserving_count(matrices: list[np.ndarray], size: int) -> int:
+    """How many relabelings the brute force tries: those keeping every
+    refinement cell."""
+    return math.prod(math.factorial(len(cell)) for cell in refinement_cells(matrices, size))
+
+
+def tuple_digraph(matrices: list[np.ndarray], size: int):
+    """The networkx DiGraph of a stack: node v carries its diagonal tuple,
+    and an edge v -> w (v != w) its nonzero entry tuple."""
+    import networkx as nx
+
+    e = _entry_tuples(matrices, size)
+    zero = (0,) * len(matrices)
+    G = nx.DiGraph()
+    for v in range(size):
+        G.add_node(v, loop=e[v, v])
+    G.add_edges_from((v, w, {"entry": e[v, w]}) for (v, w) in e if v != w and e[v, w] != zero)
+    return G
+
+
+def _stack_matcher(one, two):
+    from networkx.algorithms.isomorphism import DiGraphMatcher
+
+    return DiGraphMatcher(
+        one, two, node_match=lambda a, b: a["loop"] == b["loop"], edge_match=lambda a, b: a["entry"] == b["entry"]
+    )
+
+
+def stacks_isomorphic(one: tuple, two: tuple) -> bool:
+    """Whether two (matrices, size) stacks differ by a relabeling, by networkx."""
+    return _stack_matcher(tuple_digraph(*one), tuple_digraph(*two)).is_isomorphic()
+
+
+def automorphism_count(matrices: list[np.ndarray], size: int) -> int:
+    """The number of relabelings that fix the stack, by networkx."""
+    G = tuple_digraph(matrices, size)
+    return sum(1 for _ in _stack_matcher(G, G).isomorphisms_iter())
 
 
 # The exact test at eigenvalue 2 that ``spectra`` used before its integer

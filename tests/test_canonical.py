@@ -1,19 +1,20 @@
 """Canonical labelling against a brute-force oracle, and the inputs it
 makes reachable.
 
-``conftest.brute_force_canonical_data`` tries every color-preserving
-permutation and shares no code with the search in
-``torsion._canonical_data``.  Both must return the same color key, key
+``conftest.brute_force_canonical_data`` runs its own colour refinement,
+tries every relabeling that keeps the refined cells and shares no code with
+the search in ``torsion._canonical_data``.  Both must return the same key
 bytes and permutation, and the search must compare no more complete
-permutations than the brute force tries.
+permutations than the brute force tries.  Two keys must be equal exactly
+when networkx finds an isomorphism between the stacks.
 """
 
 import contextlib
 import hashlib
 import io
-import math
 import os
 import random
+import time
 
 import numpy as np
 import pytest
@@ -22,51 +23,42 @@ from hypothesis import strategies as st
 
 from fusionrings import (
     ModuleSearchConfig,
+    canonical_form,
+    canonical_key,
     cyclic_group_ring,
     dimension_bound,
     enumerate_modules,
     group_ring,
     permutation_group_ring,
+    standard_module,
     su2_level,
 )
 from fusionrings import torsion
 from fusionrings.cli import main
 from fusionrings.documents import emit_document, load_document, ring_to_document, write_document
+from fusionrings.modules import BasedModuleTable
 
 from conftest import (
+    automorphism_count,
     brute_force_canonical_data,
     color_preserving_count,
     cyclic_group_data,
     dihedral_data,
+    stacks_isomorphic,
     subgroups_up_to_conjugacy,
 )
 
 
-def _counted(monkeypatch) -> list:
-    """Record every complete permutation the search compares."""
-    seen = []
-    stack_key = torsion._stack_key
-
-    def counted(matrices, perm):
-        seen.append(tuple(perm))
-        return stack_key(matrices, perm)
-
-    monkeypatch.setattr(torsion, "_stack_key", counted)
-    return seen
+def _relabeled(matrices, perm):
+    idx = np.array(perm, dtype=np.intp)
+    return [M[np.ix_(idx, idx)] for M in matrices]
 
 
-def _relabeled(matrices, dims, perm):
-    idx = np.array(perm)
-    return [M[np.ix_(idx, idx)] for M in matrices], dims[idx]
-
-
-def _assert_matches_oracle(matrices, dims):
-    with pytest.MonkeyPatch.context() as patch:
-        seen = _counted(patch)
-        found = torsion._canonical_data(matrices, dims)
-    assert found == brute_force_canonical_data(matrices, dims)
-    assert len(seen) <= color_preserving_count(dims)
-    return found
+def _assert_matches_oracle(matrices, size):
+    key, perm, leaves = torsion._canonical_data(matrices, size)
+    assert (key, perm) == brute_force_canonical_data(matrices, size)
+    assert leaves <= color_preserving_count(matrices, size)
+    return key
 
 
 # entries on both sides of 256, where little-endian byte order and numeric
@@ -75,35 +67,64 @@ ENTRIES = [0, 1, 2, 3, 255, 256, 257, 511]
 
 
 @st.composite
-def _stacks(draw):
-    m = draw(st.integers(1, 7))
-    values = draw(st.lists(st.sampled_from(ENTRIES), min_size=1, max_size=4, unique=True))
-    cells = st.lists(st.sampled_from(values), min_size=m * m, max_size=m * m)
+def _stacks(draw, max_size=7):
+    m = draw(st.integers(1, max_size))
+    # few distinct entries, at least half of them zero, so colour refinement
+    # leaves cells to search and in-rows tell apart what out-rows do not
+    values = draw(st.lists(st.sampled_from(ENTRIES), min_size=1, max_size=3, unique=True))
+    cells = st.lists(st.sampled_from([0] * len(values) + values), min_size=m * m, max_size=m * m)
     matrices = [
         np.array(draw(cells), dtype=np.int64).reshape(m, m) for _ in range(draw(st.integers(0, 3)))
     ]
-    # few colors, so most vertices tie on color
-    dims = np.array(draw(st.lists(st.sampled_from([1.0, 1.0, 2.0, math.sqrt(2)]), min_size=m, max_size=m)))
-    return matrices, dims, draw(st.permutations(range(m)))
+    return matrices, m
 
 
 @settings(max_examples=150, deadline=None)
-@given(_stacks())
-def test_search_matches_brute_force_on_synthetic_stacks(case):
-    matrices, dims, perm = case
-    found = _assert_matches_oracle(matrices, dims)
-    again = _assert_matches_oracle(*_relabeled(matrices, dims, perm))
-    assert again[:2] == found[:2]
+@given(_stacks(), st.randoms(use_true_random=False))
+def test_search_matches_brute_force_on_synthetic_stacks(case, rnd):
+    matrices, m = case
+    key = _assert_matches_oracle(matrices, m)
+    perm = list(range(m))
+    rnd.shuffle(perm)
+    assert _assert_matches_oracle(_relabeled(matrices, perm), m) == key
 
 
-def test_entries_compare_in_byte_order():
-    # 256 is 00 01 00 .. and 1 is 01 00 00 .. in little-endian bytes, so the
-    # least key puts 256 first although 1 < 256
-    A = np.array([[0, 1], [256, 0]], dtype=np.int64)
-    color_key, key, perm = torsion._canonical_data([A], np.ones(2))
-    assert perm == [1, 0]
-    assert key == np.array([[0, 256], [1, 0]], dtype=np.int64).tobytes()
-    assert (color_key, key, perm) == brute_force_canonical_data([A], np.ones(2))
+@st.composite
+def _stack_pairs(draw):
+    """Two stacks of one size: the first with the entries of each matrix
+    shuffled, or the first relabeled with at most one entry changed, so
+    that both outcomes are common."""
+    one, m = draw(_stacks(max_size=6))
+    if not one:
+        return (one, m), (one, m)
+    if draw(st.booleans()):
+        two = [np.array(M) for M in one]
+        for M in two:
+            M[...] = np.array(draw(st.permutations(M.ravel().tolist()))).reshape(m, m)
+    else:
+        two = _relabeled(one, draw(st.permutations(range(m))))
+        if draw(st.booleans()):
+            k, v, w = draw(st.integers(0, len(two) - 1)), draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+            two[k][v, w] = draw(st.sampled_from(ENTRIES))
+    return (one, m), (two, m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_stack_pairs())
+def test_equal_keys_exactly_when_isomorphic(pair):
+    one, two = pair
+    same = torsion._canonical_data(*one)[0] == torsion._canonical_data(*two)[0]
+    assert same == stacks_isomorphic(one, two)
+
+
+def test_entries_compare_numerically():
+    # 256 is 00 01 00 .. and 1 is 01 00 00 .. in little-endian bytes; the
+    # key compares entries as numbers, and its big-endian bytes sort the same way
+    A = np.array([[0, 256], [1, 0]], dtype=np.int64)
+    key, perm, leaves = torsion._canonical_data([A], 2)
+    assert (perm, leaves) == ([1, 0], 1)
+    assert key == b"2|" + np.array([[0, 1], [256, 0]], dtype=">i8").tobytes()
+    assert (key, perm) == brute_force_canonical_data([A], 2)
 
 
 def _involution(m):
@@ -114,28 +135,50 @@ def _involution(m):
     return A
 
 
-@pytest.mark.parametrize(
-    "first, ties",
-    [
-        (np.eye(7, dtype=np.int64), math.factorial(7)),
-        # its centralizer in S8 has 2^4 * 4! elements
-        (_involution(8), 2**4 * math.factorial(4)),
-    ],
-    ids=["identity7", "involution8"],
-)
-def test_high_symmetry_first_generator(first, ties, monkeypatch):
+@pytest.mark.parametrize("first", [np.eye(7, dtype=np.int64), _involution(8)], ids=["identity7", "involution8"])
+def test_high_symmetry_first_generator(first):
+    # a first generator with a large centralizer (7! and 2^4 * 4!
+    # permutations) no longer drives the search: it completes one
+    # permutation per automorphism of the whole stack
     m = first.shape[0]
     rng = np.random.default_rng(5)
     second = rng.integers(0, 2, size=(m, m)).astype(np.int64)
-    matrices, dims = [first, second], np.ones(m)
-    seen = _counted(monkeypatch)
-    found = torsion._canonical_data(matrices, dims)
-    monkeypatch.undo()
-    assert found == brute_force_canonical_data(matrices, dims)
-    # the search completes each permutation once, and all of them tie on
-    # the first matrix
-    assert len(seen) == len(set(seen)) == ties
-    assert len({_relabeled([first], dims, p)[0][0].tobytes() for p in seen}) == 1
+    matrices = [first, second]
+    key, perm, leaves = torsion._canonical_data(matrices, m)
+    assert (key, perm) == brute_force_canonical_data(matrices, m)
+    assert leaves == automorphism_count(matrices, m)
+
+
+def _shuffled(module, seed):
+    """``module`` with its basis labels permuted."""
+    labels = list(module.basis)
+    random.Random(seed).shuffle(labels)
+    name = dict(zip(module.basis, labels))
+    action = {
+        (a, name[b]): module.action_row(a, b).map_labels(lambda c: name[c])
+        for a in module.ring.basis
+        for b in module.basis
+    }
+    return BasedModuleTable(module.ring, sorted(labels), action)
+
+
+def test_symmetric4_regular_module():
+    # 24 vertices in one refinement cell; the S4 automorphisms of the
+    # regular module are the 24 right translations
+    ring = permutation_group_ring(4)
+    module = standard_module(ring)
+    start = time.process_time()
+    form = canonical_form(module)
+    assert time.process_time() - start < 1.0
+    assert canonical_key(_shuffled(module, 4)) == form._canonical_key
+    matrices = [module.matrix(g) for g in torsion.generating_set(ring)[0]]
+    assert torsion._canonical_data(matrices, module.size)[2] == 24
+
+
+def test_expired_deadline_stops_the_labelling():
+    matrices = [_involution(8)]
+    with pytest.raises(torsion._Budget):
+        torsion._canonical_data(matrices, 8, deadline=time.monotonic() - 1.0)
 
 
 HARVESTED = {
@@ -157,11 +200,10 @@ def test_search_matches_brute_force_on_harvested_classes(make):
     rng = random.Random(11)
     for table in result.classes:
         matrices = [table.matrix(g) for g in gens]
-        dims = torsion._joint_perron(matrices, table.size)
         perm = list(range(table.size))
         rng.shuffle(perm)
-        shuffled = _assert_matches_oracle(*_relabeled(matrices, dims, perm))
-        assert torsion._canonical_data(matrices, dims)[:2] == shuffled[:2]
+        shuffled = _assert_matches_oracle(_relabeled(matrices, perm), table.size)
+        assert torsion._canonical_data(matrices, table.size)[0] == shuffled
 
 
 # -- cyclic groups past the reach of the brute force --------------------------------------

@@ -1,6 +1,7 @@
 """Spectral radii, Dynkin recognition, graph exports."""
 
 import math
+import warnings
 
 import networkx as nx
 import numpy as np
@@ -298,6 +299,12 @@ def test_classifier_rejects_bad_input():
 def test_fusion_graph_rejects_non_integer_entries():
     with pytest.raises(ValueError, match="integers"):
         FusionGraph(("a", "b"), [[0, 1.5], [1.5, 0]], directed=False)
+    # past int64 and NaN: a ValueError, with no warning on the way
+    for entry in (2**70, float("nan")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="integers"):
+                FusionGraph(("a",), [[entry]])
     assert FusionGraph(("a", "b"), [[0, 1.0], [1.0, 0]]).matrix.dtype == np.int64
 
 

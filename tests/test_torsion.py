@@ -147,23 +147,23 @@ def _multiplicity_two_ring():
 # exact-row cut; the node counts move only when their pruning power does.
 PINNED_SEARCHES = [
     ("su2_level3", lambda: su2_level(3), 101,
-     "4d68450ef2c51ee11c400d22e6e1151ce5ba0195ef2c06b01ba576f3e5389c48"),
+     "901ff75f2ec0a1ac097d93bc317d3e8b1dfafd3c219a857f20995da56b8be044"),
     ("su2_level4", lambda: su2_level(4), 80,
-     "fc473629c056adb4ba198df4c4c240896dd53a7abab77e1ed1fbac6a01ada0d0"),
+     "01e71a3c9502aee6f0e5bdb13ddf77e923cac1b319c1c8509bcbe8ab3345d092"),
     ("sym3", lambda: permutation_group_ring(3), 91,
-     "06bd43d938ba09b27aa5f3f6fd53d964b57eed0fcccc30ca58349cb063b108f6"),
+     "d0c38461d3c32d36c1037f802810c4c47336c710ea915767c8b2db0c5cc101f6"),
     ("cyclic6", lambda: cyclic_group_ring(6), 12,
-     "1c98f462295ece7be1ca8106d1f4f54d5f8520dbcc9b19c6c011f39d7adbd069"),
+     "11314bf1fbb6cf3a7f5cf07316b4150f7d0b2cf5bd343247a7087c20a35d6cda"),
     ("fib_squared", lambda: tensor_product(fibonacci(), fibonacci()), 224,
-     "cbdae7b08487c827e1fa6bff325540506b13314172b25fa2d5f078dac68b48fe"),
+     "fed0a4680173cfdc30589460e73545f166993e31fe9c56fe7c85991f56cc3a5c"),
     ("su2_level2xZ2", lambda: tensor_product(su2_level(2), cyclic_group_ring(2)), 590,
-     "050265c1be6e1ca10cb6ec45b8b6f00422f0f8081bda1485f728a57a47faca59"),
+     "ad73f4fc4fb4494bf0f5a7f361a226380e0eff7919c609b5c1603d8e079f50a2"),
     ("su2_level5", lambda: su2_level(5), 150,
-     "761a6632d7874cac7a71c3758677651f5275911e9b7cf7becf441babca63d914"),
+     "1b76480a9ffe1e3007bf0fcaf045ff02d5ca9ffa78fa20751293205fa3935c9d"),
     ("dihedral8", lambda: group_ring(*dihedral_data(4)[:2], name="dihedral8"), 163,
-     "cc26c9c36ed8e234a386b4a99110f0a0d6dc356b45c4d13b918839d2a38766e9"),
+     "d7708374a9e56509d167e352396d79097c15a1f311521f7c30b624a2e225713d"),
     ("rank3_mult2", _multiplicity_two_ring, 24,
-     "43f8f05658d3aeb2f805551e4d37b184103033290623e8584a351b2abb793623"),
+     "9db67209017aa8c40f0c10f18da6556e39cb55942fe86e4743c7efad0e3e7943"),
 ]
 
 

@@ -139,42 +139,41 @@ def su2_ring() -> LazyBasedRing:
 _WORD_UNIT = "e"
 
 
-def _parse_word(label: str) -> tuple[str, ...]:
+def _parse_word(label: str) -> str:
+    """The signs of a word label (``"p+p-"`` gives ``"+-"``); letter i of the
+    label is ``label[2i+1]``.  Raises ValueError on anything else."""
     if label == _WORD_UNIT:
-        return ()
-    letters = []
-    i = 0
-    while i < len(label):
-        if label[i] != "p" or i + 1 >= len(label) or label[i + 1] not in "+-":
-            raise ValueError(f"bad word label {label!r}")
-        letters.append(label[i + 1])
-        i += 2
-    return tuple(letters)
+        return ""
+    letters = label[1::2]  # an odd length leaves one "p" more than letters
+    if label[::2] != "p" * len(letters) or letters.strip("+-"):
+        raise ValueError(f"bad word label {label!r}")
+    return letters
 
 
-def _format_word(letters: tuple[str, ...]) -> str:
+def _format_word(letters: str) -> str:
     return "".join("p" + s for s in letters) or _WORD_UNIT
 
 
-def _word_dual(letters: tuple[str, ...]) -> tuple[str, ...]:
-    flip = {"+": "-", "-": "+"}
-    return tuple(flip[s] for s in reversed(letters))
+# the unit "e" has no odd-position characters, so a[1::2] (the letters) and
+# a[:0:-2] (the letters reversed) need no case for it
+_FLIP = str.maketrans("+-", "-+")
 
 
 def _word_product(a: str, b: str) -> RingElement:
-    w = _parse_word(a)
-    z = _parse_word(b)
-    w_dual = _word_dual(w)  # the dual of the last k letters of w is w_dual[:k]
-    terms = []
-    for k in range(min(len(w), len(z)) + 1):
-        if w_dual[:k] != z[:k]:
-            break  # and so for every longer k
-        terms.append((_format_word(w[: len(w) - k] + z[k:]), 1))
-    return RingElement(terms)
+    # term k cancels the last k letters of a against the first k of b; the
+    # shorter prefixes already matched, so only the k-th pair is compared
+    a = "" if a == _WORD_UNIT else a
+    b = "" if b == _WORD_UNIT else b
+    terms = {a + b or _WORD_UNIT: 1}
+    for k in range(1, min(len(a), len(b)) // 2 + 1):
+        if a[1 - 2 * k] == b[2 * k - 1]:
+            break  # equal signs do not cancel, and so for every longer k
+        terms[a[: -2 * k] + b[2 * k :] or _WORD_UNIT] = 1
+    return RingElement._of(terms)
 
 
 @lru_cache(maxsize=None)
-def _word_dim(letters: tuple[str, ...]) -> int:
+def _word_dim(letters: str) -> int:
     # d(s w) = 2 d(w) - [w starts with the opposite sign] d(tail w)
     if not letters:
         return 1
@@ -182,8 +181,7 @@ def _word_dim(letters: tuple[str, ...]) -> int:
         return 2
     head, rest = letters[0], letters[1:]
     value = 2 * _word_dim(rest)
-    opposite = "-" if head == "+" else "+"
-    if rest[0] == opposite:
+    if rest[0] != head:
         value -= _word_dim(rest[1:])
     return value
 
@@ -201,22 +199,22 @@ def _word_power(label: str, n: int) -> str | None:
     letters = _parse_word(label)
     if not letters or len(set(letters)) != 1:
         return None
-    return _format_word(letters * n)
+    return label * n
 
 
 def free_unitary_ring() -> LazyBasedRing:
-    """Words in p+, p- with the common-subword fusion rule; d(p+) = 2."""
+    """Words in p+, p- with the common-subword fusion rule; d(p+) = 2.
+
+    Products, involution, level and dimension all read the label string."""
     return LazyBasedRing(
         name="free_unitary",
         unit=_WORD_UNIT,
         product_fn=_word_product,
-        involution_fn=lambda a: _format_word(_word_dual(_parse_word(a))),
-        level_fn=lambda a: len(_parse_word(a)),
-        enumerate_level_fn=lambda n: [
-            _format_word(w) for w in itertools.product("+-", repeat=n)
-        ],
+        involution_fn=lambda a: _format_word(a[:0:-2].translate(_FLIP)),
+        level_fn=lambda a: len(a) // 2,
+        enumerate_level_fn=lambda n: [_format_word(w) for w in itertools.product("+-", repeat=n)],
         contains_fn=_word_contains,
-        dims=lambda a: float(_word_dim(_parse_word(a))),
+        dims=lambda a: float(_word_dim(a[1::2])),
         dim_exactness="integer",
         iterated_power_fn=_word_power,
         metadata={"kind": "a2"},

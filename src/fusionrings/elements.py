@@ -42,6 +42,14 @@ class RingElement:
         self._terms = acc
 
     @classmethod
+    def _of(cls, counts: dict[str, int]) -> "RingElement":
+        """Adopt a label -> int dict the caller built and hands over,
+        dropping its zero coefficients; no per-term type checks."""
+        out = cls.__new__(cls)
+        out._terms = counts if all(counts.values()) else {l: c for l, c in counts.items() if c}
+        return out
+
+    @classmethod
     def basis(cls, label: str) -> "RingElement":
         return cls(((label, 1),))
 
@@ -76,31 +84,19 @@ class RingElement:
             return NotImplemented
         acc = dict(self._terms)
         for label, coeff in other._terms.items():
-            new = acc.get(label, 0) + coeff
-            if new:
-                acc[label] = new
-            else:
-                acc.pop(label, None)
-        out = RingElement.__new__(RingElement)
-        out._terms = acc
-        return out
+            acc[label] = acc.get(label, 0) + coeff
+        return RingElement._of(acc)
 
     def __sub__(self, other: "RingElement") -> "RingElement":
         return self + (-other)
 
     def __neg__(self) -> "RingElement":
-        out = RingElement.__new__(RingElement)
-        out._terms = {label: -coeff for label, coeff in self._terms.items()}
-        return out
+        return RingElement._of({label: -coeff for label, coeff in self._terms.items()})
 
     def __mul__(self, scalar: int) -> "RingElement":
         if not isinstance(scalar, int):
             return NotImplemented
-        if scalar == 0:
-            return RingElement()
-        out = RingElement.__new__(RingElement)
-        out._terms = {label: scalar * coeff for label, coeff in self._terms.items()}
-        return out
+        return RingElement._of({label: scalar * coeff for label, coeff in self._terms.items()})
 
     __rmul__ = __mul__
 

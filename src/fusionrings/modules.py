@@ -252,11 +252,12 @@ Module = BasedModuleTable | LazyBasedModule | TruncatedModule
 
 def act(module: Module, x: RingElement, v: RingElement) -> RingElement:
     """Bilinear extension of the action table."""
-    out = RingElement()
+    acc: dict[str, int] = {}
     for alpha, ca in x.items():
         for b, cb in v.items():
-            out = out + ca * cb * module.action_row(alpha, b)
-    return out
+            for c, cc in module.action_row(alpha, b)._terms.items():
+                acc[c] = acc.get(c, 0) + ca * cb * cc
+    return RingElement._of(acc)
 
 
 def inner(module: Module, b: str, c: str, depth: int = 32) -> RingElement:

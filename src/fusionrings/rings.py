@@ -274,21 +274,22 @@ Ring = BasedRingTable | LazyBasedRing
 
 
 def _require_all(ring: Ring, x: RingElement) -> None:
-    for label in x.support():
-        ring.require(label)
+    """Raise on the least label of x outside the ring, if any."""
+    if not all(map(ring.contains, x._terms)):
+        ring.require(min(label for label in x._terms if not ring.contains(label)))
 
 
 def fuse(ring: Ring, x: RingElement, y: RingElement) -> RingElement:
     """Bilinear extension of the basis products; exact integer coefficients."""
     _require_all(ring, x)
     _require_all(ring, y)
-    acc: dict[str, int] = {}
-    y_items = y.items()
-    for a, ca in x.items():
-        for b, cb in y_items:
-            for c, cc in ring.product(a, b).items():
+    acc: dict[str, int] = {}  # in storage order; equality, hash and format sort
+    y_terms = y._terms.items()
+    for a, ca in x._terms.items():
+        for b, cb in y_terms:
+            for c, cc in ring.product(a, b)._terms.items():
                 acc[c] = acc.get(c, 0) + ca * cb * cc
-    return RingElement(acc)
+    return RingElement._of(acc)
 
 
 def unit_coefficient(ring: Ring, x: RingElement) -> int:

@@ -103,6 +103,21 @@ def fusion_subrings(ring) -> list[tuple[str, ...]]:
     return sorted(found)
 
 
+def parse_word_oracle(label: str) -> tuple[str, ...]:
+    """The word ring's label parser as a letter-by-letter loop: the tuple of
+    signs of ``label``, or ValueError when it is no word label."""
+    if label == "e":
+        return ()
+    letters = []
+    i = 0
+    while i < len(label):
+        if label[i] != "p" or i + 1 >= len(label) or label[i + 1] not in "+-":
+            raise ValueError(f"bad word label {label!r}")
+        letters.append(label[i + 1])
+        i += 2
+    return tuple(letters)
+
+
 def _entry_tuples(matrices: list[np.ndarray], size: int) -> dict:
     """(v, w) -> the tuple of every matrix's entry there, as Python ints."""
     return {

@@ -63,6 +63,11 @@ def test_fuse_word_ring(capsys):
     assert capsys.readouterr().out == "1*e + 1*p+p-\n"
 
 
+def test_fuse_word_ring_square(capsys):
+    assert main(["fuse", "builtin:a2", "p+p-", "p+p-"]) == 0
+    assert capsys.readouterr().out == "1*e + 1*p+p- + 1*p+p-p+p-\n"
+
+
 def test_fuse_unit_alias(capsys):
     assert main(["fuse", "builtin:fibonacci", "unit", "phi"]) == 0
     assert capsys.readouterr().out == "1*phi\n"

@@ -1,10 +1,13 @@
 """Built-in rings, products and combinators, with independent oracles."""
 
+import functools
 import itertools
 import math
 
 import networkx as nx
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fusionrings import (
     NotAFusionSubringError,
@@ -29,7 +32,7 @@ from fusionrings import (
 )
 from fusionrings.constructors import match_standard_copy
 
-from conftest import fusion_subrings, klein_four_data
+from conftest import fusion_subrings, klein_four_data, parse_word_oracle
 
 
 # -- group rings ------------------------------------------------------------------
@@ -107,13 +110,49 @@ def _word_product_oracle(w, z):
 def test_word_products_match_oracle():
     a2 = free_unitary_ring()
     words = [()]
-    for n in (1, 2, 3):
+    for n in range(1, 7):
         words.extend(itertools.product("+-", repeat=n))
+    # the shapes the depth-4 associativity check multiplies
     for w in words:
-        for z in words:
+        for z in words[: 2**5 - 1]:
             label_w = "".join("p" + s for s in w) or "e"
             label_z = "".join("p" + s for s in z) or "e"
             assert a2.product(label_w, label_z) == _word_product_oracle(w, z), (w, z)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet="p+-eq*", max_size=10))
+@example("")
+@example("p+p-p-p+p+")
+@example("p+p-p")
+@example("p+e")
+@example("pp+-")
+def test_word_labels_match_the_parser_loop(label):
+    try:
+        parse_word_oracle(label)
+        valid = True
+    except ValueError:
+        valid = False
+    assert free_unitary_ring().contains(label) == valid
+
+
+def test_word_level_involution_and_dim_match_tuple_formulas():
+    flip = {"+": "-", "-": "+"}
+
+    @functools.cache
+    def dim(w):  # d(s w) = 2 d(w) - [w starts with the opposite of s] d(tail w)
+        if len(w) < 2:
+            return 1 + len(w)
+        return 2 * dim(w[1:]) - (dim(w[2:]) if w[1] == flip[w[0]] else 0)
+
+    a2 = free_unitary_ring()
+    for n in range(7):
+        for w in itertools.product("+-", repeat=n):
+            label = "".join("p" + s for s in w) or "e"
+            dual = "".join("p" + flip[s] for s in reversed(w)) or "e"
+            assert a2.level(label) == n
+            assert a2.involution_of(label) == dual
+            assert a2.dim(label) == dim(w)
 
 
 def test_word_ring_spec_values():

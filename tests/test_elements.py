@@ -39,6 +39,14 @@ def test_format_is_sorted_and_canonical():
     assert RingElement().format() == "0"
 
 
+@given(elements, elements, st.integers(-3, 3))
+def test_arithmetic_stores_no_zero_coefficients(x, y, k):
+    # equality compares the stored terms, so a kept zero would break it
+    assert x + y == RingElement([*x.items(), *y.items()])
+    assert -x == RingElement((label, -c) for label, c in x.items())
+    assert k * x == RingElement((label, k * c) for label, c in x.items())
+
+
 @given(elements, elements)
 def test_addition_is_commutative(x, y):
     assert x + y == y + x

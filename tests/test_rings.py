@@ -44,6 +44,21 @@ def test_fuse_unknown_label(fib):
         fuse(fib, RingElement.basis("zeta"), RingElement.basis("phi"))
 
 
+def test_fuse_names_the_least_unknown_label(fib):
+    with pytest.raises(UnknownLabelError, match="'aa'"):
+        fuse(fib, RingElement({"zz": 1, "phi": 1, "aa": 1}), RingElement.basis("phi"))
+
+
+def test_fuse_drops_cancelled_terms(fib):
+    phi, one = RingElement.basis("phi"), RingElement.basis("1")
+    product = fuse(fib, phi - one, phi + one)  # phi^2 - 1 = phi
+    assert product == phi and len(product) == 1
+    a1 = su2_ring()
+    x, y = RingElement.basis("1"), RingElement.basis("0")
+    product = fuse(a1, x - y, x + y)  # 1*1 - 0 = 2
+    assert product == RingElement.basis("2") and len(product) == 1
+
+
 def test_tau_values(fib):
     assert unit_coefficient(fib, RingElement.basis("1")) == 1
     phi = RingElement.basis("phi")

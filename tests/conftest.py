@@ -260,3 +260,52 @@ def _norm_two_exact(matrix: np.ndarray) -> bool:
     if all(x > 0 for x in vec) or all(x < 0 for x in vec):
         return True
     return False
+
+
+# Exact rational span, independent of ``rings``, for the middle labels of
+# the associativity check.
+
+def _reduced(pivots: dict, vector: dict) -> dict:
+    """``vector`` (index -> Fraction, no zeros) minus its part in the span of
+    the rows ``pivots`` (pivot index -> row with 1 there), in the order they
+    were added: each row is zero at the pivots added before it."""
+    vector = dict(vector)
+    for col in pivots:
+        coeff = vector.get(col)
+        if coeff:
+            for j, x in pivots[col].items():
+                vector[j] = vector.get(j, 0) - coeff * x
+            vector = {j: x for j, x in vector.items() if x}
+    return vector
+
+
+def exact_rank(vectors) -> int:
+    """Rank over Q of integer vectors given as sequences, by Fraction elimination."""
+    pivots: dict = {}
+    for vector in vectors:
+        rest = _reduced(pivots, {j: Fraction(x) for j, x in enumerate(vector) if x})
+        if rest:
+            col = min(rest)
+            pivots[col] = {j: x / rest[col] for j, x in rest.items()}
+    return len(pivots)
+
+
+def left_closure_vectors(T: list, middles: list[int]) -> list[list[int]]:
+    """A basis of the Q-span of the basis vectors of ``middles`` closed under
+    left multiplication by them, as integer vectors; ``T[a][b][c]`` is the
+    coefficient of c in a*b, as nested lists of Python ints."""
+    n = len(T)
+    kept: list[list[int]] = []
+    pivots: dict = {}
+    queue = [[int(i == s) for i in range(n)] for s in middles]
+    while queue:
+        vector = queue.pop()
+        rest = _reduced(pivots, {j: Fraction(x) for j, x in enumerate(vector) if x})
+        if not rest:
+            continue
+        col = min(rest)
+        pivots[col] = {j: x / rest[col] for j, x in rest.items()}
+        kept.append(vector)
+        for s in middles:
+            queue.append([sum(vector[b] * T[s][b][c] for b in range(n) if vector[b]) for c in range(n)])
+    return kept

@@ -7,10 +7,12 @@ must reproduce every line, witness and check order.  The exception is a
 product or action that leaves the ring or module, which those versions
 raised on and which is now a structural error.  The associativity helper
 is compared with a pure-Python triple-sum oracle that shares no code
-with it.
+with it, and the ring verifier's check on a few middle labels with that
+oracle and with the all-pairs helper.
 """
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -41,9 +43,11 @@ from fusionrings import (
 )
 from fusionrings import cli
 from fusionrings.constructors import _is_canonical_nat, _su2_product
-from fusionrings.documents import ring_to_document, write_document
-from fusionrings.rings import associativity_failures, exact_dtype
+from fusionrings.documents import resolve_ring, ring_to_document, write_document
+from fusionrings.rings import _SPAN_PRIME, _middle_labels, associativity_failures, exact_dtype
 from fusionrings.verification import VerificationReport
+
+from conftest import exact_rank, left_closure_vectors
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -701,6 +705,168 @@ def test_associativity_helper_matches_the_oracle(case):
     assert F.tolist() == expected
     first = next(((a, b) for a, row in enumerate(expected) for b, bad in enumerate(row) if bad), None)
     assert (tuple(int(i) for i in np.argwhere(F)[0]) if F.any() else None) == first
+
+
+# -- associativity on middle labels -------------------------------------------------
+
+
+def _table(T):
+    """The ring with constants ``T`` (nested lists) on labels 00, 01, ...,
+    unit 00 and the identity involution."""
+    labels = [f"{i:02d}" for i in range(len(T))]
+    products = {
+        (labels[a], labels[b]): {labels[c]: x for c, x in enumerate(T[a][b]) if x}
+        for a in range(len(T))
+        for b in range(len(T))
+    }
+    return BasedRingTable(labels, labels[0], {b: b for b in labels}, products, name="table")
+
+
+def _reference_lines(table, report):
+    """``report`` on ``table`` with its associativity line from the all-pairs scan."""
+    if report.structural_errors:
+        return report.lines()
+    T, labels = table.structure_tensor(), table.basis
+    full = VerificationReport(report.subject)
+    full.first_index("associativity", associativity_failures(T, T).T, labels, labels)
+    checks = [full.checks[0] if c.name == "associativity" else c for c in report.checks]
+    return VerificationReport(report.subject, checks).lines()
+
+
+def _associative(table):
+    return next(c.passed for c in verify_based_ring(table).checks if c.name == "associativity")
+
+
+def _check_against_references(T):
+    """The report equals the reference one, its verdict the oracle's, the
+    middle labels and their products span Q^n, and the middle labels see a
+    failure exactly when the oracle has one."""
+    oracle = _oracle_failures(T, T)
+    middles = _middle_labels(np.array(T, dtype=object))
+    assert exact_rank(left_closure_vectors(T, middles)) == len(T)
+    assert any(oracle[a][s] for a in range(len(T)) for s in middles) == any(map(any, oracle))
+    table = _table(T)
+    report = verify_based_ring(table)
+    assert report.lines() == _reference_lines(table, report)
+    if not report.structural_errors:
+        assert ("pass  associativity" in report.lines()) == (not any(map(any, oracle)))
+
+
+def _perturbed_group(draw, ring):
+    T = ring.structure_tensor().tolist()
+    n = len(T)
+    a, b, c = (draw(st.integers(0, n - 1)) for _ in range(3))
+    T[a][b][c] = draw(st.integers(0, 2))
+    return T
+
+
+@st.composite
+def small_tables(draw):
+    """Random tables (n <= 5, entries -1..2, or 0..2 so that the structural
+    scan passes), group rings of Z_n and S3 with one entry redrawn, and
+    all-zero tables."""
+    kind = draw(st.sampled_from(["random", "nonnegative", "cyclic", "S3", "zero"]))
+    n = draw(st.integers(1, 5))
+    if kind == "cyclic":
+        return _perturbed_group(draw, cyclic_group_ring(draw(st.integers(1, 6))))
+    if kind == "S3":
+        return _perturbed_group(draw, S3)
+    low, high = {"random": (-1, 2), "nonnegative": (0, 2), "zero": (0, 0)}[kind]
+    return [[[draw(st.integers(low, high)) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_tables())
+def test_middle_label_check_matches_the_all_pairs_report(T):
+    _check_against_references(T)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_every_label_of_the_zero_table_is_a_middle(n):
+    T = [[[0] * n for _ in range(n)] for _ in range(n)]
+    assert _middle_labels(np.zeros((n, n, n), dtype=np.int64)) == list(range(n))
+    _check_against_references(T)
+
+
+def test_a_label_in_the_support_of_the_span_may_still_be_a_middle():
+    # 0*0 = 1 + 2 and every other product is zero: the span of 0 and 0*0
+    # has entries at labels 1 and 2 but holds neither basis vector
+    T = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    T[0][0] = [0, 1, 1]
+    assert _middle_labels(np.array(T)) == [0, 1]
+    _check_against_references(T)
+
+
+@pytest.mark.parametrize("square", [[[[1]]], [[[2]]], [[[0]]]])
+def test_one_label_tables(square):
+    assert _middle_labels(np.array(square)) == [0]
+    _check_against_references(square)
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_middle_label_check_in_object_dtype(extra):
+    # x*x = 1 + 2**63 x takes Python ints; x*1 = extra + x breaks the unit
+    # law and associativity when extra = 1
+    T = [[[1, 0], [0, 1]], [[extra, 1], [1, 2**63]]]
+    assert _table(T).structure_tensor().dtype == object
+    _check_against_references(T)
+    assert _associative(_table(T)) == (extra == 0)
+
+
+@pytest.mark.parametrize("st_", [0, 1])
+def test_a_rank_lost_mod_the_span_prime_adds_a_middle(st_):
+    # on {1, s, t}: s*s = p*t is zero mod p, so t is not in the span of
+    # 1, s and s*s mod p although it is over Q; s*t = st_ * t
+    p = _SPAN_PRIME
+    T = [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 0], [0, 0, p], [0, 0, st_]], [[0, 0, 1], [0, 0, 0], [0, 0, 0]]]
+    assert _middle_labels(np.array(T, dtype=np.int64)) == [0, 1, 2]
+    _check_against_references(T)
+    assert _associative(_table(T)) == (st_ == 0)
+
+
+MIDDLE_BOUNDS = (
+    [("builtin:cyclic?n=64", 2), ("builtin:symmetric?n=5", 5)]
+    + [(f"builtin:su2?level={k}", 2) for k in range(1, 21)]
+)
+
+
+@pytest.mark.parametrize("source, bound", MIDDLE_BOUNDS)
+def test_few_middles_span_the_ring(source, bound):
+    ring = resolve_ring(source)
+    T = ring.structure_tensor()
+    middles = _middle_labels(T)
+    assert len(middles) <= bound
+    assert exact_rank(left_closure_vectors(T.tolist(), middles)) == ring.size
+
+
+def _relabelled(table, seed):
+    """``table`` under a seeded random permutation of its basis order."""
+    order = list(range(table.size))
+    random.Random(seed).shuffle(order)
+    name = {label: f"r{order[i]:03d}" for i, label in enumerate(table.basis)}
+    products = {
+        (name[a], name[b]): {name[c]: x for c, x in table.product(a, b).items()}
+        for a in table.basis
+        for b in table.basis
+    }
+    involution = {name[a]: name[b] for a, b in table.involution.items()}
+    return BasedRingTable(name.values(), name[table.unit], involution, products, name=table.name)
+
+
+RELABELLED = {
+    "cyclic?n=64": lambda: resolve_ring("builtin:cyclic?n=64"),
+    "symmetric?n=4": lambda: resolve_ring("builtin:symmetric?n=4"),
+    "su2?level=7": lambda: resolve_ring("builtin:su2?level=7"),
+    "pinned associativity": BROKEN_RINGS["associativity"],
+    "pinned anti-multiplicative": BROKEN_RINGS["involution anti-multiplicative"],
+}
+
+
+@pytest.mark.parametrize("name", list(RELABELLED))
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_associativity_verdict_ignores_the_basis_order(name, seed):
+    table = RELABELLED[name]()
+    assert _associative(_relabelled(table, seed)) == _associative(table) == name.startswith(("cyclic", "symmetric", "su2"))
 
 
 # -- memory -----------------------------------------------------------------------------

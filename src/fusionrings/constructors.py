@@ -128,7 +128,6 @@ def su2_ring() -> LazyBasedRing:
         enumerate_level_fn=lambda n: [str(n)],
         contains_fn=_is_canonical_nat,
         dims=lambda a: float(int(a) + 1),
-        dim_exactness="integer",
         iterated_power_fn=None,
         metadata={"kind": "a1"},
     )
@@ -215,7 +214,6 @@ def free_unitary_ring() -> LazyBasedRing:
         enumerate_level_fn=lambda n: [_format_word(w) for w in itertools.product("+-", repeat=n)],
         contains_fn=_word_contains,
         dims=lambda a: float(_word_dim(a[1::2])),
-        dim_exactness="integer",
         iterated_power_fn=_word_power,
         metadata={"kind": "a2"},
     )
@@ -427,7 +425,6 @@ def free_product(factors: list[Ring], name: str = "") -> LazyBasedRing:
         enumerate_level_fn=enumerate_level_fn if all_finite else None,
         contains_fn=contains_fn,
         dims=dims_fn if have_dims else None,
-        dim_exactness="numeric",
         metadata={"kind": "free_product", "factors": factors},
     )
 

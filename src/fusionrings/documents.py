@@ -225,12 +225,7 @@ def resolve_ring(source: str) -> Ring:
     """A ring from a ``builtin:`` URI or a document path."""
     if source.startswith("builtin:"):
         return builtin_ring(source)
-    try:
-        with open(source, encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise MalformedDocumentError(f"cannot read {source!r}: {exc}") from None
-    return ring_from_document(parse_document(text))
+    return ring_from_document(load_document(source))
 
 
 # -- module documents --------------------------------------------------------------------
@@ -253,15 +248,11 @@ def module_to_document(module: BasedModuleTable, ring_ref: str | None = None) ->
     }
 
 
-def module_from_document(doc: dict, ring: Ring | None = None) -> BasedModuleTable:
+def module_from_document(doc: dict) -> BasedModuleTable:
     if doc.get("format") != MODULE_FORMAT:
         raise MalformedDocumentError(f"not a module document (format={doc.get('format')!r})")
-    if ring is None:
-        ring_field = _require(doc, "ring")
-        if isinstance(ring_field, str):
-            ring = resolve_ring(ring_field)
-        else:
-            ring = ring_from_document(ring_field)
+    ring_field = _require(doc, "ring")
+    ring = resolve_ring(ring_field) if isinstance(ring_field, str) else ring_from_document(ring_field)
     if ring.is_lazy:
         raise MalformedDocumentError("module documents require a finite ring")
     basis = _require(doc, "basis")

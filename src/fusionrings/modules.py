@@ -260,13 +260,40 @@ def act(module: Module, x: RingElement, v: RingElement) -> RingElement:
     return RingElement._of(acc)
 
 
-def inner(module: Module, b: str, c: str, depth: int = 32) -> RingElement:
+def _anchored_mass(module: Module, b: str, c: str, depth: int):
+    """The terms (alpha, N_{alpha b}^c) over a lazy ring, summed level by
+    level up to ``depth`` while their mass sum N d(alpha) is weighed against
+    the anchored dimension budget d(b).
+
+    Returns ``(verdict, terms, mass, budget, level)``: ``over`` when the
+    mass passes the budget, ``met`` when it reaches it (any further term
+    would contribute at least 1 and overshoot), ``short`` when neither
+    happens by ``depth``; ``level`` is the last level summed.
+    """
+    ring = module.ring
+    budget = float(module.dims(b))
+    mass = 0.0
+    terms = []
+    for n in range(depth + 1):
+        for alpha in ring.enumerate_level(n):
+            coeff = module.action_row(alpha, b).coefficient(c)
+            if coeff:
+                terms.append((alpha, coeff))
+                mass += coeff * ring.dim(alpha)
+        if mass > budget * (1.0 + REL_TOL):
+            return "over", terms, mass, budget, n
+        if mass >= budget * (1.0 - REL_TOL):
+            return "met", terms, mass, budget, n
+    return "short", terms, mass, budget, depth
+
+
+def inner(module: Module, b: str, c: str) -> RingElement:
     """The ring-valued pairing: the sum over ring labels a of N_{a b}^c dual(a).
 
     For finite rings the sum is finite.  Over a lazy ring the sum is
-    accumulated by level and certified complete against the anchored
-    dimension budget; without a certificate an error is raised rather than
-    returning a silently truncated value.
+    accumulated by level, up to level 32, and certified complete against
+    the anchored dimension budget; without a certificate an error is raised
+    rather than returning a silently truncated value.
     """
     ring = module.ring
     if not ring.is_lazy:
@@ -282,26 +309,14 @@ def inner(module: Module, b: str, c: str, depth: int = 32) -> RingElement:
             "inner products over an infinite ring need the anchored dimension "
             "budget; pair the second argument with the module anchor"
         )
-    budget = float(module.dims(b))
-    mass = 0.0
-    terms = []
-    for n in range(depth + 1):
-        for alpha in ring.enumerate_level(n):
-            coeff = module.action_row(alpha, b).coefficient(c)
-            if coeff:
-                terms.append((ring.involution_of(alpha), coeff))
-                mass += coeff * ring.dim(alpha)
-        if mass > budget * (1.0 + REL_TOL):
-            raise IncompatibleDimensionsError(
-                f"accumulated mass {mass} exceeds the dimension budget {budget}"
-            )
-        if mass >= budget * (1.0 - REL_TOL):
-            # any further term would contribute at least 1 and overshoot
-            return RingElement(terms)
-    raise InfiniteInnerProductError(
-        f"inner product not certified complete at depth {depth}: "
-        f"mass {mass} of budget {budget}"
-    )
+    verdict, terms, mass, budget, depth = _anchored_mass(module, b, c, 32)
+    if verdict == "over":
+        raise IncompatibleDimensionsError(f"accumulated mass {mass} exceeds the dimension budget {budget}")
+    if verdict == "short":
+        raise InfiniteInnerProductError(
+            f"inner product not certified complete at depth {depth}: mass {mass} of budget {budget}"
+        )
+    return RingElement((ring.involution_of(alpha), coeff) for alpha, coeff in terms)
 
 
 @dataclass(frozen=True)
@@ -347,23 +362,11 @@ def is_cofinite(module: Module, depth: int = 32) -> CofiniteResult:
 
     if module.dims is None or module.anchor is None:
         return CofiniteResult("undecided", "no anchored dimension budget available")
-    anchor = module.anchor
-    budget = float(module.dims(anchor))
-    mass = 0.0
-    for n in range(depth + 1):
-        for alpha in ring.enumerate_level(n):
-            coeff = module.action_row(alpha, anchor).coefficient(anchor)
-            if coeff:
-                mass += coeff * ring.dim(alpha)
-        if mass > budget * (1.0 + REL_TOL):
-            return CofiniteResult(
-                "not_cofinite",
-                f"anchor pairing mass {mass} exceeds the dimension budget {budget}",
-            )
-        if mass >= budget * (1.0 - REL_TOL):
-            return CofiniteResult(
-                "cofinite", f"anchor pairing mass met the budget at level {n}"
-            )
+    verdict, _, mass, budget, level = _anchored_mass(module, module.anchor, module.anchor, depth)
+    if verdict == "over":
+        return CofiniteResult("not_cofinite", f"anchor pairing mass {mass} exceeds the dimension budget {budget}")
+    if verdict == "met":
+        return CofiniteResult("cofinite", f"anchor pairing mass met the budget at level {level}")
     return CofiniteResult("undecided", f"budget not met within depth {depth}")
 
 
@@ -380,24 +383,23 @@ def _component_partition(module: Module, ring_labels: list[str]) -> list[list[st
     return sorted(components(basis, edges), key=lambda c: c[0])
 
 
-def _quantifier_labels(module: Module, depth: int | None) -> list[str]:
+def _quantifier_labels(module: Module) -> list[str]:
     ring = module.ring
     if not ring.is_lazy:
         return list(ring.basis)
-    if depth is None:
-        depth = getattr(module, "depth", None)
-    if depth is None:
-        raise ValueError("a depth is required over a lazy ring")
-    return ring.labels_up_to(depth)
+    if isinstance(module, LazyBasedModule):
+        raise StructuralError("a module over a lazy ring has no finite basis; truncate it first")
+    return ring.labels_up_to(module.depth)
 
 
-def connected_components(module: Module, depth: int | None = None) -> list[list[str]]:
-    """Partition of the module basis by the linking relation."""
-    return _component_partition(module, _quantifier_labels(module, depth))
+def connected_components(module: Module) -> list[list[str]]:
+    """Partition of the module basis by the linking relation; a truncated
+    module is linked by the ring labels up to its own depth."""
+    return _component_partition(module, _quantifier_labels(module))
 
 
-def is_connected(module: Module, depth: int | None = None) -> bool:
-    return len(connected_components(module, depth)) == 1
+def is_connected(module: Module) -> bool:
+    return len(connected_components(module)) == 1
 
 
 @dataclass(frozen=True)
@@ -418,7 +420,6 @@ def dim_vector(
     module: BasedModuleTable,
     dims: DimensionFunction | None = None,
     anchor: str | None = None,
-    rel_tol: float = REL_TOL,
 ) -> ModuleDimensionVector:
     """Anchored dimension vector d(b) = d(<b, anchor>), validated for
     action multiplicativity within relative tolerance."""
@@ -443,7 +444,7 @@ def dim_vector(
     for alpha, ai in ring.index.items():
         lhs = A[ai] @ D
         rhs = dims(alpha) * D
-        if np.any(np.abs(lhs - rhs) > rel_tol * np.maximum(np.abs(rhs), 1.0)):
+        if np.any(np.abs(lhs - rhs) > REL_TOL * np.maximum(np.abs(rhs), 1.0)):
             raise IncompatibleDimensionsError(
                 f"action multiplicativity fails for {alpha!r} at the anchored vector"
             )

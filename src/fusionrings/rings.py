@@ -23,7 +23,7 @@ from .errors import (
 )
 from .verification import VerificationReport
 
-# Comparison tolerances; overridable per call.
+# Comparison tolerances.
 DIM_TOL = 1e-9
 REL_TOL = 1e-6
 
@@ -52,13 +52,13 @@ class DimensionFunction:
     def max_value(self) -> float:
         return max(self.values.values())
 
-    def all_integer(self, tol: float = DIM_TOL) -> bool:
-        return all(abs(v - round(v)) <= tol for v in self.values.values())
+    def all_integer(self) -> bool:
+        return all(abs(v - round(v)) <= DIM_TOL for v in self.values.values())
 
-    def as_integers(self, tol: float = DIM_TOL) -> dict[str, int]:
+    def as_integers(self) -> dict[str, int]:
         out = {}
         for label, v in self.values.items():
-            if abs(v - round(v)) > tol:
+            if abs(v - round(v)) > DIM_TOL:
                 raise NoDimensionFunctionError(f"dimension of {label!r} is not integral: {v}")
             out[label] = int(round(v))
         return out
@@ -140,13 +140,6 @@ class BasedRingTable:
         except KeyError:
             raise StructuralError(f"involution undefined on {label!r}") from None
 
-    def level(self, label: str) -> int:
-        self.require(label)
-        return 0
-
-    def labels_up_to(self, depth: int) -> list[str]:
-        return list(self.basis)
-
     def structure_tensor(self) -> np.ndarray:
         """The array ``T[a, b, c]`` of coefficients of c in a*b (cached; see :func:`int_tensor`)."""
         if self._tensor is None:
@@ -193,7 +186,6 @@ class LazyBasedRing:
         enumerate_level_fn: Callable[[int], list[str]] | None = None,
         contains_fn: Callable[[str], bool] | None = None,
         dims: Callable[[str], float] | None = None,
-        dim_exactness: str = "numeric",
         iterated_power_fn: Callable[[str, int], str | None] | None = None,
         metadata: dict | None = None,
     ):
@@ -206,7 +198,6 @@ class LazyBasedRing:
         self._enumerate_fn = enumerate_level_fn
         self._contains_fn = contains_fn
         self._dims_fn = dims
-        self.dim_exactness = dim_exactness
         self._iterated_power_fn = iterated_power_fn
         self._cache: dict[tuple[str, str], RingElement] = {}
         self._members: set[str] = set()
@@ -338,6 +329,13 @@ def _structural_scan(table: BasedRingTable) -> list[str]:
                 errors.append(f"product {a!r}*{b!r} leaves the basis at {outside[0]!r}")
                 return errors
     return errors
+
+
+def require_sound(table: BasedRingTable) -> None:
+    """Raise :class:`StructuralError` naming every structural fault of the table."""
+    errors = _structural_scan(table)
+    if errors:
+        raise StructuralError("; ".join(errors))
 
 
 def exact_dtype(terms: int, *arrays: np.ndarray):
@@ -584,7 +582,7 @@ def verify_lazy_ring(ring: LazyBasedRing, depth: int) -> VerificationReport:
     return report
 
 
-def frobenius_perron_dims(table: BasedRingTable, tol: float = DIM_TOL, rel_tol: float = REL_TOL) -> DimensionFunction:
+def frobenius_perron_dims(table: BasedRingTable) -> DimensionFunction:
     """The dimension function of a finite fusion ring, from Perron data.
 
     Each label gets the spectral radius of its left-multiplication matrix;
@@ -594,33 +592,31 @@ def frobenius_perron_dims(table: BasedRingTable, tol: float = DIM_TOL, rel_tol: 
     """
     from .spectra import spectral_radius
 
-    errors = _structural_scan(table)
-    if errors:
-        raise StructuralError("; ".join(errors))
+    require_sound(table)
     T = table.structure_tensor()
     n = table.size
     values = np.array([spectral_radius(T[a]) for a in range(n)])
 
     unit_value = values[table.index[table.unit]]
-    if abs(unit_value - 1.0) > rel_tol:
+    if abs(unit_value - 1.0) > REL_TOL:
         raise NoDimensionFunctionError(f"unit dimension is {unit_value}, not 1")
-    if np.any(values < 1.0 - tol):
+    if np.any(values < 1.0 - DIM_TOL):
         bad = table.basis[int(np.argmin(values))]
         raise NoDimensionFunctionError(f"dimension of {bad!r} is below 1: {values.min()}")
     inv = np.array([table.index[table.involution[b]] for b in table.basis])
-    if np.any(np.abs(values - values[inv]) > rel_tol * np.maximum(values, 1.0)):
+    if np.any(np.abs(values - values[inv]) > REL_TOL * np.maximum(values, 1.0)):
         raise NoDimensionFunctionError("dimension is not involution-invariant")
 
     # multiplicativity: d(a*b) == d(a) d(b) within relative tolerance
     products = T.reshape(n * n, n).astype(np.float64) @ values
     expected = np.outer(values, values).reshape(n * n)
     err = np.abs(products - expected)
-    if np.any(err > rel_tol * np.maximum(expected, 1.0)):
+    if np.any(err > REL_TOL * np.maximum(expected, 1.0)):
         k = int(np.argmax(err / np.maximum(expected, 1.0)))
         a, b = table.basis[k // n], table.basis[k % n]
         raise NoDimensionFunctionError(f"multiplicativity fails at ({a!r}, {b!r})")
 
-    exact = "integer" if np.all(np.abs(values - np.round(values)) <= tol) else "numeric"
+    exact = "integer" if np.all(np.abs(values - np.round(values)) <= DIM_TOL) else "numeric"
     if exact == "integer":
         values = np.round(values)
     return DimensionFunction(dict(zip(table.basis, (float(v) for v in values))), exactness=exact)
@@ -644,9 +640,9 @@ def dim_of(ring: Ring, label: str) -> float:
     return ring_dims(ring)(label)
 
 
-def group_of_units(ring: BasedRingTable, dims: DimensionFunction, tol: float = DIM_TOL) -> list[str]:
+def group_of_units(ring: BasedRingTable, dims: DimensionFunction) -> list[str]:
     """Basis labels of dimension 1; checked to close under product and involution."""
-    units = [b for b in ring.basis if abs(dims(b) - 1.0) <= tol]
+    units = [b for b in ring.basis if abs(dims(b) - 1.0) <= DIM_TOL]
     uset = set(units)
     for g in units:
         if ring.involution_of(g) not in uset:

@@ -46,7 +46,7 @@ from .modules import (
     singleton_module,
     standard_module,
 )
-from .rings import REL_TOL, BasedRingTable, LazyBasedRing, associativity_failures, fuse, ring_dims
+from .rings import REL_TOL, BasedRingTable, LazyBasedRing, associativity_failures, fuse, require_sound, ring_dims
 from .spectra import FusionGraph, components
 
 
@@ -152,17 +152,10 @@ def generating_set(ring: BasedRingTable) -> tuple[tuple[str, ...], list[tuple]]:
     )
     gens: list[str] = []
     closure = {ring.unit}
-    while closure != full:
-        for cand in ordered:
-            if cand in closure:
-                continue
-            grown, _ = saturate(ring, gens + [cand])
-            if len(grown) > len(closure):
-                gens.append(cand)
-                closure = grown
-                break
-        else:  # unreachable for a well-formed table: each label generates itself
-            raise StructuralError("basis does not generate the ring")
+    for cand in ordered:  # saturate keeps its seeds, so each new candidate grows the closure
+        if cand not in closure:
+            gens.append(cand)
+            closure, _ = saturate(ring, gens)
     reduced: list[str] = []
     for g in gens:
         rep = min(g, ring.involution_of(g))
@@ -708,6 +701,18 @@ class _Searcher:
     # ---- leaf completion
 
     def _complete(self, state: _SearchState):
+        """The action matrices of a leaf, or None when the derivation plan,
+        reciprocity, nonvanishing or associativity rejects it.
+
+        Two module axioms need no check.  The unit acts as the identity:
+        no plan step and no generator dual targets the unit, in a
+        structurally sound ring.  The module is connected: every vertex
+        after the root enters as a new target of a generator row of an
+        earlier vertex.  Nor is the anchor tested for least dimension: a
+        leaf anchored at a vertex of non-minimal dimension can only repeat
+        a class found from its minimal anchor, and the canonical key does
+        not see the anchor.
+        """
         ring = self.ring
         m = state.nvert
         mats: dict[str, np.ndarray] = {ring.unit: np.eye(m, dtype=np.int64)}
@@ -732,20 +737,12 @@ class _Searcher:
             mats[target] = acc // coeff
 
         A = np.stack([mats[a] for a in ring.basis])
-        u = ring.index[ring.unit]
-        if not np.array_equal(A[u], np.eye(m)):
-            return None
         inv = np.array([ring.index[ring.involution_of(a)] for a in ring.basis])
         if not np.array_equal(A, A[inv].transpose(0, 2, 1)):
             return None
         if np.any(A.sum(axis=2) == 0):
             return None
         if associativity_failures(self.T, A).any():
-            return None
-        # connectedness of the union graph; a leaf anchored at a vertex of
-        # non-minimal dimension can only repeat a class found from its
-        # minimal anchor, and the canonical key does not see the anchor
-        if len(components(range(m), np.argwhere(A.sum(axis=0)).tolist())) != 1:
             return None
         return {a: mats[a] for a in ring.basis}
 
@@ -832,6 +829,7 @@ def enumerate_modules(ring: BasedRingTable, config: ModuleSearchConfig) -> Enume
     up to basis-permutation isomorphism, in canonical order."""
     if ring.is_lazy:
         raise StructuralError("module enumeration requires a finite ring")
+    require_sound(ring)  # leaf completion relies on a sound table
     return _Searcher(ring, config).run()
 
 

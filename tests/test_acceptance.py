@@ -202,14 +202,14 @@ def test_criterion_6_chebyshev_identity():
 @criterion(7, "Schur bound on truncated lazy standard modules within 1e-6")
 def test_criterion_7_schur_bound():
     window = standard_module(su2_ring()).truncate(12)
-    check = schur_norm_check(window, window.dims, "1", rel_tol=1e-6)
+    check = schur_norm_check(window, window.dims, "1")
     assert check.radius <= 2.0 + 1e-6
     assert check.max_relative_error <= 1e-6
     assert check.rows_checked > 0
 
     word_window = standard_module(free_unitary_ring()).truncate(4)
     for label in ("p+", "p-"):
-        check = schur_norm_check(word_window, word_window.dims, label, rel_tol=1e-6)
+        check = schur_norm_check(word_window, word_window.dims, label)
         assert check.radius <= 2.0 + 1e-6
         assert check.max_relative_error <= 1e-6
 

@@ -5,6 +5,7 @@ import pytest
 
 from fusionrings import (
     BasedModuleTable,
+    FusionError,
     IncompatibleDimensionsError,
     InfiniteInnerProductError,
     NonIntegerDimensionError,
@@ -319,6 +320,46 @@ def test_inner_over_lazy_ring_with_certificate():
         inner(std, "3", "2")  # off-anchor pairing carries no budget
 
 
+def _shifted_standard(shift):
+    """The standard module of the su2 ring with every dimension moved by ``shift``."""
+    from fusionrings import LazyBasedModule
+
+    a1 = su2_ring()
+    std = standard_module(a1)
+    dims = lambda b: a1.dim(b) + shift
+    return LazyBasedModule(a1, std.action_row, std.level, std.enumerate_level, dims=dims, anchor="0")
+
+
+def test_inner_over_lazy_ring_rejects_mass_over_budget():
+    # <3, 0> is the single term 3, of mass d(3) = 4
+    with pytest.raises(IncompatibleDimensionsError, match="accumulated mass 4.0 exceeds the dimension budget 3.5"):
+        inner(_shifted_standard(-0.5), "3", "0")
+
+
+def test_inner_over_lazy_ring_uncertified_within_depth():
+    with pytest.raises(InfiniteInnerProductError, match="not certified complete at depth 32: mass 4.0 of budget 4.5"):
+        inner(_shifted_standard(0.5), "3", "0")
+
+
+def test_cofinite_budget_verdicts_at_the_anchor():
+    # <0, 0> is the single term 0, of mass 1
+    over = is_cofinite(_shifted_standard(-0.5), depth=8)
+    assert (over.status, over.detail) == ("not_cofinite", "anchor pairing mass 1.0 exceeds the dimension budget 0.5")
+    short = is_cofinite(_shifted_standard(0.5), depth=8)
+    assert (short.status, short.detail) == ("undecided", "budget not met within depth 8")
+    met = is_cofinite(_shifted_standard(0.0), depth=8)
+    assert (met.status, met.detail) == ("cofinite", "anchor pairing mass met the budget at level 0")
+
+
+def test_components_of_a_lazy_module_need_a_truncation():
+    std = standard_module(su2_ring())
+    with pytest.raises(FusionError, match="truncate it first"):
+        is_connected(std)
+    window = std.truncate(3)
+    assert connected_components(window) == [["0", "1", "2", "3"]]
+    assert is_connected(window)
+
+
 def test_truncated_module_rows():
     std = standard_module(su2_ring())
     window = std.truncate(5)
@@ -363,7 +404,6 @@ def _even_subring():
         enumerate_level_fn=lambda n: [str(2 * n)],
         contains_fn=lambda a: a.isdigit() and int(a) % 2 == 0,
         dims=lambda a: float(int(a) + 1),
-        dim_exactness="integer",
     )
 
 

@@ -440,6 +440,43 @@ def test_classifier_norm_class_matches_eigensolver_on_random_graphs(m):
         assert norm_class == ("lt2" if rho < 2.0 else "gt2")
 
 
+LT2_FAMILIES = {"A_n", "D_n", "E6", "E7", "E8", "tadpole"}
+
+
+@st.composite
+def _sparse_connected(draw):
+    """A random tree on at most 12 vertices plus up to two extra loops or
+    edges of multiplicity 1 or 2 (an extra edge on a tree edge doubles it),
+    in any vertex order."""
+    n = draw(st.integers(1, 12))
+    m = np.zeros((n, n), dtype=np.int64)
+    for i in range(1, n):
+        j = draw(st.integers(0, i - 1))
+        m[i, j] = m[j, i] = 1
+    extras = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(1, 2))
+    for i, j, x in draw(st.lists(extras, max_size=2)):
+        m[i, j] = m[j, i] = x
+    order = draw(st.permutations(range(n)))
+    return m[np.ix_(order, order)]
+
+
+@settings(max_examples=600, deadline=None)
+@given(_sparse_connected())
+@example(star([1, 1, 5]))  # D_8
+@example(star([1, 2, 2])[::-1, ::-1])
+@example(star([1, 2, 3])[::-1, ::-1])
+@example(star([1, 2, 4])[::-1, ::-1])
+@example(tadpole(6)[::-1, ::-1])
+def test_norm_below_two_is_matched_by_shape(m):
+    # Goodman, de la Harpe and Jones: a connected graph of norm < 2 is A, D,
+    # E or a tadpole, so the shape table names every one; the fallback
+    # after it never sees a graph of norm < 2
+    if _norm_class(m) != "lt2":
+        return
+    verdict = dynkin_classify(graph_of(m))
+    assert verdict.kind in LT2_FAMILIES and verdict.norm_class == "lt2"
+
+
 def test_symmetrize_rules():
     m = np.array([[0, 2], [1, 0]])
     graph = FusionGraph(("a", "b"), m, directed=True)

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,7 +45,10 @@ from fusionrings import (
     a_infinity_check,
 )
 from fusionrings import torsion
-from fusionrings.rings import REL_TOL
+from fusionrings.errors import StructuralError
+from fusionrings.modules import LazyBasedModule
+from fusionrings.rings import REL_TOL, BasedRingTable, DimensionFunction
+from fusionrings.torsion import FreeProductProbeReport
 
 
 # -- enumeration against the independent subgroup oracle -------------------------------
@@ -284,6 +288,51 @@ def test_exact_row_cut_keeps_the_classes(name, make, digest, monkeypatch):
     assert with_cut.nodes_explored <= without_cut.nodes_explored == NODES_WITHOUT_CUT[name]
 
 
+@pytest.mark.parametrize("make", [case[1] for case in PINNED_SEARCHES],
+                         ids=[case[0] for case in PINNED_SEARCHES])
+def test_leaves_are_unital_and_connected(make, monkeypatch):
+    # Leaf completion checks neither the unit law nor connectedness.  This
+    # oracle checks both outside the search, at every leaf: no plan step and
+    # no generator dual targets the unit (so the assembled A[unit] stays the
+    # identity), the fixed generator rows alone link every vertex, and every
+    # accepted leaf has the identity at the unit and a connected union graph.
+    complete = torsion._Searcher._complete
+    leaves, accepted = [], []
+
+    def checked(searcher, state):
+        ring = searcher.ring
+        targets = {step[1] for step in searcher.plan} | {ring.involution_of(g) for g in searcher.gens}
+        assert ring.unit not in targets
+        rows = nx.Graph()
+        rows.add_nodes_from(range(state.nvert))
+        rows.add_edges_from((b, c) for (_, b), row in state.rows.items() for c, _ in row)
+        assert nx.is_connected(rows)
+        leaves.append(state.nvert)
+        mats = complete(searcher, state)
+        if mats is not None:
+            assert np.array_equal(mats[ring.unit], np.eye(state.nvert, dtype=np.int64))
+            assert nx.is_connected(nx.from_numpy_array(sum(mats.values())))
+            accepted.append(state.nvert)
+        return mats
+
+    monkeypatch.setattr(torsion._Searcher, "_complete", checked)
+    ring = make()
+    result = enumerate_modules(ring, ModuleSearchConfig(max_basis_size=dimension_bound(ring)))
+    assert result.complete and leaves and len(accepted) >= len(result.classes)
+
+
+def test_enumeration_rejects_a_structurally_broken_ring():
+    # supplied dimensions skip the Perron computation and its structural
+    # scan, so the search runs the scan itself before leaf completion relies on it
+    z4 = cyclic_group_ring(4)
+    products = {(a, b): z4.product(a, b) for a in z4.basis for b in z4.basis}
+    involution = {"0": "0", "1": "2", "2": "3", "3": "1"}
+    dims = DimensionFunction({b: 1.0 for b in z4.basis}, "integer")
+    ring = BasedRingTable(z4.basis, "0", involution, products, dims=dims)
+    with pytest.raises(StructuralError, match="not involutive at '1'"):
+        enumerate_modules(ring, ModuleSearchConfig(max_basis_size=4))
+
+
 PERRON_RINGS = [case[:2] for case in PINNED_SEARCHES] + [
     (f"su2_level{level}", lambda level=level: su2_level(level)) for level in range(6, 13)
 ]
@@ -519,6 +568,23 @@ def test_probe_standard_z2_z3():
     ring = free_product([cyclic_group_ring(2), cyclic_group_ring(3)])
     report = free_product_module_probe(ring, standard_module(ring), 3)
     assert report.ok, report.obstructions
+
+
+def test_probe_descends_to_the_unit():
+    # with every dimension 1 the descent starts at the least label, 0:phi,
+    # on which 0:phi does not act irreducibly, and must walk to e; without
+    # dimensions it starts at the first label, e itself
+    ring = free_product([fibonacci(), fibonacci()])
+    expected = FreeProductProbeReport(
+        vacuous=False, base_vertex="e", identification_ok=True, obstructions=[], submodules_checked=6
+    )
+    assert min(standard_module(ring).truncate(3).basis) == "0:phi"
+    for dims in (lambda b: 1.0, None):
+        module = LazyBasedModule(
+            ring, ring.product, ring.level, ring.enumerate_level, dims=dims, anchor="e", contains_fn=ring.contains
+        )
+        report = free_product_module_probe(ring, module, 3)
+        assert report == expected and report.ok
 
 
 def test_probe_depth_zero_vacuous():

@@ -260,6 +260,11 @@ def act(module: Module, x: RingElement, v: RingElement) -> RingElement:
     return RingElement._of(acc)
 
 
+# Most ring labels ``_anchored_mass`` sums: levels of a free product grow
+# geometrically, so a depth alone does not bound the work.
+_MASS_LABELS = 2**15
+
+
 def _anchored_mass(module: Module, b: str, c: str, depth: int):
     """The terms (alpha, N_{alpha b}^c) over a lazy ring, summed level by
     level up to ``depth`` while their mass sum N d(alpha) is weighed against
@@ -268,14 +273,20 @@ def _anchored_mass(module: Module, b: str, c: str, depth: int):
     Returns ``(verdict, terms, mass, budget, level)``: ``over`` when the
     mass passes the budget, ``met`` when it reaches it (any further term
     would contribute at least 1 and overshoot), ``short`` when neither
-    happens by ``depth``; ``level`` is the last level summed.
+    happens by ``depth``, or by the last level before the labels summed
+    would pass ``_MASS_LABELS``; ``level`` is the last level summed.
     """
     ring = module.ring
     budget = float(module.dims(b))
     mass = 0.0
     terms = []
+    summed = 0
     for n in range(depth + 1):
-        for alpha in ring.enumerate_level(n):
+        labels = ring.enumerate_level(n)
+        summed += len(labels)
+        if summed > _MASS_LABELS:
+            return "short", terms, mass, budget, n - 1
+        for alpha in labels:
             coeff = module.action_row(alpha, b).coefficient(c)
             if coeff:
                 terms.append((alpha, coeff))
@@ -291,9 +302,10 @@ def inner(module: Module, b: str, c: str) -> RingElement:
     """The ring-valued pairing: the sum over ring labels a of N_{a b}^c dual(a).
 
     For finite rings the sum is finite.  Over a lazy ring the sum is
-    accumulated by level, up to level 32, and certified complete against
-    the anchored dimension budget; without a certificate an error is raised
-    rather than returning a silently truncated value.
+    accumulated by level, up to level 32 or ``_MASS_LABELS`` labels, and
+    certified complete against the anchored dimension budget; without a
+    certificate an error is raised, naming the last level summed, rather
+    than returning a silently truncated value.
     """
     ring = module.ring
     if not ring.is_lazy:
@@ -334,12 +346,13 @@ def is_cofinite(module: Module, depth: int = 32) -> CofiniteResult:
     """Cofiniteness of a based module.
 
     Finite modules over finite rings are cofinite by finiteness.  Over a
-    lazy ring, the pairing mass at the anchor is accumulated by level and
-    compared with the anchored dimension budget; convergence of the mass to
-    the budget certifies finiteness of one pairing column, which propagates
-    by connectedness.  A diagonal action entry of a label whose tensor
-    powers provably stay single basis words refutes cofiniteness; that scan
-    is capped at level 6 because level sizes may grow exponentially.
+    lazy ring, the pairing mass at the anchor is accumulated by level, up
+    to ``depth`` or ``_MASS_LABELS`` labels, and compared with the anchored
+    dimension budget; convergence of the mass to the budget certifies
+    finiteness of one pairing column, which propagates by connectedness.
+    A diagonal action entry of a label whose tensor powers provably stay
+    single basis words refutes cofiniteness; that scan is capped at level 6
+    because level sizes may grow exponentially.
     """
     ring = module.ring
     if not ring.is_lazy:
@@ -367,7 +380,7 @@ def is_cofinite(module: Module, depth: int = 32) -> CofiniteResult:
         return CofiniteResult("not_cofinite", f"anchor pairing mass {mass} exceeds the dimension budget {budget}")
     if verdict == "met":
         return CofiniteResult("cofinite", f"anchor pairing mass met the budget at level {level}")
-    return CofiniteResult("undecided", f"budget not met within depth {depth}")
+    return CofiniteResult("undecided", f"budget not met within depth {level}")
 
 
 def _component_partition(module: Module, ring_labels: list[str]) -> list[list[str]]:

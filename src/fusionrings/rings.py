@@ -113,6 +113,7 @@ class BasedRingTable:
         self.dims = dims
         self.name = name or f"table[{len(self.basis)}]"
         self._tensor: np.ndarray | None = None
+        self._perron_dims: DimensionFunction | None = None
 
     @property
     def size(self) -> int:
@@ -623,14 +624,17 @@ def frobenius_perron_dims(table: BasedRingTable) -> DimensionFunction:
 
 
 def ring_dims(ring: Ring) -> DimensionFunction:
-    """Attached dimension data when present, else the Perron computation."""
+    """Attached dimension data when present, else the Perron computation,
+    made once per table and kept apart from ``ring.dims``."""
     if ring.is_lazy:
         if not ring.has_dims:
             raise NoDimensionFunctionError(f"ring {ring.name} carries no dimension data")
         raise NoDimensionFunctionError("lazy rings expose dimensions per label, not as a table")
     if ring.dims is not None:
         return ring.dims
-    return frobenius_perron_dims(ring)
+    if ring._perron_dims is None:
+        ring._perron_dims = frobenius_perron_dims(ring)
+    return ring._perron_dims
 
 
 def dim_of(ring: Ring, label: str) -> float:

@@ -23,6 +23,7 @@ import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -275,45 +276,42 @@ def _canonical_data(matrices: list[np.ndarray], size: int, deadline: float | Non
     return key, best_perm, leaves
 
 
-def _key_and_perm(module: BasedModuleTable) -> tuple[bytes, list[int]]:
-    gens, _ = generating_set(module.ring)
-    matrices = [module.matrix(g) for g in gens]
-    # a table built by the module search carries the search's deadline
-    key, perm, _ = _canonical_data(matrices, module.size, getattr(module, "_deadline", None))
-    return key, perm
-
-
 def canonical_key(module: BasedModuleTable) -> bytes:
     """Isomorphism-invariant fingerprint of a finite based module; the key
     that ``canonical_form`` recorded on its result, when there is one."""
     cached = getattr(module, "_canonical_key", None)
     if cached is not None:
         return cached
-    return _key_and_perm(module)[0]
+    gens, _ = generating_set(module.ring)
+    return _canonical_data([module.matrix(g) for g in gens], module.size)[0]
 
 
-def canonical_form(module: BasedModuleTable) -> BasedModuleTable:
+def canonical_form(module: BasedModuleTable, deadline: float | None = None) -> BasedModuleTable:
     """Relabel a module so isomorphic modules become identical tables.
 
     Vertices are ordered by exact colour refinement over the generator
     matrices, ties broken by the least rows of the stacked matrices over
     the relabelings that keep that order, found row by row without trying
-    each one (see ``_canonical_data``); no float enters.  The result uses
-    labels ``v00``, ``v01``, ...  The canonical key, which the relabeling
-    leaves unchanged, is recorded on the result.
+    each one (see ``_canonical_data``; past ``deadline`` it raises
+    ``_Budget``); no float enters.  The result uses labels ``v00``, ``v01``,
+    ... and records the key.  Only ``ring``, ``name`` and ``action_tensor()``
+    are read, so a search leaf (``_Leaf``) is labelled without a table of
+    its own.
     """
     ring = module.ring
-    key, perm = _key_and_perm(module)
-    width = max(2, len(str(max(module.size - 1, 0))))
-    new_labels = [f"v{i:0{width}d}" for i in range(module.size)]
-    old_of_new = {new_labels[p]: module.basis[v] for p, v in enumerate(perm)}
-    new_of_old = {v: n for n, v in old_of_new.items()}
-    action = {}
-    for alpha in ring.basis:
-        for new_label in new_labels:
-            row = module.action_row(alpha, old_of_new[new_label])
-            action[(alpha, new_label)] = row.map_labels(lambda c: new_of_old[c])
-    form = BasedModuleTable(ring, new_labels, action, name=f"canonical({module.name})")
+    A = module.action_tensor()
+    m = A.shape[1]
+    gens, _ = generating_set(ring)
+    key, perm, _ = _canonical_data([A[ring.index[g]] for g in gens], m, deadline)
+    rows = A[:, perm][:, :, perm].tolist()
+    width = max(2, len(str(max(m - 1, 0))))
+    labels = [f"v{i:0{width}d}" for i in range(m)]
+    action = {
+        (alpha, labels[b]): RingElement._of({labels[c]: n for c, n in enumerate(rows[a][b]) if n})
+        for alpha, a in ring.index.items()
+        for b in range(m)
+    }
+    form = BasedModuleTable(ring, labels, action, name=f"canonical({module.name})")
     form._canonical_key = key
     return form
 
@@ -323,6 +321,17 @@ def canonical_form(module: BasedModuleTable) -> BasedModuleTable:
 
 class _Budget(Exception):
     pass
+
+
+class _Leaf(NamedTuple):
+    """A completed search leaf, as ``canonical_form`` reads a module."""
+
+    ring: BasedRingTable
+    name: str
+    tensor: np.ndarray
+
+    def action_tensor(self) -> np.ndarray:
+        return self.tensor
 
 
 _EPS = 1e-9
@@ -344,10 +353,10 @@ class _SearchState:
 
     ``exact[label][b]`` is row b of a ring label's action matrix, as a
     ``{c: entry}`` dict of its nonzero entries, for every row that
-    ``_Searcher._exact_rows`` found fixed by the generator rows (unit rows
-    are implicit).  Rows are never mutated; ``clone`` shares ``exact``
-    with the parent, and ``_exact_rows`` copies the outer dict and each
-    per-label dict before it first writes to it.
+    ``_Searcher._close`` found fixed by the generator rows (unit rows are
+    implicit).  Rows are never mutated; ``clone`` shares ``exact`` with
+    the parent, and ``_close`` copies the outer dict and each per-label
+    dict before it first writes to it.
     """
 
     nvert: int
@@ -433,6 +442,9 @@ class _Searcher:
             for a in {y} | {a for a, _ in rest}:
                 self.feeds_row[a].append(step)
         self.dual_label = [index[ring.involution_of(a)] for a in ring.basis]
+        # (source, target): the target's matrix is the source's transpose
+        self.transposes = [(g, self.dual_label[g]) for g in self.gen_label if self.dual_label[g] != g]
+        self.transposes += [(index[step[2]], index[step[1]]) for step in plan if step[0] == "dual"]
 
     # ---- dimension propagation
 
@@ -557,31 +569,34 @@ class _Searcher:
     def _exact_rows(self, state: _SearchState) -> bool:
         """Extend ``state.exact`` from the row just fixed; False refutes the node.
 
+        Soundness: every leaf below the node keeps its exact rows, and
+        ``_complete`` accepts a leaf only when ``_close`` makes every row of
+        every label exact without breaking a rule, so a row that breaks one
+        here breaks it at every leaf below.  Refuting the node removes only
+        leaves that ``_complete`` would reject: the class list stays the
+        same, and only node counts move.
+        """
+        gi, b, row = state.pending[-1]
+        return self._close(state, [(self.gen_label[gi], b, dict(row))])
+
+    def _close(self, state: _SearchState, seeds) -> bool:
+        """Add each seed row ``(label, b, row[, transposed])`` to
+        ``state.exact`` with the rows it makes exact, before reading the
+        next seed; False when a row breaks a rule.
+
         A row of a label's action matrix is exact when the fixed generator
-        rows determine it, so that it is the same in every completion of
-        the node.  Unit rows are always exact, and a generator row is exact
-        once fixed.  A self-dual generator is its own dual; the rows of the
-        dual of any other generator are its columns, never exact before a
-        leaf.
-        Row b of a plan target t = (M_y M_x - sum rest) / coeff is exact
+        rows determine it, the same in every completion of the node: unit
+        rows (implicit), a generator row once fixed (the rows of a
+        non-self-dual generator's dual are its columns, exact only at a
+        leaf), and row b of a plan target t = (M_y M_x - sum rest) / coeff
         once row b of M_y, row c of M_x for every c in that row's support
-        and row b of every ``rest`` label are.  The node is refuted when an
-        exact plan row is not divisible by ``coeff``, has a negative entry
-        or is all zero, or when two exact rows break reciprocity
-        M_abar[b, c] = M_a[c, b].
-
-        Soundness: ``_complete`` builds every leaf below the node from the
-        same fixed rows, so each exact row reappears there unchanged, and
-        the leaf fails the same check: the plan's divisibility and sign
-        test, the zero-row test or the reciprocity test.  Refuting the node
-        therefore removes only leaves that ``_complete`` would reject, and
-        the class list stays the same; only node counts move.  The cut
-        uses integers only.
-
-        Exactness only grows along a branch, so the parent's rows are kept
-        and only the rows that a newly exact row feeds are computed;
-        reciprocity is checked once per pair, when its second row turns
-        exact.
+        and row b of every ``rest`` label are.  Only the rows a newly exact
+        row feeds are computed.  A row breaks a rule when it is all zero,
+        when a derived row is not divisible by ``coeff`` or has a negative
+        entry, or when two exact rows break reciprocity M_abar[b, c] =
+        M_a[c, b] (checked once per pair, when its second row turns exact;
+        a transposed seed is a column of its label's dual and meets it by
+        construction).  Integers only.
         """
         exact = state.exact = dict(state.exact)
         unit = self.unit
@@ -591,51 +606,55 @@ class _Searcher:
         def get(label: int, b: int) -> dict | None:
             return {b: 1} if label == unit else exact.get(label, {}).get(b)
 
-        def add(label: int, b: int, row: dict) -> bool:
-            for c, other in exact.get(self.dual_label[label], {}).items():
-                if row.get(c, 0) != other.get(b, 0):
-                    return False
+        def add(label: int, b: int, row: dict, transposed: bool = False) -> bool:
+            if not row:
+                return False
+            if not transposed:
+                for c, other in exact.get(self.dual_label[label], {}).items():
+                    if row.get(c, 0) != other.get(b, 0):
+                        return False
             if label not in copied:
                 copied.add(label)
                 exact[label] = dict(exact.get(label, {}))
             exact[label][b] = row
-            queue.append((label, b))
+            if self.feeds_row[label] or self.feeds_x[label]:  # else it derives nothing
+                queue.append((label, b))
             return True
 
-        gi, b, row = state.pending[-1]
-        if not add(self.gen_label[gi], b, dict(row)):
-            return False
-        while queue:
-            label, b = queue.pop()
-            cells = [(step, b) for step in self.feeds_row[label]]
-            for step in self.feeds_x[label]:
-                # the plan never multiplies by the unit, so M_y is not the unit
-                cells.extend((step, w) for w, row_y in exact.get(step[2], {}).items() if b in row_y)
-            for (target, x, y, coeff, rest), w in cells:
-                if w in exact.get(target, {}):
-                    continue
-                row_y = get(y, w)
-                terms = [get(a, w) for a, _ in rest]
-                if row_y is None or None in terms:
-                    continue
-                rows_x = [get(x, c) for c in row_y]
-                if None in rows_x:
-                    continue
-                acc: dict[int, int] = {}
-                for (c, m), row_x in zip(row_y.items(), rows_x):
-                    for d, n in row_x.items():
-                        acc[d] = acc.get(d, 0) + m * n
-                for (_, m), term in zip(rest, terms):
-                    for d, n in term.items():
-                        acc[d] = acc.get(d, 0) - m * n
-                derived = {}
-                for d, n in acc.items():
-                    if n < 0 or n % coeff:
+        for seed in seeds:
+            if not add(*seed):
+                return False
+            while queue:
+                label, b = queue.pop()
+                cells = [(step, b) for step in self.feeds_row[label]]
+                for step in self.feeds_x[label]:
+                    # the plan never multiplies by the unit, so M_y is not the unit
+                    cells.extend((step, w) for w, row_y in exact.get(step[2], {}).items() if b in row_y)
+                for (target, x, y, coeff, rest), w in cells:
+                    if w in exact.get(target, {}):
+                        continue
+                    row_y = get(y, w)
+                    terms = [get(a, w) for a, _ in rest]
+                    if row_y is None or None in terms:
+                        continue
+                    rows_x = [get(x, c) for c in row_y]
+                    if None in rows_x:
+                        continue
+                    acc: dict[int, int] = {}
+                    for (c, m), row_x in zip(row_y.items(), rows_x):
+                        for d, n in row_x.items():
+                            acc[d] = acc.get(d, 0) + m * n
+                    for (_, m), term in zip(rest, terms):
+                        for d, n in term.items():
+                            acc[d] = acc.get(d, 0) - m * n
+                    derived = {}
+                    for d, n in acc.items():
+                        if n < 0 or n % coeff:
+                            return False
+                        if n:
+                            derived[d] = n // coeff
+                    if not add(target, w, derived):
                         return False
-                    if n:
-                        derived[d] = n // coeff
-                if not derived or not add(target, w, derived):
-                    return False
         return True
 
     # ---- row candidate generation
@@ -700,70 +719,50 @@ class _Searcher:
 
     # ---- leaf completion
 
+    def _leaf_seeds(self, state: _SearchState):
+        """A leaf's generator rows not yet exact, then, in plan order, the
+        rows of each ``transposes`` target, marked transposed: the columns
+        of its source, which the closure has made exact by then."""
+        for (gi, b), row in state.rows.items():
+            if b not in state.exact.get(self.gen_label[gi], {}):
+                yield self.gen_label[gi], b, dict(row)
+        for source, target in self.transposes:
+            columns: list[dict] = [{} for _ in range(state.nvert)]
+            for b, row in state.exact[source].items():
+                for c, n in row.items():
+                    columns[c][b] = n
+            for c, column in enumerate(columns):
+                yield target, c, column, True
+
     def _complete(self, state: _SearchState):
-        """The action matrices of a leaf, or None when the derivation plan,
-        reciprocity, nonvanishing or associativity rejects it.
+        """The action matrices of a leaf, or None when it is not a module.
 
-        Two module axioms need no check.  The unit acts as the identity:
-        no plan step and no generator dual targets the unit, in a
-        structurally sound ring.  The module is connected: every vertex
+        ``_close`` from ``_leaf_seeds`` makes every row of every label exact
+        or finds one that breaks a rule, so only associativity is left.  The
+        unit acts as the identity: no plan step and no generator dual
+        targets it, in a sound ring.  The module is connected: every vertex
         after the root enters as a new target of a generator row of an
-        earlier vertex.  Nor is the anchor tested for least dimension: a
-        leaf anchored at a vertex of non-minimal dimension can only repeat
-        a class found from its minimal anchor, and the canonical key does
-        not see the anchor.
+        earlier vertex.  A leaf anchored at a vertex of non-minimal
+        dimension can only repeat a class found from its minimal anchor, and
+        the canonical key does not see the anchor.
         """
-        ring = self.ring
+        if not self._close(state, self._leaf_seeds(state)):
+            return None
         m = state.nvert
-        mats: dict[str, np.ndarray] = {ring.unit: np.eye(m, dtype=np.int64)}
-        for gi, g in enumerate(self.gens):
-            M = np.zeros((m, m), dtype=np.int64)
-            for b in range(m):
-                for c, mult in state.rows[(gi, b)]:
-                    M[b, c] = mult
-            mats[g] = M
-            mats[ring.involution_of(g)] = M.T
-        for step in self.plan:
-            if step[0] == "dual":
-                _, target, source = step
-                mats[target] = mats[source].T
-                continue
-            _, target, x, y, coeff, rest = step
-            acc = mats[y] @ mats[x]
-            for label, mult in rest:
-                acc = acc - mult * mats[label]
-            if np.any(acc % coeff) or np.any(acc < 0):
-                return None
-            mats[target] = acc // coeff
-
-        A = np.stack([mats[a] for a in ring.basis])
-        inv = np.array([ring.index[ring.involution_of(a)] for a in ring.basis])
-        if not np.array_equal(A, A[inv].transpose(0, 2, 1)):
-            return None
-        if np.any(A.sum(axis=2) == 0):
-            return None
+        rows = [(a * m + b, row) for a, by_row in state.exact.items() for b, row in by_row.items()]
+        A = np.zeros((self.ring.size, m, m), dtype=np.int64)
+        A.reshape(-1)[[ab * m + c for ab, row in rows for c in row]] = [n for _, row in rows for n in row.values()]
+        A[self.unit] = np.eye(m, dtype=np.int64)
         if associativity_failures(self.T, A).any():
             return None
-        return {a: mats[a] for a in ring.basis}
+        return dict(zip(self.ring.basis, A))
 
     def _harvest(self, state: _SearchState):
         mats = self._complete(state)
-        if mats is None:
-            return
-        ring = self.ring
-        width = max(2, len(str(max(state.nvert - 1, 0))))
-        labels = [f"v{i:0{width}d}" for i in range(state.nvert)]
-        action = {}
-        for a in ring.basis:
-            M = mats[a]
-            for b in range(state.nvert):
-                action[(a, labels[b])] = RingElement(
-                    (labels[c], int(M[b, c])) for c in range(state.nvert) if M[b, c]
-                )
-        table = BasedModuleTable(ring, labels, action, name=f"module over {ring.name}")
-        table._deadline = self.deadline
-        table = canonical_form(table)
-        self.found.setdefault(canonical_key(table), table)
+        if mats is not None:
+            leaf = _Leaf(self.ring, f"module over {self.ring.name}", np.stack(list(mats.values())))
+            table = canonical_form(leaf, self.deadline)
+            self.found.setdefault(canonical_key(table), table)
 
     # ---- depth-first search
 
@@ -866,7 +865,7 @@ def is_torsion_free(ring: BasedRingTable, config: ModuleSearchConfig | None = No
     if config is None:
         config = ModuleSearchConfig(max_basis_size=bound)
     result = enumerate_modules(ring, config)
-    standard_key = canonical_key(canonical_form(standard_module(ring)))
+    standard_key = canonical_key(standard_module(ring))
     witnesses = [
         table for table in result.classes if canonical_key(table) != standard_key
     ]

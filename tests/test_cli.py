@@ -1,5 +1,8 @@
 """The fusion command line: outputs, exit codes, file artifacts."""
 
+import contextlib
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -296,3 +299,21 @@ def test_product_then_torsion_chain(tmp_path, capsys):
     assert main(["torsion", str(square)]) == 1
     out = capsys.readouterr().out
     assert out.startswith("not_torsion_free")
+
+
+# sha256 of the class documents that ``fusion enumerate --out`` writes, in
+# name order, as the search wrote them before leaf completion read the
+# exact rows
+ENUMERATED_BYTES = {
+    "builtin:cyclic?n=12": "3a16cb59f1b19c2a893b485d1c6c6794f60b5f7a6f08c1bf027d04f226a55478",
+    "builtin:symmetric?n=3": "d05e2c233b2a9881fb4b1b2c0f74b02b01e5dee1ecc91a77f82ef7924acdff99",
+    "builtin:su2?level=5": "5978a5b49b8bd69bf921bddca1700ce9829288ec70110f3a84b751ca0788cc4e",
+}
+
+
+@pytest.mark.parametrize("src", list(ENUMERATED_BYTES))
+def test_enumerate_documents_pinned(src, tmp_path):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["enumerate", src, "--out", str(tmp_path)]) == 0
+    docs = b"".join((tmp_path / name).read_bytes() for name in sorted(os.listdir(tmp_path)))
+    assert hashlib.sha256(docs).hexdigest() == ENUMERATED_BYTES[src]

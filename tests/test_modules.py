@@ -351,6 +351,25 @@ def test_cofinite_budget_verdicts_at_the_anchor():
     assert (met.status, met.detail) == ("cofinite", "anchor pairing mass met the budget at level 0")
 
 
+def test_anchored_mass_stops_at_a_label_cap_on_the_word_ring():
+    # the free unitary word ring has 2^n words at level n, so level 32 is
+    # out of reach; the sum stops at level 14, before 2^15 labels
+    import time
+
+    from fusionrings import LazyBasedModule
+
+    a2 = free_unitary_ring()
+    std = standard_module(a2)
+    raised = LazyBasedModule(a2, std.action_row, std.level, std.enumerate_level, dims=lambda b: a2.dim(b) + 0.5,
+                             anchor="e")
+    start = time.process_time()
+    with pytest.raises(InfiniteInnerProductError, match="not certified complete at depth 14"):
+        inner(raised, "p+", "e")
+    short = is_cofinite(raised)
+    assert (short.status, short.detail) == ("undecided", "budget not met within depth 14")
+    assert time.process_time() - start < 10.0
+
+
 def test_components_of_a_lazy_module_need_a_truncation():
     std = standard_module(su2_ring())
     with pytest.raises(FusionError, match="truncate it first"):

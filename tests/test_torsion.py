@@ -321,6 +321,135 @@ def test_leaves_are_unital_and_connected(make, monkeypatch):
     assert result.complete and leaves and len(accepted) >= len(result.classes)
 
 
+def _replayed_leaf(searcher, state):
+    """Leaf completion as a numpy replay of the derivation plan, kept as an
+    oracle that shares no code with ``_Searcher._close``: ``(matrices,
+    None)``, or ``(None, check)`` with the first check that rejects."""
+    ring = searcher.ring
+    m = state.nvert
+    mats = {ring.unit: np.eye(m, dtype=np.int64)}
+    for gi, g in enumerate(searcher.gens):
+        M = np.zeros((m, m), dtype=np.int64)
+        for b in range(m):
+            for c, mult in state.rows[(gi, b)]:
+                M[b, c] = mult
+        mats[g] = M
+        mats[ring.involution_of(g)] = M.T
+    for step in searcher.plan:
+        if step[0] == "dual":
+            _, target, source = step
+            mats[target] = mats[source].T
+            continue
+        _, target, x, y, coeff, rest = step
+        acc = mats[y] @ mats[x]
+        for label, mult in rest:
+            acc = acc - mult * mats[label]
+        if np.any(acc % coeff) or np.any(acc < 0):
+            return None, "plan"
+        mats[target] = acc // coeff
+    A = np.stack([mats[a] for a in ring.basis])
+    inv = [ring.index[ring.involution_of(a)] for a in ring.basis]
+    if not np.array_equal(A, A[inv].transpose(0, 2, 1)):
+        return None, "reciprocity"
+    if np.any(A.sum(axis=2) == 0):
+        return None, "nonvanishing"
+    # (a*b).v = a.(b.v): A[b] A[a] = sum_e T[a, b, e] A[e]
+    T = ring.structure_tensor()
+    if not np.array_equal(np.einsum("bvw,awx->abvx", A, A), np.einsum("abe,evx->abvx", T, A)):
+        return None, "associativity"
+    return mats, None
+
+
+def _assert_leaf_matches_replay(searcher, state, complete=None):
+    """``_close`` on the leaf rejects exactly when the replay rejects before
+    associativity, and ``_complete`` rejects exactly when the replay does,
+    else returns its matrices; returns what ``_complete`` returned."""
+    expected, check = _replayed_leaf(searcher, state)
+    closed = state.clone()
+    assert searcher._close(closed, searcher._leaf_seeds(closed)) == (check in (None, "associativity")), check
+    mats = (complete or torsion._Searcher._complete)(searcher, state)
+    assert (mats is None) == (expected is None), check
+    if mats is not None:
+        assert mats.keys() == expected.keys()
+        assert all(np.array_equal(mats[a], expected[a]) for a in mats)
+    return mats
+
+
+LEAF_SEARCHES = [(case[0], case[1], None) for case in PINNED_SEARCHES] + [
+    ("cyclic12", lambda: cyclic_group_ring(12), None),
+    ("sym4_to_6", lambda: permutation_group_ring(4), 6),
+]
+
+
+@pytest.mark.parametrize("make,size", [case[1:] for case in LEAF_SEARCHES], ids=[case[0] for case in LEAF_SEARCHES])
+def test_leaf_completion_matches_the_plan_replay(make, size, monkeypatch):
+    complete = torsion._Searcher._complete
+    leaves = []
+
+    def checked(searcher, state):
+        mats = _assert_leaf_matches_replay(searcher, state, complete)
+        leaves.append(mats is not None)
+        return mats
+
+    monkeypatch.setattr(torsion._Searcher, "_complete", checked)
+    ring = make()
+    result = enumerate_modules(ring, ModuleSearchConfig(max_basis_size=size or dimension_bound(ring)))
+    assert result.complete and sum(leaves) >= len(result.classes)
+
+
+def _leaf(searcher, rows):
+    """A leaf state with the generator rows ``rows[gi][b]`` and no exact row."""
+    m = len(rows[0])
+    fixed = {(gi, b): tuple((c, n) for c, n in enumerate(row) if n) for gi, matrix in enumerate(rows)
+             for b, row in enumerate(matrix)}
+    return torsion._SearchState(nvert=m, rows=fixed, dims=[(1.0, 1.0)] * m, pending=[], vrows=[], vcols=[],
+                                cols={}, exact={})
+
+
+def test_leaf_completion_rejects_a_zero_column_of_a_generator():
+    # M_1 over Z3 with column 0 zero: the transposed M_2 has a zero row 0,
+    # which the replay rejects as nonvanishing before associativity
+    searcher = torsion._Searcher(cyclic_group_ring(3), ModuleSearchConfig(max_basis_size=2))
+    assert searcher.gens == ["1"] and not searcher.self_dual[0]
+    state = _leaf(searcher, [[[0, 1], [0, 1]]])
+    assert _replayed_leaf(searcher, state)[1] == "nonvanishing"
+    assert _assert_leaf_matches_replay(searcher, state) is None
+
+
+def test_random_leaves_match_the_plan_replay():
+    # leaves no search reaches: every generator row fixed at random and no
+    # row exact yet, so the closure meets every check of the replay
+    rings = [cyclic_group_ring(3), cyclic_group_ring(6), permutation_group_ring(3), su2_level(3),
+             tensor_product(fibonacci(), fibonacci()), _multiplicity_two_ring()]
+    rng = np.random.default_rng(5)
+    checks = {}
+    for ring in rings:
+        searcher = torsion._Searcher(ring, ModuleSearchConfig(max_basis_size=4))
+        for _ in range(300):
+            m = int(rng.integers(1, 5))
+            rows = rng.choice(3, size=(searcher.kgen, m, m), p=[0.6, 0.3, 0.1]).tolist()
+            state = _leaf(searcher, rows)
+            check = _replayed_leaf(searcher, state)[1]
+            checks[check] = checks.get(check, 0) + 1
+            _assert_leaf_matches_replay(searcher, state)
+    assert checks.keys() == {"plan", "reciprocity", "nonvanishing", "associativity", None}, checks
+
+
+def test_perron_dimensions_are_computed_once_per_ring(monkeypatch):
+    from fusionrings import spectra
+    from fusionrings.documents import ring_from_document, ring_to_document
+
+    ring = ring_from_document(ring_to_document(su2_level(5)))
+    assert ring.dims is None
+    radius = spectra.spectral_radius
+    calls = []
+    monkeypatch.setattr(spectra, "spectral_radius", lambda M: calls.append(M) or radius(M))
+    assert is_torsion_free(ring).status == "not_torsion_free"
+    # one radius per label, where each caller of ring_dims once made its own
+    assert len(calls) == ring.size == 6
+    assert ring.dims is None
+
+
 def test_enumeration_rejects_a_structurally_broken_ring():
     # supplied dimensions skip the Perron computation and its structural
     # scan, so the search runs the scan itself before leaf completion relies on it

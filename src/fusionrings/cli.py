@@ -16,6 +16,7 @@ from .documents import (
     MODULE_FORMAT,
     RING_FORMAT,
     emit_document,
+    is_int,
     load_document,
     module_from_document,
     module_to_document,
@@ -39,15 +40,11 @@ from .torsion import ModuleSearchConfig, dimension_bound, enumerate_modules, is_
 PASS, NEGATIVE, INPUT_ERROR, INCONCLUSIVE = 0, 1, 2, 3
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 _CONFIG_VALUES = {
-    "max_size": ("an integer >= 1", lambda v: _is_int(v) and v >= 1),
-    "depth": ("an integer >= 0", lambda v: _is_int(v) and v >= 0),
+    "max_size": ("an integer >= 1", lambda v: is_int(v) and v >= 1),
+    "depth": ("an integer >= 0", lambda v: is_int(v) and v >= 0),
     "budget": ("a number >= 0 or null",
-               lambda v: v is None or ((_is_int(v) or isinstance(v, float)) and v >= 0)),
+               lambda v: v is None or ((is_int(v) or isinstance(v, float)) and v >= 0)),
 }
 
 
@@ -148,9 +145,8 @@ def cmd_enumerate(args) -> int:
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         for i, table in enumerate(result.classes):
-            doc = module_to_document(table)
+            doc = module_to_document(table, ring_doc)
             doc["name"] = f"class_{i:03d}"
-            doc["ring"] = ring_doc
             path = os.path.join(args.out, f"module_{i:03d}.json")
             write_document(path, doc)
             print(f"class {i:03d}: size={table.size} -> {path}")
@@ -174,9 +170,8 @@ def cmd_torsion(args) -> int:
         os.makedirs(args.out, exist_ok=True)
         ring_doc = ring_to_document(ring)
         for i, witness in enumerate(verdict.witnesses):
-            doc = module_to_document(witness)
+            doc = module_to_document(witness, ring_doc)
             doc["name"] = f"witness_{i:03d}"
-            doc["ring"] = ring_doc
             path = os.path.join(args.out, f"witness_{i:03d}.json")
             write_document(path, doc)
             print(f"witness: {path}")

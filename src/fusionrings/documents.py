@@ -21,7 +21,6 @@ from .constructors import (
     su2_level,
     su2_ring,
 )
-from .elements import RingElement
 from .errors import MalformedDocumentError
 from .modules import BasedModuleTable
 from .rings import BasedRingTable, Ring
@@ -66,10 +65,8 @@ def write_document(path: str, doc: dict) -> None:
 def ring_to_document(ring: Ring) -> dict:
     if ring.is_lazy:
         kind = ring.metadata.get("kind")
-        if kind == "a1":
-            return {"format": RING_FORMAT, "lazy": {"kind": "a1"}}
-        if kind == "a2":
-            return {"format": RING_FORMAT, "lazy": {"kind": "a2"}}
+        if kind in ("a1", "a2"):
+            return {"format": RING_FORMAT, "lazy": {"kind": kind}}
         if kind == "free_product":
             return {
                 "format": RING_FORMAT,
@@ -79,29 +76,20 @@ def ring_to_document(ring: Ring) -> dict:
                 },
             }
         raise MalformedDocumentError(f"lazy ring {ring.name} has no document form")
+    integer_dims = ring.dims is not None and ring.dims.exactness == "integer"
     basis = []
-    integer_dims = None
-    if ring.dims is not None and ring.dims.exactness == "integer":
-        integer_dims = {b: int(round(ring.dims(b))) for b in ring.basis}
     for label in ring.basis:
         entry = {"id": label, "dual": ring.involution_of(label)}
-        if integer_dims is not None:
-            entry["dim"] = integer_dims[label]
+        if integer_dims:
+            entry["dim"] = int(round(ring.dims(label)))
         basis.append(entry)
-    products = []
-    for a in ring.basis:
-        for b in ring.basis:
-            for c, mult in ring.product(a, b).items():
-                products.append([a, b, c, mult])
-    products.sort()
-    doc = {
+    return {
         "format": RING_FORMAT,
         "name": ring.name,
         "unit": ring.unit,
         "basis": basis,
-        "products": products,
+        "products": _rows_to_list(ring.basis, ring.basis, ring.product),
     }
-    return doc
 
 
 def _require(doc: dict, key: str):
@@ -110,11 +98,58 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
+def _document_name(doc, fmt: str, kind: str) -> str:
+    """The name of a ``kind`` document of format ``fmt``, checked to be an
+    object with that format and a string name, if any."""
+    if not isinstance(doc, dict):
+        raise MalformedDocumentError(f"a {kind} document must be an object, got {doc!r}")
+    if doc.get("format") != fmt:
+        raise MalformedDocumentError(f"not a {kind} document (format={doc.get('format')!r})")
+    name = doc.get("name") or f"document {kind}"
+    if not isinstance(name, str):
+        raise MalformedDocumentError(f"{kind} document name must be a string, got {name!r}")
+    return name
+
+
+def is_int(value) -> bool:
+    """An integer that is not a boolean (JSON ``true`` is not 1)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _rows_to_list(sources, targets, row) -> list[list]:
+    """The sorted ``[a, b, c, multiplicity]`` list of the rows ``row(a, b)``."""
+    return sorted([a, b, c, mult] for a in sources for b in targets for c, mult in row(a, b).items())
+
+
+def _rows_from_list(raw, kind: str, sources, targets) -> dict[tuple[str, str], dict[str, int]]:
+    """The rows ``{(a, b): {c: multiplicity}}`` of a ``[a, b, c, multiplicity]``
+    list with a in ``sources``, b and c in ``targets`` and positive integer
+    multiplicities, each (a, b, c) at most once; ``kind`` names an entry."""
+    if not isinstance(raw, list):
+        raise MalformedDocumentError(f"{kind} entries must be a list of [a, b, c, multiplicity]")
+    rows: dict[tuple[str, str], dict[str, int]] = {}
+    for item in raw:
+        shaped = isinstance(item, list) and len(item) == 4 and all(isinstance(x, str) for x in item[:3])
+        if not shaped or not is_int(item[3]):
+            raise MalformedDocumentError(f"bad {kind} entry {item!r}")
+        a, b, c, mult = item
+        if a not in sources or b not in targets or c not in targets:
+            raise MalformedDocumentError(f"{kind} entry {item!r} uses unknown ids")
+        if mult < 1:
+            raise MalformedDocumentError(f"{kind} entry {item!r} has multiplicity < 1")
+        row = rows.setdefault((a, b), {})
+        if c in row:
+            raise MalformedDocumentError(f"duplicate {kind} entry for {item[:3]!r}")
+        row[c] = mult
+    return rows
+
+
 def ring_from_document(doc: dict) -> Ring:
-    if doc.get("format") != RING_FORMAT:
-        raise MalformedDocumentError(f"not a ring document (format={doc.get('format')!r})")
+    name = _document_name(doc, RING_FORMAT, "ring")
     lazy = doc.get("lazy")
     if lazy is not None:
+        if not isinstance(lazy, dict):
+            raise MalformedDocumentError(f"lazy tag must be an object, got {lazy!r}")
         kind = lazy.get("kind")
         if kind == "a1":
             return su2_ring()
@@ -122,7 +157,7 @@ def ring_from_document(doc: dict) -> Ring:
             return free_unitary_ring()
         if kind == "su2_level":
             level = lazy.get("level")
-            if not isinstance(level, int) or level < 1:
+            if not is_int(level) or level < 1:
                 raise MalformedDocumentError("su2_level tag needs a positive integer level")
             return su2_level(level)
         if kind == "free_product":
@@ -137,50 +172,24 @@ def ring_from_document(doc: dict) -> Ring:
     products_raw = _require(doc, "products")
     if not isinstance(basis_entries, list) or not basis_entries:
         raise MalformedDocumentError("basis must be a non-empty list")
-    labels = []
     involution = {}
     for entry in basis_entries:
-        if not isinstance(entry, dict) or "id" not in entry or "dual" not in entry:
-            raise MalformedDocumentError("each basis entry needs 'id' and 'dual'")
-        labels.append(entry["id"])
+        if not (isinstance(entry, dict) and isinstance(entry.get("id"), str) and isinstance(entry.get("dual"), str)):
+            raise MalformedDocumentError("each basis entry needs a string 'id' and 'dual'")
+        if entry["id"] in involution:
+            raise MalformedDocumentError("duplicate basis ids")
         involution[entry["id"]] = entry["dual"]
-    label_set = set(labels)
-    if len(label_set) != len(labels):
-        raise MalformedDocumentError("duplicate basis ids")
-    if unit not in label_set:
+    if not isinstance(unit, str) or unit not in involution:
         raise MalformedDocumentError(f"unit {unit!r} is not a basis id")
     for label, bar in involution.items():
-        if bar not in label_set:
+        if bar not in involution:
             raise MalformedDocumentError(f"dual of {label!r} is not a basis id")
-    products: dict[tuple[str, str], dict[str, int]] = {}
-    if not isinstance(products_raw, list):
-        raise MalformedDocumentError("products must be a list of [a, b, c, multiplicity]")
-    for item in products_raw:
-        if (
-            not isinstance(item, list)
-            or len(item) != 4
-            or not all(isinstance(x, str) for x in item[:3])
-            or not isinstance(item[3], int)
-        ):
-            raise MalformedDocumentError(f"bad product entry {item!r}")
-        a, b, c, mult = item
-        if a not in label_set or b not in label_set or c not in label_set:
-            raise MalformedDocumentError(f"product entry {item!r} uses unknown ids")
-        if mult < 1:
-            raise MalformedDocumentError(f"product entry {item!r} has multiplicity < 1")
-        products.setdefault((a, b), {})
-        if c in products[(a, b)]:
-            raise MalformedDocumentError(f"duplicate product entry for {item[:3]!r}")
-        products[(a, b)][c] = mult
-    table = {}
-    for a in labels:
-        for b in labels:
+    products = _rows_from_list(products_raw, "product", involution, involution)
+    for a in involution:
+        for b in involution:
             if (a, b) not in products:
                 raise MalformedDocumentError(f"no product entries for the pair ({a!r}, {b!r})")
-            table[(a, b)] = RingElement(products[(a, b)])
-    return BasedRingTable(
-        labels, unit, involution, table, name=doc.get("name", "") or "document ring"
-    )
+    return BasedRingTable(list(involution), unit, involution, products, name=name)
 
 
 # -- builtin URIs -----------------------------------------------------------------------
@@ -231,64 +240,33 @@ def resolve_ring(source: str) -> Ring:
 # -- module documents --------------------------------------------------------------------
 
 
-def module_to_document(module: BasedModuleTable, ring_ref: str | None = None) -> dict:
-    ring_field = ring_ref if ring_ref is not None else ring_to_document(module.ring)
-    action = []
-    for alpha in module.ring.basis:
-        for b in module.basis:
-            for c, mult in module.action_row(alpha, b).items():
-                action.append([alpha, b, c, mult])
-    action.sort()
+def module_to_document(module: BasedModuleTable, ring_ref: str | dict | None = None) -> dict:
+    """The document of a finite module; its ``ring`` field is ``ring_ref``, a
+    reference string or a ring document, else the module ring's document."""
     return {
         "format": MODULE_FORMAT,
         "name": module.name,
-        "ring": ring_field,
+        "ring": ring_ref if ring_ref is not None else ring_to_document(module.ring),
         "basis": list(module.basis),
-        "action": action,
+        "action": _rows_to_list(module.ring.basis, module.basis, module.action_row),
     }
 
 
 def module_from_document(doc: dict) -> BasedModuleTable:
-    if doc.get("format") != MODULE_FORMAT:
-        raise MalformedDocumentError(f"not a module document (format={doc.get('format')!r})")
+    name = _document_name(doc, MODULE_FORMAT, "module")
     ring_field = _require(doc, "ring")
     ring = resolve_ring(ring_field) if isinstance(ring_field, str) else ring_from_document(ring_field)
     if ring.is_lazy:
         raise MalformedDocumentError("module documents require a finite ring")
     basis = _require(doc, "basis")
-    if not isinstance(basis, list) or not basis:
-        raise MalformedDocumentError("module basis must be a non-empty list")
+    if not isinstance(basis, list) or not basis or not all(isinstance(b, str) for b in basis):
+        raise MalformedDocumentError("module basis must be a non-empty list of string ids")
     bset = set(basis)
     if len(bset) != len(basis):
         raise MalformedDocumentError("duplicate module basis ids")
-    action_raw = _require(doc, "action")
-    rows: dict[tuple[str, str], dict[str, int]] = {}
-    for item in action_raw:
-        if (
-            not isinstance(item, list)
-            or len(item) != 4
-            or not all(isinstance(x, str) for x in item[:3])
-            or not isinstance(item[3], int)
-        ):
-            raise MalformedDocumentError(f"bad action entry {item!r}")
-        alpha, b, c, mult = item
-        if not ring.contains(alpha):
-            raise MalformedDocumentError(f"action entry {item!r} uses an unknown ring id")
-        if b not in bset or c not in bset:
-            raise MalformedDocumentError(f"action entry {item!r} uses unknown module ids")
-        if mult < 1:
-            raise MalformedDocumentError(f"action entry {item!r} has multiplicity < 1")
-        rows.setdefault((alpha, b), {})
-        if c in rows[(alpha, b)]:
-            raise MalformedDocumentError(f"duplicate action entry for {item[:3]!r}")
-        rows[(alpha, b)][c] = mult
-    action = {}
-    for alpha in ring.basis:
-        for b in basis:
-            action[(alpha, b)] = RingElement(rows.get((alpha, b), {}))
-    return BasedModuleTable(
-        ring, basis, action, name=doc.get("name", "") or "document module"
-    )
+    rows = _rows_from_list(_require(doc, "action"), "action", ring.index, bset)
+    action = {(alpha, b): rows.get((alpha, b), {}) for alpha in ring.basis for b in basis}
+    return BasedModuleTable(ring, basis, action, name=name)
 
 
 def load_document(path: str) -> dict:

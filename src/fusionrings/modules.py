@@ -35,8 +35,8 @@ from .rings import (
     exact_dtype,
     fuse,  # unused here; perfbench/tracing.py wraps the name modules.fuse
     group_of_units,
-    int_tensor,
     ring_dims,
+    table_tensor,
     window_products,
 )
 from .spectra import components
@@ -101,20 +101,12 @@ class BasedModuleTable:
         return ()
 
     def action_tensor(self) -> np.ndarray:
-        """Array ``A[a, b, c]``: multiplicity of module label c in (ring a) * b."""
+        """Array ``A[a, b, c]``: multiplicity of module label c in (ring a) * b,
+        built and checked by :func:`table_tensor` and then cached."""
         if self._tensor is None:
-            n, m = self.ring.size, self.size
-            entries = {}
-            for alpha, ai in self.ring.index.items():
-                for b, bi in self.index.items():
-                    for c, coeff in self.action_row(alpha, b).items():
-                        ci = self.index.get(c)
-                        if ci is None:
-                            raise StructuralError(
-                                f"action ({alpha!r}, {b!r}) leaves the module basis at {c!r}"
-                            )
-                        entries[ai, bi, ci] = coeff
-            self._tensor = int_tensor((n, m, m), entries)
+            negative = "negative action constant at ({!r}, {!r})"
+            outside = "action ({!r}, {!r}) leaves the module basis at {!r}"
+            self._tensor = table_tensor(self.ring.index, self.index, self.action_row, negative, outside)
         return self._tensor
 
     def matrix(self, alpha: str) -> np.ndarray:
@@ -470,33 +462,13 @@ def dim_vector(
 def _verify_finite_module(module: BasedModuleTable) -> VerificationReport:
     report = VerificationReport(subject=module.name)
     ring = module.ring
-    mset = set(module.basis)
-    for alpha in ring.basis:
-        for b in module.basis:
-            row = module._action.get((alpha, b))
-            if row is None:
-                report.structural_errors.append(f"missing action entry ({alpha!r}, {b!r})")
-                break
-            if not row.is_zero and not row.is_nonnegative():
-                report.structural_errors.append(f"negative action constant at ({alpha!r}, {b!r})")
-                break
-            outside = [c for c in row.support() if c not in mset]
-            if outside:
-                report.structural_errors.append(
-                    f"action ({alpha!r}, {b!r}) leaves the module basis at {outside[0]!r}"
-                )
-                break
-        if report.structural_errors:
-            break
-    if report.structural_errors:
-        return report
-    try:
+    try:  # the module's first faulty pair, then the ring's
+        A = module.action_tensor()
         T = ring.structure_tensor()
-    except StructuralError as exc:  # a product of the ring leaves its basis
+    except StructuralError as exc:
         report.structural_errors.append(str(exc))
         return report
 
-    A = module.action_tensor()
     n, m = ring.size, module.size
     labels_r, labels_m = ring.basis, module.basis
     u = ring.index[ring.unit]

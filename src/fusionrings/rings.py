@@ -64,14 +64,42 @@ class DimensionFunction:
         return out
 
 
-def int_tensor(shape: tuple[int, ...], entries: Mapping[tuple[int, ...], int]) -> np.ndarray:
-    """A dense array holding ``entries`` and zeros elsewhere: int64 when every
-    entry fits, else Python ints (object dtype), so no coefficient wraps."""
-    fits = all(-(2**63) <= v < 2**63 for v in entries.values())
-    out = np.zeros(shape, dtype=np.int64 if fits else object)
-    for idx, v in entries.items():
-        out[idx] = v
-    return out
+def table_tensor(
+    labels: Mapping[str, int],
+    targets: Mapping[str, int],
+    row: Callable[[str, str], RingElement],
+    negative: str,
+    outside: str,
+) -> np.ndarray:
+    """The dense array ``X[a, b, c]`` of coefficients of c in ``row(a, b)``,
+    for a in ``labels`` and b, c in ``targets`` (label -> index maps).
+
+    Building the array is the structural scan of the table: pairs are read
+    in row-major index order, and at the first faulty pair a
+    :class:`StructuralError` is raised, by ``row`` on a missing entry, else
+    with ``negative.format(a, b)`` when a coefficient is negative, else with
+    ``outside.format(a, b, c)`` at the least target c outside ``targets``.
+    The array is int64 when every entry fits, else Python ints (object
+    dtype), so no coefficient wraps.
+    """
+    m = len(targets)
+    flat: list[int] = []
+    values: list[int] = []
+    for a, ai in labels.items():
+        for b, bi in targets.items():
+            terms = row(a, b)._terms
+            if terms and min(terms.values()) < 0:
+                raise StructuralError(negative.format(a, b))
+            base = (ai * m + bi) * m
+            for c, coeff in terms.items():
+                ci = targets.get(c)
+                if ci is None:
+                    raise StructuralError(outside.format(a, b, min(c for c in terms if c not in targets)))
+                flat.append(base + ci)
+                values.append(coeff)
+    out = np.zeros(len(labels) * m * m, dtype=np.int64 if max(values, default=0) < 2**63 else object)
+    out[flat] = values
+    return out.reshape(len(labels), m, m)
 
 
 class BasedRingTable:
@@ -142,20 +170,12 @@ class BasedRingTable:
             raise StructuralError(f"involution undefined on {label!r}") from None
 
     def structure_tensor(self) -> np.ndarray:
-        """The array ``T[a, b, c]`` of coefficients of c in a*b (cached; see :func:`int_tensor`)."""
+        """The array ``T[a, b, c]`` of coefficients of c in a*b, built and
+        checked by :func:`table_tensor` and then cached."""
         if self._tensor is None:
-            n = self.size
-            entries = {}
-            for a, ai in self.index.items():
-                for b, bi in self.index.items():
-                    for c, coeff in self.product(a, b).items():
-                        ci = self.index.get(c)
-                        if ci is None:
-                            raise StructuralError(
-                                f"product {a!r}*{b!r} leaves the basis at {c!r}"
-                            )
-                        entries[ai, bi, ci] = coeff
-            self._tensor = int_tensor((n, n, n), entries)
+            negative = "negative structure constant in {!r}*{!r}"
+            outside = "product {!r}*{!r} leaves the basis at {!r}"
+            self._tensor = table_tensor(self.index, self.index, self.product, negative, outside)
         return self._tensor
 
     def left_matrix(self, label: str) -> np.ndarray:
@@ -302,6 +322,9 @@ def structure_constant(ring: Ring, y: RingElement, z: RingElement, x: RingElemen
 
 
 def _structural_scan(table: BasedRingTable) -> list[str]:
+    """The structural faults of a finite table: those of its involution,
+    then the first faulty product pair in row-major order, found by
+    building (and so caching) :meth:`BasedRingTable.structure_tensor`."""
     errors: list[str] = []
     basis = set(table.basis)
     inv = table.involution
@@ -316,19 +339,10 @@ def _structural_scan(table: BasedRingTable) -> list[str]:
                 errors.append(f"involution is not involutive at {noninv[0]!r}")
         if inv.get(table.unit) != table.unit:
             errors.append("involution does not fix the unit")
-    for a in table.basis:
-        for b in table.basis:
-            elem = table._products.get((a, b))
-            if elem is None:
-                errors.append(f"missing product entry ({a!r}, {b!r})")
-                return errors  # one totality witness is enough
-            if not elem.is_zero and not elem.is_nonnegative():
-                errors.append(f"negative structure constant in {a!r}*{b!r}")
-                return errors
-            outside = [c for c in elem.support() if c not in basis]
-            if outside:
-                errors.append(f"product {a!r}*{b!r} leaves the basis at {outside[0]!r}")
-                return errors
+    try:
+        table.structure_tensor()
+    except StructuralError as exc:  # one totality or sign witness is enough
+        errors.append(str(exc))
     return errors
 
 

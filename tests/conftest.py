@@ -309,3 +309,59 @@ def left_closure_vectors(T: list, middles: list[int]) -> list[list[int]]:
         for s in middles:
             queue.append([sum(vector[b] * T[s][b][c] for b in range(n) if vector[b]) for c in range(n)])
     return kept
+
+
+def _product_faults(table) -> list[str]:
+    """The first faulty product pair of a ring table in row-major order, by
+    a plain loop over its stored products."""
+    basis = set(table.basis)
+    for a in table.basis:
+        for b in table.basis:
+            elem = table._products.get((a, b))
+            if elem is None:
+                return [f"missing product entry ({a!r}, {b!r})"]
+            if not elem.is_zero and not elem.is_nonnegative():
+                return [f"negative structure constant in {a!r}*{b!r}"]
+            outside = [c for c in elem.support() if c not in basis]
+            if outside:
+                return [f"product {a!r}*{b!r} leaves the basis at {outside[0]!r}"]
+    return []
+
+
+def ring_scan_reference(table) -> list[str]:
+    """The structural errors of a finite ring table: the faults of its
+    involution, then its first faulty product pair.  Shares no code with
+    the tensor builder of ``fusionrings.rings``."""
+    errors: list[str] = []
+    basis = set(table.basis)
+    inv = table.involution
+    if set(inv) != basis:
+        errors.append("involution is not defined on exactly the basis")
+    else:
+        if sorted(inv.values()) != sorted(basis):
+            errors.append("involution is not a bijection of the basis")
+        else:
+            noninv = [a for a in table.basis if inv.get(inv[a]) != a]
+            if noninv:
+                errors.append(f"involution is not involutive at {noninv[0]!r}")
+        if inv.get(table.unit) != table.unit:
+            errors.append("involution does not fix the unit")
+    return errors + _product_faults(table)
+
+
+def module_scan_reference(module) -> list[str]:
+    """The structural error of a finite module table: its first faulty
+    action pair in row-major order (ring labels, then module labels in
+    basis order), else the first faulty product pair of its ring."""
+    mset = set(module.basis)
+    for alpha in module.ring.basis:
+        for b in module.basis:
+            row = module._action.get((alpha, b))
+            if row is None:
+                return [f"missing action entry ({alpha!r}, {b!r})"]
+            if not row.is_zero and not row.is_nonnegative():
+                return [f"negative action constant at ({alpha!r}, {b!r})"]
+            outside = [c for c in row.support() if c not in mset]
+            if outside:
+                return [f"action ({alpha!r}, {b!r}) leaves the module basis at {outside[0]!r}"]
+    return _product_faults(module.ring)

@@ -317,3 +317,45 @@ def test_enumerate_documents_pinned(src, tmp_path):
         assert main(["enumerate", src, "--out", str(tmp_path)]) == 0
     docs = b"".join((tmp_path / name).read_bytes() for name in sorted(os.listdir(tmp_path)))
     assert hashlib.sha256(docs).hexdigest() == ENUMERATED_BYTES[src]
+
+
+def _z2_ring_doc():
+    return json.loads(json.dumps(ring_to_document(cyclic_group_ring(2))))
+
+
+def _z2_module_doc():
+    from fusionrings import standard_module
+    from fusionrings.documents import module_to_document
+
+    return json.loads(json.dumps(module_to_document(standard_module(cyclic_group_ring(2)))))
+
+
+def _edited(make, edit):
+    doc = make()
+    edit(doc)
+    return doc
+
+
+MALFORMED_DOCUMENTS = {
+    "unit is a list": lambda: _edited(_z2_ring_doc, lambda d: d.__setitem__("unit", ["0"])),
+    "basis id is a list": lambda: _edited(_z2_ring_doc, lambda d: d["basis"][1].__setitem__("id", ["1"])),
+    "dual is a list": lambda: _edited(_z2_ring_doc, lambda d: d["basis"][1].__setitem__("dual", ["1"])),
+    "lazy tag is a string": lambda: {"format": "fusionring/1", "lazy": "a2"},
+    "free product factor is not an object": lambda: {
+        "format": "fusionring/1",
+        "lazy": {"kind": "free_product", "factors": [{"format": "fusionring/1", "lazy": {"kind": "a1"}}, "a2"]},
+    },
+    "module action is not a list": lambda: _edited(_z2_module_doc, lambda d: d.__setitem__("action", 7)),
+    "module basis entry is unhashable": lambda: _edited(_z2_module_doc, lambda d: d["basis"].__setitem__(0, ["0"])),
+    "module ring is a number": lambda: _edited(_z2_module_doc, lambda d: d.__setitem__("ring", 2)),
+    "module ring is a list": lambda: _edited(_z2_module_doc, lambda d: d.__setitem__("ring", [_z2_ring_doc()])),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_DOCUMENTS))
+def test_malformed_document_exit_2(case, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(MALFORMED_DOCUMENTS[case]()), encoding="utf-8")
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err

@@ -179,3 +179,30 @@ def test_load_document(tmp_path):
     write_document(str(path), module_to_document(module))
     doc = load_document(str(path))
     assert doc["format"] == "fusionmodule/1"
+
+
+def test_boolean_multiplicity_rejected_in_ring_documents():
+    doc = ring_to_document(cyclic_group_ring(2))
+    doc["products"] = [entry[:3] + [True] for entry in doc["products"]]
+    with pytest.raises(MalformedDocumentError, match="bad product entry"):
+        ring_from_document(doc)
+
+
+def test_boolean_multiplicity_rejected_in_module_documents():
+    doc = module_to_document(standard_module(cyclic_group_ring(2)))
+    doc["action"][0][3] = True
+    with pytest.raises(MalformedDocumentError, match="bad action entry"):
+        module_from_document(doc)
+
+
+def test_boolean_su2_level_rejected():
+    with pytest.raises(MalformedDocumentError, match="positive integer level"):
+        ring_from_document({"format": "fusionring/1", "lazy": {"kind": "su2_level", "level": True}})
+
+
+def test_module_document_with_a_ring_document_reference():
+    ring = cyclic_group_ring(3)
+    ring_doc = ring_to_document(ring)
+    doc = module_to_document(standard_module(ring), ring_ref=ring_doc)
+    assert doc["ring"] is ring_doc
+    assert doc == module_to_document(standard_module(ring))

@@ -30,6 +30,7 @@ from .rings import (
     LazyBasedRing,
     REL_TOL,
     Ring,
+    _structural_scan,
     associativity_failures,
     associativity_witnesses,
     exact_dtype,
@@ -462,12 +463,15 @@ def dim_vector(
 def _verify_finite_module(module: BasedModuleTable) -> VerificationReport:
     report = VerificationReport(subject=module.name)
     ring = module.ring
-    try:  # the module's first faulty pair, then the ring's
+    try:  # the module's first faulty pair, then the ring's faults
         A = module.action_tensor()
-        T = ring.structure_tensor()
     except StructuralError as exc:
         report.structural_errors.append(str(exc))
         return report
+    report.structural_errors = _structural_scan(ring)
+    if report.structural_errors:
+        return report
+    T = ring.structure_tensor()
 
     n, m = ring.size, module.size
     labels_r, labels_m = ring.basis, module.basis

@@ -1,10 +1,10 @@
 """Fusion graphs, spectral radii, and the norm <= 2 classification.
 
 Where a connected graph's norm lies against 2 (below, equal or above) is
-decided exactly: named families (Dynkin and extended Dynkin diagrams and
-their loop/multi-edge degenerations) by shape matching, every other graph
-by one integer elimination of 2I - M.  Floating point only supplies Perron
-vectors as certificates; it decides no norm class.
+decided exactly, for every graph, by one integer elimination of 2I - M;
+the shape then only names the graph (Dynkin and extended Dynkin diagrams
+and their loop/multi-edge degenerations).  Floating point only supplies
+Perron vectors as certificates; it decides no norm class.
 """
 
 from __future__ import annotations
@@ -94,21 +94,17 @@ class FusionGraph:
         return [self.subgraph(c) for c in self.undirected_components()]
 
 
-def symmetrize(graph: FusionGraph, rule: str = "sum") -> FusionGraph:
-    """Symmetrized copy: ``sum`` takes M + M^T, ``support`` its 0/1 indicator.
+def symmetrize(graph: FusionGraph) -> FusionGraph:
+    """Symmetrized copy with matrix M + M^T.
 
-    An already symmetric matrix is returned unchanged (either rule), so the
-    multiplicities of a symmetric action matrix are preserved.
+    An already symmetric matrix is kept unchanged, so the multiplicities of
+    a symmetric action matrix are preserved.
     """
     if graph.is_symmetric():
         if graph.directed:
             return FusionGraph(graph.vertices, graph.matrix, False, graph.weights, graph.boundary)
         return graph
     m = graph.matrix + graph.matrix.T
-    if rule == "support":
-        m = (m > 0).astype(np.int64)
-    elif rule != "sum":
-        raise ValueError(f"unknown symmetrization rule {rule!r}")
     return FusionGraph(graph.vertices, m, False, graph.weights, graph.boundary)
 
 
@@ -181,20 +177,33 @@ def _norm_class(m: np.ndarray) -> str:
     exact.  A proper principal submatrix of a connected nonnegative matrix
     has a strictly smaller Perron root, so a pivot <= 0 before the last
     means gt2; otherwise the sign of the last pivot (the determinant)
-    decides.
+    decides.  Rows are dicts of their entries from the diagonal on: an
+    absent entry a_ij with a_ik * a_kj = 0 stays zero, so the work grows
+    with the nonzero entries (fill included), not with n^3.
     """
     n = m.shape[0]
-    a = [[(2 if i == j else 0) - x for j, x in enumerate(row)] for i, row in enumerate(m.tolist())]
+    rows = [{} for _ in range(n)]
+    for i, j in zip(*np.nonzero(m)):
+        rows[i][int(j)] = -int(m[i, j])
+    for i, row in enumerate(rows):
+        row[i] = 2 + row.get(i, 0)
     prev = 1
     for k in range(n - 1):
-        pivot = a[k][k]
+        pivot_row = rows[k]
+        pivot = pivot_row.pop(k)
         if pivot <= 0:
             return "gt2"
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (pivot * a[i][j] - a[i][k] * a[k][j]) // prev
+            row = rows[i]
+            a_ik = row.pop(k, 0)
+            for j in row:
+                row[j] *= pivot
+            if a_ik:
+                for j, x in pivot_row.items():
+                    row[j] = row.get(j, 0) - a_ik * x
+            rows[i] = {j: x // prev for j, x in row.items()}
         prev = pivot
-    det = a[n - 1][n - 1]
+    det = rows[n - 1][n - 1]
     return "lt2" if det > 0 else "eq2" if det == 0 else "gt2"
 
 
@@ -236,89 +245,19 @@ class DynkinVerdict:
         return "norm exceeds 2"
 
 
-def _simple_degree_data(m: np.ndarray):
-    has_loop = bool(np.any(np.diag(m) != 0))
-    off = m.copy()
-    np.fill_diagonal(off, 0)
-    has_multi = bool(np.any(off > 1))
-    simple_deg = (off > 0).sum(axis=1)
-    edge_count = int((off > 0).sum() // 2)
-    return has_loop, has_multi, simple_deg, edge_count
-
-
-def _leg_lengths(m: np.ndarray, branch: int) -> list[int] | None:
-    """Lengths of the simple paths hanging off a single branch vertex."""
-    n = m.shape[0]
-    adj = [set(np.nonzero(m[i])[0]) - {i} for i in range(n)]
-    legs = []
-    for first in sorted(adj[branch]):
-        length = 1
-        prev, cur = branch, int(first)
-        while True:
-            nxt = [w for w in adj[cur] if w != prev]
-            if len(nxt) == 0:
-                break
-            if len(nxt) > 1 or cur == branch:
-                return None
-            prev, cur = cur, int(nxt[0])
-            length += 1
-        legs.append(length)
-    return sorted(legs)
-
-
-def _path_order(m: np.ndarray) -> list[int] | None:
-    """Vertex order along a simple path, or None when not a path."""
-    n = m.shape[0]
-    off = m.copy()
-    np.fill_diagonal(off, 0)
-    deg = (off > 0).sum(axis=1)
-    if n == 1:
-        return [0]
-    ends = [i for i in range(n) if deg[i] == 1]
-    if len(ends) != 2 or np.any(deg > 2) or np.any(off > 1):
-        return None
-    order = [ends[0]]
-    prev = -1
-    cur = ends[0]
-    while len(order) < n:
-        nxts = [int(w) for w in np.nonzero(off[cur])[0] if w != prev]
-        if len(nxts) != 1:
-            return None
-        prev, cur = cur, nxts[0]
-        order.append(cur)
-    return order
-
-
-def _certified_verdict(m: np.ndarray) -> DynkinVerdict:
-    """Fallback for unmatched shapes: the exact norm class, with a float
-    Perron-vector certificate above 2 as extra evidence.
-
-    Every connected graph of norm < 2 is A, D, E or a tadpole (Goodman, de
-    la Harpe and Jones, *Coxeter Graphs and Towers of Algebras*, 1989), all
-    matched by shape first, so ``lt2`` here means the shape table missed
-    one and no verdict is returned.
-    """
-    norm_class = _norm_class(m)
-    if norm_class == "eq2":
-        return DynkinVerdict("loop_norm2", None, "eq2")
-    if norm_class == "lt2":
-        raise AssertionError("a graph of norm < 2 escaped the A-D-E-tadpole shape table")
-    # Collatz-Wielandt from below: min over the support of (Mv)_i / v_i > 2
-    v = perron_vector(m)
-    support = v > 1e-12
-    ratios = (m @ v)[support] / v[support]
-    certificate = tuple(float(x) for x in v) if ratios.min() > 2.0 else None
-    return DynkinVerdict("norm_exceeds_2", None, "gt2", certificate)
-
-
 def dynkin_classify(graph: FusionGraph) -> DynkinVerdict:
     """Recognize a connected symmetrized graph within the norm <= 2 landscape.
 
-    Exact members of the finite list (paths, D/E types, tadpoles) get
-    norm < 2 and the extended list (cycles, extended D/E, loop and
-    double-edge degenerations) norm = 2, by shape.  Any other graph has
-    norm >= 2, decided by an integer elimination of 2I - M; above 2 a float
-    Perron vector is attached as a certificate when it confirms the class.
+    The norm class always comes from :func:`_norm_class`, one integer
+    elimination of 2I - M; the shape only names the graph.  Below 2 a
+    connected graph is A, D, E or a tadpole, and at 2 a cycle, an extended
+    D or E, the double edge or a loop-type graph (Goodman, de la Harpe and
+    Jones, *Coxeter Graphs and Towers of Algebras*, 1989); a proper
+    connected supergraph of a norm-2 graph has norm > 2, so at 2 two loops
+    make the looped path and a multi-edge the double edge.  Above 2 a float
+    Perron vector is attached as a Collatz-Wielandt certificate when it
+    confirms the class.  A path whose ends are marked truncation boundary
+    vertices, but for at most one, is named an A-infinity truncation first.
     """
     if graph.size == 0:
         raise ValueError("cannot classify the empty graph")
@@ -333,108 +272,58 @@ def dynkin_classify(graph: FusionGraph) -> DynkinVerdict:
     if graph.boundary and a_infinity_check(graph):
         return DynkinVerdict("a_infinity", n, "lt2")
 
-    has_loop, has_multi, sdeg, edges = _simple_degree_data(m)
-    diag = np.diag(m)
+    norm_class = _norm_class(m)
+    if norm_class == "gt2":
+        # Collatz-Wielandt from below: min over the support of (Mv)_i / v_i > 2
+        v = perron_vector(m)
+        support = v > 1e-12
+        ratios = (m @ v)[support] / v[support]
+        certificate = tuple(float(x) for x in v) if ratios.min() > 2.0 else None
+        return DynkinVerdict("norm_exceeds_2", None, "gt2", certificate)
 
-    if n == 1:
-        loops = int(diag[0])
-        if loops == 0:
-            return DynkinVerdict("A_n", 1, "lt2")
-        if loops == 1:
-            return DynkinVerdict("tadpole", 1, "lt2")
-        if loops == 2:
-            return DynkinVerdict("loop_norm2", 1, "eq2")
-        return _certified_verdict(m)
-
-    if has_multi:
-        off = m.copy()
-        np.fill_diagonal(off, 0)
-        if n == 2 and not has_loop and off[0, 1] == 2:
-            return DynkinVerdict("extended_A", 1, "eq2")
-        return _certified_verdict(m)
-
-    if has_loop:
-        if np.any(diag > 1):
-            return _certified_verdict(m)
-        order = _path_order(m)
-        if order is not None:
-            loop_positions = [i for i, v in enumerate(order) if diag[v] == 1]
-            at_ends = {0, n - 1}
-            if len(loop_positions) == 1 and loop_positions[0] in at_ends:
-                return DynkinVerdict("tadpole", n, "lt2")
-            if len(loop_positions) == 2 and set(loop_positions) == at_ends:
-                return DynkinVerdict("loop_norm2", n, "eq2")
-        return _certified_verdict(m)
-
-    # simple loopless graphs from here on
-    if np.all(sdeg == 2):  # connected, all degree 2: a cycle
+    loops = int(np.count_nonzero(np.diag(m)))
+    off = m - np.diag(np.diag(m))
+    branches = np.flatnonzero(np.count_nonzero(off, axis=1) >= 3).tolist()
+    legs = ()
+    if len(branches) == 1:
+        rest = [v for v in range(n) if v != branches[0]]
+        edges = [(i, j) for i, j in np.argwhere(off).tolist() if branches[0] not in (i, j)]
+        legs = tuple(sorted(len(c) for c in components(rest, edges)))
+    if norm_class == "lt2":
+        if loops:
+            return DynkinVerdict("tadpole", n, "lt2")
+        if not branches:
+            return DynkinVerdict("A_n", n, "lt2")
+        if legs[:2] == (1, 1):
+            return DynkinVerdict("D_n", n, "lt2")
+        return DynkinVerdict({(1, 2, 2): "E6", (1, 2, 3): "E7", (1, 2, 4): "E8"}[legs], None, "lt2")
+    if loops:
+        return DynkinVerdict("loop_norm2", n if n == 1 or loops == 2 else None, "eq2")
+    if off.max() > 1:
+        return DynkinVerdict("extended_A", 1, "eq2")
+    if not branches:
         return DynkinVerdict("extended_A", n - 1, "eq2")
-    if np.all(sdeg <= 2):
-        return DynkinVerdict("A_n", n, "lt2")
-
-    branch_vertices = [i for i in range(n) if sdeg[i] >= 3]
-    if len(branch_vertices) == 1:
-        b = branch_vertices[0]
-        if sdeg[b] == 4:
-            legs = _leg_lengths(m, b)
-            if legs == [1, 1, 1, 1]:
-                return DynkinVerdict("extended_D", 4, "eq2")
-            return _certified_verdict(m)
-        if sdeg[b] >= 5:
-            return _certified_verdict(m)
-        legs = _leg_lengths(m, b)
-        if legs is not None and len(legs) == 3:
-            a, c, d = legs
-            if (a, c) == (1, 1):
-                return DynkinVerdict("D_n", n, "lt2")
-            if legs == [1, 2, 2]:
-                return DynkinVerdict("E6", None, "lt2")
-            if legs == [1, 2, 3]:
-                return DynkinVerdict("E7", None, "lt2")
-            if legs == [1, 2, 4]:
-                return DynkinVerdict("E8", None, "lt2")
-            if legs == [2, 2, 2]:
-                return DynkinVerdict("extended_E6", None, "eq2")
-            if legs == [1, 3, 3]:
-                return DynkinVerdict("extended_E7", None, "eq2")
-            if legs == [1, 2, 5]:
-                return DynkinVerdict("extended_E8", None, "eq2")
-        return _certified_verdict(m)
-    if len(branch_vertices) == 2:
-        b1, b2 = branch_vertices
-        is_tree = edges == n - 1
-        leaves = [i for i in range(n) if sdeg[i] == 1]
-        if (
-            is_tree
-            and sdeg[b1] == sdeg[b2] == 3
-            and len(leaves) == 4
-            and all(m[leaf, b1] or m[leaf, b2] for leaf in leaves)
-            and sum(1 for leaf in leaves if m[leaf, b1]) == 2
-            and sum(1 for leaf in leaves if m[leaf, b2]) == 2
-        ):
-            # a central path with a two-leaf fork at each end
-            return DynkinVerdict("extended_D", n - 1, "eq2")
-        return _certified_verdict(m)
-    return _certified_verdict(m)
+    if len(branches) == 2 or len(legs) == 4:
+        return DynkinVerdict("extended_D", n - 1, "eq2")
+    kind = {(2, 2, 2): "extended_E6", (1, 3, 3): "extended_E7", (1, 2, 5): "extended_E8"}[legs]
+    return DynkinVerdict(kind, None, "eq2")
 
 
 def a_infinity_check(graph: FusionGraph) -> bool:
     """True when the graph is a truncated half-line.
 
-    The graph must be a simple path (no loops, no multi-edges, degree at
-    most 2) whose endpoints are marked truncation boundary vertices, except
-    for at most one, the origin.
+    The symmetrized graph must be a simple path: connected, with no loops,
+    no multi-edges, every degree at most 2 and n - 1 edges.  Its ends (the
+    vertices of degree at most 1) must be marked truncation boundary
+    vertices, except for at most one, the origin.
     """
-    if graph.size == 0:
-        return False
     m = symmetrize(graph).matrix
-    if np.any(np.diag(m) != 0):
+    degree = m.sum(axis=1)
+    if not graph.is_connected() or np.diag(m).any() or m.max() > 1 or degree.max() > 2:
         return False
-    order = _path_order(m)
-    if order is None:
+    if degree.sum() != 2 * (graph.size - 1):
         return False
-    ends = {order[0], order[-1]}
-    return sum(graph.vertices[i] not in graph.boundary for i in ends) <= 1
+    return sum(graph.vertices[i] not in graph.boundary for i in np.flatnonzero(degree <= 1)) <= 1
 
 
 def export_dot(graph: FusionGraph) -> str:

@@ -262,6 +262,27 @@ def _norm_two_exact(matrix: np.ndarray) -> bool:
     return False
 
 
+# The dense fraction-free elimination that ``spectra._norm_class`` ran
+# before it kept its rows sparse, kept as a reference for the sparse one.
+
+def norm_class_dense(m: np.ndarray) -> str:
+    """``lt2``, ``eq2`` or ``gt2`` for a connected nonnegative symmetric
+    integer matrix: Bareiss elimination of 2I - M on dense Python-int rows."""
+    n = m.shape[0]
+    a = [[(2 if i == j else 0) - x for j, x in enumerate(row)] for i, row in enumerate(m.tolist())]
+    prev = 1
+    for k in range(n - 1):
+        pivot = a[k][k]
+        if pivot <= 0:
+            return "gt2"
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (pivot * a[i][j] - a[i][k] * a[k][j]) // prev
+        prev = pivot
+    det = a[n - 1][n - 1]
+    return "lt2" if det > 0 else "eq2" if det == 0 else "gt2"
+
+
 # Exact rational span, independent of ``rings``, for the middle labels of
 # the associativity check.
 

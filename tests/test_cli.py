@@ -279,6 +279,24 @@ def test_verify_broken_module_document_exit_1(tmp_path, capsys):
     assert main(["verify", str(path)]) == 1
 
 
+def test_module_over_a_structurally_broken_ring_exit_2(tmp_path, capsys):
+    # the inline Z3 ring maps duals 0 -> 0, 1 -> 1, 2 -> 1: the module is
+    # rejected with the ring's own structural fault, as the ring alone is
+    from fusionrings import standard_module
+    from fusionrings.documents import module_to_document
+
+    doc = json.loads(json.dumps(module_to_document(standard_module(cyclic_group_ring(3)))))
+    for entry in doc["ring"]["basis"]:
+        if entry["id"] in ("1", "2"):
+            entry["dual"] = "1"
+    line = "STRUCTURAL  involution is not a bijection of the basis"
+    for name, document in (("ring.json", doc["ring"]), ("module.json", doc)):
+        path = tmp_path / name
+        write_document(str(path), document)
+        assert main(["verify", str(path)]) == 2
+        assert line in capsys.readouterr().out.splitlines()
+
+
 def test_graph_symmetrizes_nonsymmetric_action(capsys):
     # the shift action of the cyclic three-ring symmetrizes to a cycle
     assert main(["graph", "builtin:cyclic?n=3", "--standard", "--alpha", "1"]) == 0

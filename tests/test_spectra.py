@@ -1,5 +1,7 @@
 """Spectral radii, Dynkin recognition, graph exports."""
 
+import hashlib
+import itertools
 import math
 import warnings
 
@@ -31,7 +33,7 @@ from fusionrings import (
 )
 from fusionrings.spectra import _norm_class, components
 
-from conftest import _norm_two_exact
+from conftest import _norm_two_exact, norm_class_dense
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -259,6 +261,18 @@ def test_norm_two_loop_degenerations():
     assert spectral_radius(center_loop) == pytest.approx(2.0, abs=1e-8)
 
 
+def test_loop_norm2_sizes():
+    # the size is the vertex count for the double loop and the path looped
+    # at both ends, and None for every other loop-type graph of norm 2
+    both_ends = path(4)
+    both_ends[0, 0] = both_ends[3, 3] = 1
+    center_loop = path(3)
+    center_loop[1, 1] = 1
+    for m, size in ((np.array([[2]]), 1), (both_ends, 4), (center_loop, None)):
+        verdict = dynkin_classify(graph_of(m))
+        assert (verdict.kind, verdict.size, verdict.norm_class) == ("loop_norm2", size, "eq2")
+
+
 def test_supercritical_certificates():
     verdict = dynkin_classify(graph_of(star([1, 1, 1, 1, 1])))
     assert verdict.kind == "norm_exceeds_2" and verdict.norm_class == "gt2"
@@ -329,6 +343,11 @@ def test_a_infinity_needs_marked_boundary():
     # a bare path with two unmarked ends is not a half-line truncation
     assert not a_infinity_check(graph_of(path(5)))
     assert a_infinity_check(graph_of(path(5), boundary=("v4",)))
+
+
+def test_a_infinity_rejects_a_branch_vertex():
+    # n - 1 edges and every end marked, but a vertex of degree 3
+    assert not a_infinity_check(graph_of(star([1, 1, 2]), boundary=("v1", "v2", "v4")))
 
 
 # -- Schur bound ---------------------------------------------------------------------------
@@ -477,15 +496,68 @@ def test_norm_below_two_is_matched_by_shape(m):
     assert verdict.kind in LT2_FAMILIES and verdict.norm_class == "lt2"
 
 
+def _small_connected_graphs():
+    """Every connected symmetric matrix on 1-3 vertices with entries 0-2 and
+    on 4-5 vertices with entries 0-1, loops included, in a fixed order."""
+    for n, top in ((1, 2), (2, 2), (3, 2), (4, 1), (5, 1)):
+        cells = [(i, j) for i in range(n) for j in range(i, n)]
+        for values in itertools.product(range(top + 1), repeat=len(cells)):
+            if len(components(range(n), [c for c, x in zip(cells, values) if x])) != 1:
+                continue
+            m = np.zeros((n, n), dtype=np.int64)
+            for (i, j), x in zip(cells, values):
+                m[i, j] = m[j, i] = x
+            yield m
+
+
+# sha256 of the verdicts on _small_connected_graphs: a change to any kind,
+# size, norm class or certificate presence among them changes it
+SMALL_GRAPH_VERDICTS = "00d9c1d1c73d34e2769b6a7976fe31214cf1067d3bc390171e9e468dcf299d82"
+
+
+def test_verdicts_pinned_on_every_small_graph():
+    digest = hashlib.sha256()
+    count = 0
+    for m in _small_connected_graphs():
+        v = dynkin_classify(graph_of(m))
+        digest.update(repr((v.kind, v.size, v.norm_class, v.certificate is not None)).encode())
+        count += 1
+    assert count == 24465
+    assert digest.hexdigest() == SMALL_GRAPH_VERDICTS
+
+
+@st.composite
+def _large_connected(draw):
+    """A random tree on at most 60 vertices (about half the vertices hang
+    within three of their predecessor, so long paths are common) plus a few
+    extra loops and edges of multiplicity 1-2, in any vertex order."""
+    n = draw(st.integers(1, 60))
+    m = np.zeros((n, n), dtype=np.int64)
+    for i in range(1, n):
+        j = draw(st.integers(max(0, i - 3), i - 1)) if draw(st.booleans()) else draw(st.integers(0, i - 1))
+        m[i, j] = m[j, i] = 1
+    extras = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(1, 2))
+    for i, j, x in draw(st.lists(extras, max_size=4)):
+        m[i, j] = m[j, i] = x
+    order = draw(st.permutations(range(n)))
+    return m[np.ix_(order, order)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_large_connected())
+@example(path(60))
+@example(cycle(60))
+@example(star([1, 2, 56]))
+@example(star([1, 2, 5]))
+def test_sparse_norm_class_matches_the_dense_elimination(m):
+    assert _norm_class(m) == norm_class_dense(m)
+
+
 def test_symmetrize_rules():
     m = np.array([[0, 2], [1, 0]])
     graph = FusionGraph(("a", "b"), m, directed=True)
-    summed = symmetrize(graph, "sum")
+    summed = symmetrize(graph)
     assert summed.matrix.tolist() == [[0, 3], [3, 0]]
-    support = symmetrize(graph, "support")
-    assert support.matrix.tolist() == [[0, 1], [1, 0]]
-    with pytest.raises(ValueError):
-        symmetrize(graph, "other")
 
 
 def test_matrix_homomorphism_all_pairs_on_verified_modules():

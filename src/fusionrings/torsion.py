@@ -47,7 +47,7 @@ from .modules import (
     singleton_module,
     standard_module,
 )
-from .rings import REL_TOL, BasedRingTable, LazyBasedRing, associativity_failures, fuse, require_sound, ring_dims
+from .rings import REL_TOL, BasedRingTable, LazyBasedRing, fuse, require_sound, ring_dims
 from .spectra import FusionGraph, components
 
 
@@ -422,25 +422,22 @@ class _Searcher:
             self.deadline = time.monotonic() + config.time_budget
         self.nodes = 0
         self.found: dict[bytes, BasedModuleTable] = {}
-        self.T = ring.structure_tensor()
-        # the plan's product steps on label indices; an exact row b of a
-        # label feeds row b of the steps in ``feeds_row`` (as M_y or a rest
-        # term) and the rows b' of the steps in ``feeds_x`` whose M_y row b'
-        # has b in its support
+        # every fusion rule x*y = sum_c N_xy^c c with x and y not the unit,
+        # as (x, y, terms) on label indices; an exact row b of a label feeds
+        # row b of the rules in ``feeds_row`` (as M_y or a term) and the rows
+        # w of the rules in ``feeds_x`` whose M_y row w has b in its support
         index = ring.index
         self.unit = index[ring.unit]
         self.gen_label = [index[g] for g in self.gens]
-        steps = [
-            (index[t], index[x], index[y], coeff, tuple((index[a], m) for a, m in rest))
-            for kind, t, x, y, coeff, rest in (step for step in plan if step[0] == "product")
-        ]
+        T = ring.structure_tensor()
         self.feeds_row = [[] for _ in ring.basis]
         self.feeds_x = [[] for _ in ring.basis]
-        for step in steps:
-            _, x, y, _, rest = step
-            self.feeds_x[x].append(step)
-            for a in {y} | {a for a, _ in rest}:
-                self.feeds_row[a].append(step)
+        for x, y in itertools.product(range(ring.size), repeat=2):
+            if self.unit not in (x, y):
+                rule = (x, y, tuple((int(c), int(T[x, y, c])) for c in np.flatnonzero(T[x, y])))
+                self.feeds_x[x].append(rule)
+                for a in {y} | {c for c, _ in rule[2]}:
+                    self.feeds_row[a].append(rule)
         self.dual_label = [index[ring.involution_of(a)] for a in ring.basis]
         # (source, target): the target's matrix is the source's transpose
         self.transposes = [(g, self.dual_label[g]) for g in self.gen_label if self.dual_label[g] != g]
@@ -580,23 +577,24 @@ class _Searcher:
         return self._close(state, [(self.gen_label[gi], b, dict(row))])
 
     def _close(self, state: _SearchState, seeds) -> bool:
-        """Add each seed row ``(label, b, row[, transposed])`` to
+        """Add each seed row ``(label, b, row)`` to
         ``state.exact`` with the rows it makes exact, before reading the
         next seed; False when a row breaks a rule.
 
         A row of a label's action matrix is exact when the fixed generator
         rows determine it, the same in every completion of the node: unit
-        rows (implicit), a generator row once fixed (the rows of a
-        non-self-dual generator's dual are its columns, exact only at a
-        leaf), and row b of a plan target t = (M_y M_x - sum rest) / coeff
-        once row b of M_y, row c of M_x for every c in that row's support
-        and row b of every ``rest`` label are.  Only the rows a newly exact
-        row feeds are computed.  A row breaks a rule when it is all zero,
-        when a derived row is not divisible by ``coeff`` or has a negative
-        entry, or when two exact rows break reciprocity M_abar[b, c] =
-        M_a[c, b] (checked once per pair, when its second row turns exact;
-        a transposed seed is a column of its label's dual and meets it by
-        construction).  Integers only.
+        rows (implicit), a generator row once fixed (the columns of a
+        non-self-dual generator, its dual's rows, are seeded only at a
+        leaf), and a row that a fusion rule x*y = sum_c N_xy^c c forces:
+        row w of M_y M_x = sum_c N_xy^c M_c, read once row w of M_y, the
+        rows of M_x on its support and all but at most one term's row w
+        are exact, and solved for that term (for the first when none is
+        unknown).  Only the rules a newly exact row feeds are read.  A row
+        breaks a rule when it is all zero, when a solved row is not
+        divisible by the term's multiplicity, has a negative entry or
+        differs from the term's exact row, or when two exact rows break
+        reciprocity M_abar[b, c] = M_a[c, b] (checked once per pair, when
+        its second row turns exact).  Integers only.
         """
         exact = state.exact = dict(state.exact)
         unit = self.unit
@@ -606,19 +604,18 @@ class _Searcher:
         def get(label: int, b: int) -> dict | None:
             return {b: 1} if label == unit else exact.get(label, {}).get(b)
 
-        def add(label: int, b: int, row: dict, transposed: bool = False) -> bool:
-            if not row:
-                return False
-            if not transposed:
-                for c, other in exact.get(self.dual_label[label], {}).items():
-                    if row.get(c, 0) != other.get(b, 0):
-                        return False
+        def add(label: int, b: int, row: dict) -> bool:
+            known = get(label, b)
+            if known is not None or not row:  # an exact row never changes, and no row is zero
+                return known == row
+            for c, other in exact.get(self.dual_label[label], {}).items():
+                if row.get(c, 0) != other.get(b, 0):
+                    return False
             if label not in copied:
                 copied.add(label)
                 exact[label] = dict(exact.get(label, {}))
             exact[label][b] = row
-            if self.feeds_row[label] or self.feeds_x[label]:  # else it derives nothing
-                queue.append((label, b))
+            queue.append((label, b))
             return True
 
         for seed in seeds:
@@ -626,25 +623,27 @@ class _Searcher:
                 return False
             while queue:
                 label, b = queue.pop()
-                cells = [(step, b) for step in self.feeds_row[label]]
-                for step in self.feeds_x[label]:
-                    # the plan never multiplies by the unit, so M_y is not the unit
-                    cells.extend((step, w) for w, row_y in exact.get(step[2], {}).items() if b in row_y)
-                for (target, x, y, coeff, rest), w in cells:
-                    if w in exact.get(target, {}):
-                        continue
+                cells = [(rule, b) for rule in self.feeds_row[label]]
+                for rule in self.feeds_x[label]:
+                    cells.extend((rule, w) for w, row_y in exact.get(rule[1], {}).items() if b in row_y)
+                for (x, y, terms), w in cells:
                     row_y = get(y, w)
-                    terms = [get(a, w) for a, _ in rest]
-                    if row_y is None or None in terms:
+                    if row_y is None:
                         continue
+                    term_rows = [get(a, w) for a, _ in terms]
                     rows_x = [get(x, c) for c in row_y]
-                    if None in rows_x:
+                    if term_rows.count(None) > 1 or None in rows_x:
                         continue
+                    # solve for the unknown term, or for the first one when
+                    # none is unknown, which ``add`` compares with its row
+                    i = term_rows.index(None) if None in term_rows else 0
+                    target, coeff = terms[i]
+                    term_rows[i] = {}
                     acc: dict[int, int] = {}
-                    for (c, m), row_x in zip(row_y.items(), rows_x):
+                    for m, row_x in zip(row_y.values(), rows_x):
                         for d, n in row_x.items():
                             acc[d] = acc.get(d, 0) + m * n
-                    for (_, m), term in zip(rest, terms):
+                    for (_, m), term in zip(terms, term_rows):
                         for d, n in term.items():
                             acc[d] = acc.get(d, 0) - m * n
                     derived = {}
@@ -720,29 +719,30 @@ class _Searcher:
     # ---- leaf completion
 
     def _leaf_seeds(self, state: _SearchState):
-        """A leaf's generator rows not yet exact, then, in plan order, the
-        rows of each ``transposes`` target, marked transposed: the columns
-        of its source, which the closure has made exact by then."""
+        """A leaf's generator rows (also those the closure derived before the
+        search fixed them, so the two are compared), then, in plan order,
+        the rows of each ``transposes`` target: the columns of its source,
+        which the closure has made exact by then."""
         for (gi, b), row in state.rows.items():
-            if b not in state.exact.get(self.gen_label[gi], {}):
-                yield self.gen_label[gi], b, dict(row)
+            yield self.gen_label[gi], b, dict(row)
         for source, target in self.transposes:
             columns: list[dict] = [{} for _ in range(state.nvert)]
             for b, row in state.exact[source].items():
                 for c, n in row.items():
                     columns[c][b] = n
             for c, column in enumerate(columns):
-                yield target, c, column, True
+                yield target, c, column
 
     def _complete(self, state: _SearchState):
         """The action matrices of a leaf, or None when it is not a module.
 
         ``_close`` from ``_leaf_seeds`` makes every row of every label exact
-        or finds one that breaks a rule, so only associativity is left.  The
-        unit acts as the identity: no plan step and no generator dual
-        targets it, in a sound ring.  The module is connected: every vertex
-        after the root enters as a new target of a generator row of an
-        earlier vertex.  A leaf anchored at a vertex of non-minimal
+        or finds one that breaks a rule; with every row exact, every fusion
+        rule has been checked on every row, which is associativity.  The
+        unit acts as the identity: no rule writes it and no generator
+        dual targets it, in a sound ring.  The module is connected: every
+        vertex after the root enters as a new target of a generator row of
+        an earlier vertex.  A leaf anchored at a vertex of non-minimal
         dimension can only repeat a class found from its minimal anchor, and
         the canonical key does not see the anchor.
         """
@@ -753,8 +753,6 @@ class _Searcher:
         A = np.zeros((self.ring.size, m, m), dtype=np.int64)
         A.reshape(-1)[[ab * m + c for ab, row in rows for c in row]] = [n for _, row in rows for n in row.values()]
         A[self.unit] = np.eye(m, dtype=np.int64)
-        if associativity_failures(self.T, A).any():
-            return None
         return dict(zip(self.ring.basis, A))
 
     def _harvest(self, state: _SearchState):

@@ -47,27 +47,58 @@ def cyclic_group_data(n):
     return elems, mul, "0"
 
 
-def klein_four_data():
-    elems = []
+def subgroup_indices_two_generated(elements, mul, unit) -> list[int]:
+    """Sorted indices of the subgroups generated by at most two elements,
+    one per conjugacy class: every subgroup's when each is 2-generated.
+
+    Closes each pair of elements under multiplication instead of trying
+    every subset, so it reaches groups that ``subgroups_up_to_conjugacy``
+    cannot, such as S4.
+    """
+    elems = list(elements)
+    inverse = {g: next(h for h in elems if mul[(g, h)] == unit) for g in elems}
+    classes = set()
+    for a in elems:
+        for b in elems:
+            H = {unit}
+            queue = [unit]
+            while queue:
+                h = queue.pop()
+                for k in (mul[(h, a)], mul[(h, b)]):
+                    if k not in H:
+                        H.add(k)
+                        queue.append(k)
+            classes.add(frozenset(frozenset(mul[(mul[(g, h)], inverse[g])] for h in H) for g in elems))
+    return sorted(len(elems) // len(next(iter(orbit))) for orbit in classes)
+
+
+def elementary_abelian2_data(rank):
+    elems = ["|".join(a) for a in itertools.product("01", repeat=rank)]
     mul = {}
-    for a in itertools.product("01", repeat=2):
-        elems.append("|".join(a))
-    for a in itertools.product("01", repeat=2):
-        for b in itertools.product("01", repeat=2):
+    for a in itertools.product("01", repeat=rank):
+        for b in itertools.product("01", repeat=rank):
             c = tuple(str((int(x) + int(y)) % 2) for x, y in zip(a, b))
             mul[("|".join(a), "|".join(b))] = "|".join(c)
-    return elems, mul, "0|0"
+    return elems, mul, "|".join("0" * rank)
 
 
-def symmetric3_data():
-    perms = sorted(itertools.permutations(range(3)))
+def klein_four_data():
+    return elementary_abelian2_data(2)
+
+
+def symmetric_data(n):
+    perms = sorted(itertools.permutations(range(n)))
     label = {p: "".join(map(str, p)) for p in perms}
     mul = {}
     for p in perms:
         for q in perms:
-            composed = tuple(p[q[i]] for i in range(3))
+            composed = tuple(p[q[i]] for i in range(n))
             mul[(label[p], label[q])] = label[composed]
-    return [label[p] for p in perms], mul, "012"
+    return [label[p] for p in perms], mul, label[tuple(range(n))]
+
+
+def symmetric3_data():
+    return symmetric_data(3)
 
 
 def dihedral_data(n):

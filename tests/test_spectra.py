@@ -488,8 +488,8 @@ def _sparse_connected(draw):
 @example(tadpole(6)[::-1, ::-1])
 def test_norm_below_two_is_matched_by_shape(m):
     # Goodman, de la Harpe and Jones: a connected graph of norm < 2 is A, D,
-    # E or a tadpole, so the shape table names every one; the fallback
-    # after it never sees a graph of norm < 2
+    # E or a tadpole, so whenever the elimination finds norm < 2 the shape
+    # names one of them (leg lengths that name no E would raise KeyError)
     if _norm_class(m) != "lt2":
         return
     verdict = dynkin_classify(graph_of(m))

@@ -56,10 +56,13 @@ from fusionrings.torsion import FreeProductProbeReport
 from conftest import (
     cyclic_group_data,
     dihedral_data,
+    elementary_abelian2_data,
     fusion_subrings,
     klein_four_data,
+    subgroup_indices_two_generated,
     subgroups_up_to_conjugacy,
     symmetric3_data,
+    symmetric_data,
 )
 from fusionrings import group_ring
 
@@ -81,6 +84,8 @@ GROUP_CASES = [
     (cyclic_group_ring(6), cyclic_group_data(6)),
     (cyclic_group_ring(8), cyclic_group_data(8)),
     (tensor_product(cyclic_group_ring(2), cyclic_group_ring(2)), klein_four_data()),
+    (tensor_product(tensor_product(cyclic_group_ring(2), cyclic_group_ring(2)), cyclic_group_ring(2)),
+     elementary_abelian2_data(3)),
     (permutation_group_ring(3), symmetric3_data()),
     (group_ring(*dihedral_data(4)[:2], name="dihedral8"), dihedral_data(4)),
 ]
@@ -92,6 +97,32 @@ def test_group_ring_class_counts_match_subgroup_oracle(ring, group):
     result = enumerate_modules(ring, ModuleSearchConfig(max_basis_size=bound))
     assert result.complete
     assert len(result.classes) == subgroups_up_to_conjugacy(*group)
+
+
+def test_symmetric4_classes_are_its_subgroup_classes():
+    # a connected based module over a group ring is a transitive G-set G/H,
+    # of size [G:H]; every subgroup of S4 is 2-generated, so closing pairs
+    # of elements finds all 11 conjugacy classes of subgroups
+    ring = permutation_group_ring(4)
+    result = enumerate_modules(ring, ModuleSearchConfig(max_basis_size=dimension_bound(ring)))
+    assert result.complete and result.certified_bound == 24
+    sizes = sorted(module.size for module in result.classes)
+    assert sizes == subgroup_indices_two_generated(*symmetric_data(4)) == [1, 2, 3, 4, 6, 6, 6, 8, 12, 12, 24]
+
+
+@pytest.mark.parametrize(
+    "make,sizes",
+    [
+        (lambda: tensor_product(tensor_product(fibonacci(), fibonacci()), fibonacci()), [2, 4, 4, 4, 8]),
+        (lambda: tensor_product(su2_level(3), fibonacci()), [2, 4, 4, 8]),
+    ],
+    ids=["fib_cubed", "su2_level3xfib"],
+)
+def test_frontier_searches_complete_at_the_bound(make, sizes):
+    ring = make()
+    result = enumerate_modules(ring, ModuleSearchConfig(max_basis_size=dimension_bound(ring)))
+    assert result.complete
+    assert sorted(module.size for module in result.classes) == sizes
 
 
 def test_enumerated_modules_are_verified_connected_cofinite():
@@ -150,23 +181,23 @@ def _multiplicity_two_ring():
 # dimension bound.  The class keys never depend on propagation or on the
 # exact-row cut; the node counts move only when their pruning power does.
 PINNED_SEARCHES = [
-    ("su2_level3", lambda: su2_level(3), 101,
+    ("su2_level3", lambda: su2_level(3), 15,
      "901ff75f2ec0a1ac097d93bc317d3e8b1dfafd3c219a857f20995da56b8be044"),
-    ("su2_level4", lambda: su2_level(4), 80,
+    ("su2_level4", lambda: su2_level(4), 27,
      "01e71a3c9502aee6f0e5bdb13ddf77e923cac1b319c1c8509bcbe8ab3345d092"),
-    ("sym3", lambda: permutation_group_ring(3), 91,
+    ("sym3", lambda: permutation_group_ring(3), 36,
      "d0c38461d3c32d36c1037f802810c4c47336c710ea915767c8b2db0c5cc101f6"),
-    ("cyclic6", lambda: cyclic_group_ring(6), 12,
+    ("cyclic6", lambda: cyclic_group_ring(6), 10,
      "11314bf1fbb6cf3a7f5cf07316b4150f7d0b2cf5bd343247a7087c20a35d6cda"),
-    ("fib_squared", lambda: tensor_product(fibonacci(), fibonacci()), 224,
+    ("fib_squared", lambda: tensor_product(fibonacci(), fibonacci()), 19,
      "fed0a4680173cfdc30589460e73545f166993e31fe9c56fe7c85991f56cc3a5c"),
-    ("su2_level2xZ2", lambda: tensor_product(su2_level(2), cyclic_group_ring(2)), 590,
+    ("su2_level2xZ2", lambda: tensor_product(su2_level(2), cyclic_group_ring(2)), 53,
      "ad73f4fc4fb4494bf0f5a7f361a226380e0eff7919c609b5c1603d8e079f50a2"),
-    ("su2_level5", lambda: su2_level(5), 150,
+    ("su2_level5", lambda: su2_level(5), 48,
      "1b76480a9ffe1e3007bf0fcaf045ff02d5ca9ffa78fa20751293205fa3935c9d"),
-    ("dihedral8", lambda: group_ring(*dihedral_data(4)[:2], name="dihedral8"), 163,
+    ("dihedral8", lambda: group_ring(*dihedral_data(4)[:2], name="dihedral8"), 71,
      "d7708374a9e56509d167e352396d79097c15a1f311521f7c30b624a2e225713d"),
-    ("rank3_mult2", _multiplicity_two_ring, 24,
+    ("rank3_mult2", _multiplicity_two_ring, 18,
      "9db67209017aa8c40f0c10f18da6556e39cb55942fe86e4743c7efad0e3e7943"),
 ]
 
@@ -361,12 +392,12 @@ def _replayed_leaf(searcher, state):
 
 
 def _assert_leaf_matches_replay(searcher, state, complete=None):
-    """``_close`` on the leaf rejects exactly when the replay rejects before
-    associativity, and ``_complete`` rejects exactly when the replay does,
-    else returns its matrices; returns what ``_complete`` returned."""
+    """``_close`` on the leaf and ``_complete`` each reject exactly when the
+    replay rejects, associativity included, and ``_complete`` otherwise
+    returns the replay's matrices; returns what ``_complete`` returned."""
     expected, check = _replayed_leaf(searcher, state)
     closed = state.clone()
-    assert searcher._close(closed, searcher._leaf_seeds(closed)) == (check in (None, "associativity")), check
+    assert searcher._close(closed, searcher._leaf_seeds(closed)) == (check is None), check
     mats = (complete or torsion._Searcher._complete)(searcher, state)
     assert (mats is None) == (expected is None), check
     if mats is not None:
@@ -840,8 +871,8 @@ VERLINDE_EXPECTED = {
 }
 
 # Search nodes with the exact-row cut from level 6 on (level 6 took 54,805
-# nodes without it); its sign test prunes from level 10 on.
-VERLINDE_NODES = {6: 237, 7: 433, 8: 484, 9: 491, 10: 768, 11: 762, 12: 826, 16: 1264}
+# nodes without it); its sign test prunes at each of these levels.
+VERLINDE_NODES = {6: 62, 7: 118, 8: 130, 9: 149, 10: 225, 11: 241, 12: 253, 16: 398}
 
 
 @pytest.mark.parametrize("level", sorted(VERLINDE_EXPECTED))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -457,16 +458,54 @@ def associativity_witnesses(
     and c in ``basis``, in that loop order.
 
     ``row(b, c)`` is the basis product b.c and ``act(x, v)`` its bilinear
-    extension: a lazy ring checks itself with ``ring.product`` and
-    :func:`fuse`, a truncated module with its action rows and
-    :func:`fusionrings.modules.act` on the whole module.
+    extension, which must read its basis products through ``row``: a lazy
+    ring checks itself with ``ring.product`` and :func:`fuse`, a truncated
+    module with the action rows of the whole module and
+    :func:`fusionrings.modules.act` on it.
+
+    Each pair (a, b) is decided at once for every c, by Kronecker
+    substitution: with c_i the i-th label of ``basis``, Z = sum 2^(k i) c_i
+    and Y_b = sum 2^(k i) b.c_i, the coefficient of a label t in
+    (a*b).Z - a.Y_b is sum 2^(k i) D_i, where D_i is its coefficient in
+    (a*b).c_i - a.(b.c_i).  Each side of D_i is a sum of products of an
+    entry of a*b or b.c_i (absolute sum at most ``outer``) with an entry of
+    a row x.c_i or a.y (absolute value at most ``inner``), so
+    |D_i| <= 2 outer inner < 2^k.  The packed difference is then zero only
+    when every D_i is: the least nonzero D_i would be divisible by 2^k.
+    Only a pair whose packed sides differ is scanned label by label.
+
+    The bound reads every row x.c (x in the support of a*b) and a.y (y in
+    the support of b.c) before the first witness is yielded, so these
+    products are all computed even when the first pair fails.
     """
+    pairs = {(a, b): ring.product(a, b) for a in labels for b in labels}
+    rows = {(b, c): row(b, c) for b in labels for c in basis}
+    xs = dict.fromkeys(x for p in pairs.values() for x in p._terms)
+    ys = dict.fromkeys(y for r in rows.values() for y in r._terms)
+    outer = max((sum(map(abs, p._terms.values())) for p in chain(pairs.values(), rows.values())), default=0)
+    # read lazily: a list of every row read at once raised the peak memory
+    # of a verify-then-numpy process by about a tenth
+    read = chain((row(x, c) for x in xs for c in basis), (row(a, y) for a in labels for y in ys))
+    inner = max((abs(v) for r in read for v in r._terms.values()), default=0)
+    k = (outer * inner).bit_length() + 1
+
+    def packed(elements: Iterable[RingElement]) -> RingElement:
+        acc: dict[str, int] = {}
+        for i, x in enumerate(elements):
+            for label, coeff in x._terms.items():
+                acc[label] = acc.get(label, 0) + (coeff << k * i)
+        return RingElement._of(acc)
+
     elems = {c: RingElement.basis(c) for c in (*labels, *basis)}
+    z = packed(elems[c] for c in basis)
+    y_packed = {b: packed(rows[b, c] for c in basis) for b in labels}
     for a in labels:
         for b in labels:
-            ab = ring.product(a, b)
+            ab = pairs[a, b]
+            if act(ab, z) == act(elems[a], y_packed[b]):
+                continue
             for c in basis:
-                if act(ab, elems[c]) != act(elems[a], row(b, c)):
+                if act(ab, elems[c]) != act(elems[a], rows[b, c]):
                     yield f"{a}, {b}, {c}"
 
 

@@ -417,3 +417,26 @@ def module_scan_reference(module) -> list[str]:
             if outside:
                 return [f"action ({alpha!r}, {b!r}) leaves the module basis at {outside[0]!r}"]
     return _product_faults(module.ring)
+
+
+def first_associativity_witness(product, row, labels, basis) -> str | None:
+    """The first ``"a, b, c"`` in (a, b, c) loop order over ``labels`` x
+    ``labels`` x ``basis`` with (a*b).c != a.(b.c), or None.  ``product(a, b)``
+    is the ring product and ``row(x, c)`` the basis product or action row
+    x.c; both sides are summed one triple at a time into plain dicts, so the
+    check shares no code with ``fusionrings.rings``."""
+    for a in labels:
+        for b in labels:
+            ab = product(a, b).items()
+            for c in basis:
+                lhs: dict = {}
+                rhs: dict = {}
+                for x, n in ab:
+                    for t, m in row(x, c).items():
+                        lhs[t] = lhs.get(t, 0) + n * m
+                for y, n in row(b, c).items():
+                    for t, m in row(a, y).items():
+                        rhs[t] = rhs.get(t, 0) + n * m
+                if {t: v for t, v in lhs.items() if v} != {t: v for t, v in rhs.items() if v}:
+                    return f"{a}, {b}, {c}"
+    return None

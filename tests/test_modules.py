@@ -351,6 +351,26 @@ def test_cofinite_budget_verdicts_at_the_anchor():
     assert (met.status, met.detail) == ("cofinite", "anchor pairing mass met the budget at level 0")
 
 
+def _anchor_stub(mass, budget):
+    """A module over the su2 ring whose anchor pairing is the single term
+    ``mass`` * 0 (dimension 1), against the dimension budget ``budget``."""
+    from fusionrings import LazyBasedModule
+
+    a1 = su2_ring()
+    row = lambda alpha, b: RingElement({"0": mass if alpha == "0" else 0})
+    return LazyBasedModule(a1, row, int, lambda n: ["0"] if n == 0 else [], dims=lambda b: budget, anchor="0")
+
+
+def test_anchored_mass_slack_stays_below_one_term():
+    # a relative slack of 1e-6 of 10^7 is 10, so mass 10^7 - 2 once read as
+    # met, though a further term (at least 1) would fit under the budget
+    with pytest.raises(InfiniteInnerProductError, match="depth 32: mass 9999998.0 of budget 10000000.0"):
+        inner(_anchor_stub(10**7 - 2, 1e7), "0", "0")
+    assert inner(_anchor_stub(10**7, 1e7), "0", "0") == RingElement({"0": 10**7})
+    with pytest.raises(IncompatibleDimensionsError, match="mass 10000001.0 exceeds"):
+        inner(_anchor_stub(10**7 + 1, 1e7), "0", "0")
+
+
 def test_anchored_mass_stops_at_a_label_cap_on_the_word_ring():
     # the free unitary word ring has 2^n words at level n, so level 32 is
     # out of reach; the sum stops at level 14, before 2^15 labels

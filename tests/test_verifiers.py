@@ -15,6 +15,7 @@ import os
 import random
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -44,10 +45,17 @@ from fusionrings import (
 from fusionrings import cli
 from fusionrings.constructors import _is_canonical_nat, _su2_product
 from fusionrings.documents import resolve_ring, ring_to_document, write_document
-from fusionrings.rings import _SPAN_PRIME, _middle_labels, associativity_failures, exact_dtype
+from fusionrings.rings import (
+    _SPAN_PRIME,
+    _middle_labels,
+    associativity_failures,
+    associativity_witnesses,
+    exact_dtype,
+    fuse,
+)
 from fusionrings.verification import VerificationReport
 
-from conftest import exact_rank, left_closure_vectors
+from conftest import exact_rank, first_associativity_witness, left_closure_vectors
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -698,6 +706,76 @@ def test_associativity_helper_matches_the_oracle(case):
     assert F.tolist() == expected
     first = next(((a, b) for a, row in enumerate(expected) for b, bad in enumerate(row) if bad), None)
     assert (tuple(int(i) for i in np.argwhere(F)[0]) if F.any() else None) == first
+
+
+# -- packed associativity on lazy rings and modules ---------------------------------
+
+
+def _associativity_witness(report):
+    return next(c.witness for c in report.checks if c.name == "associativity")
+
+
+_SU2_PAIRS = st.tuples(st.sampled_from("01234"), st.sampled_from("01234"))
+_SU2_ROWS = st.dictionaries(
+    st.sampled_from("01234567"), st.integers(-3, 3) | st.integers(-(2**70), 2**70), max_size=3
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(_SU2_PAIRS, _SU2_ROWS, max_size=2), st.integers(0, 4), st.booleans())
+def test_packed_associativity_names_the_oracle_witness(changes, depth, module):
+    """The su2 ring or its standard module truncated at ``depth``, with up to
+    two rows replaced (negative and huge coefficients included): the report
+    names the first witness of the per-triple oracle, or passes with it."""
+    if module:
+        window = _lazy_su2_module(changes).truncate(depth)
+        labels = A1.labels_up_to(depth)
+        expected = first_associativity_witness(A1.product, window.parent.action_row, labels, window.basis)
+        assert _associativity_witness(verify_module(window)) == expected
+    else:
+        ring = _lazy_su2(changes)
+        labels = ring.labels_up_to(depth)
+        expected = first_associativity_witness(ring.product, ring.product, labels, labels)
+        assert _associativity_witness(verify_lazy_ring(ring, depth)) == expected
+        assert next(associativity_witnesses(ring, labels, labels, ring.product, partial(fuse, ring)), None) == expected
+
+
+# Two nonassociative pairs whose digit differences at one target are
+# (2^64, -1) and (2^125, -1) on adjacent basis labels: packed with digits of
+# 64 bits (from the largest coefficient 2^62 alone) the first pair cancels,
+# with 125 bits (from the bound 2^124 on one side, not on the difference)
+# the second; every other triple is associative.
+_N = 2**62
+_BIG_PRODUCTS = {
+    ("a", "b"): {"x": 4},  # (a*b).c = 2^64 t, a.(b.c) = 0
+    ("x", "c"): {"t": _N},
+    ("b", "d"): {"y": 1},  # (a*b).d = 0, a.(b.d) = t
+    ("a", "y"): {"t": 1},
+    ("p", "q"): {"u": _N},  # (p*q).r = 2^124 z, p.(q.r) = -2^124 z
+    ("u", "r"): {"z": _N},
+    ("q", "r"): {"v": _N},
+    ("p", "v"): {"z": -_N},
+    ("q", "s"): {"w": 1},  # (p*q).s = 0, p.(q.s) = z
+    ("p", "w"): {"z": 1},
+}
+_BIG_LABELS = sorted({label for pair, row in _BIG_PRODUCTS.items() for label in (*pair, *row)})
+
+
+def test_packed_associativity_with_coefficients_past_int64():
+    ring = LazyBasedRing(
+        name="big",
+        unit="a",
+        product_fn=lambda a, b: RingElement(_BIG_PRODUCTS.get((a, b), {})),
+        involution_fn=lambda a: a,
+        level_fn=lambda a: 0,
+        enumerate_level_fn=lambda n: _BIG_LABELS if n == 0 else [],
+        contains_fn=_BIG_LABELS.__contains__,
+    )
+    labels = ring.labels_up_to(0)
+    witnesses = list(associativity_witnesses(ring, labels, labels, ring.product, partial(fuse, ring)))
+    assert witnesses == ["a, b, c", "a, b, d", "p, q, r", "p, q, s"]
+    assert witnesses[0] == first_associativity_witness(ring.product, ring.product, labels, labels)
+    assert _associativity_witness(verify_lazy_ring(ring, 0)) == "a, b, c"
 
 
 # -- associativity on middle labels -------------------------------------------------

@@ -9,6 +9,7 @@ stored, so the reconstruction identity holds by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterable, Mapping
 
@@ -267,31 +268,33 @@ def _anchored_mass(module: Module, b: str, c: str, depth: int):
     mass passes the budget, ``met`` when it reaches it (any further term
     would contribute at least 1 and overshoot), ``short`` when neither
     happens by ``depth``, or by the last level before the labels summed
-    would pass ``_MASS_LABELS``; ``level`` is the last level summed.  Both
-    tests allow a slack of ``REL_TOL`` of the budget for float rounding,
-    capped at 0.5 so that a further term can never hide inside it.
+    would pass ``_MASS_LABELS``; ``level`` is the last level summed.  The
+    mass is summed and compared exactly; both tests allow a slack of
+    ``REL_TOL`` of the budget for rounded dimensions, capped at 0.5 so that
+    a further term can never hide inside it.
     """
     ring = module.ring
     budget = float(module.dims(b))
-    slack = min(REL_TOL * budget, 0.5)
-    mass = 0.0
+    slack = Fraction(min(REL_TOL * budget, 0.5))
+    over, met = Fraction(budget) + slack, Fraction(budget) - slack
+    mass = Fraction(0)
     terms = []
     summed = 0
     for n in range(depth + 1):
         labels = ring.enumerate_level(n)
         summed += len(labels)
         if summed > _MASS_LABELS:
-            return "short", terms, mass, budget, n - 1
+            return "short", terms, float(mass), budget, n - 1
         for alpha in labels:
             coeff = module.action_row(alpha, b).coefficient(c)
             if coeff:
                 terms.append((alpha, coeff))
-                mass += coeff * ring.dim(alpha)
-        if mass > budget + slack:
-            return "over", terms, mass, budget, n
-        if mass >= budget - slack:
-            return "met", terms, mass, budget, n
-    return "short", terms, mass, budget, depth
+                mass += coeff * Fraction(ring.dim(alpha))
+        if mass > over:
+            return "over", terms, float(mass), budget, n
+        if mass >= met:
+            return "met", terms, float(mass), budget, n
+    return "short", terms, float(mass), budget, depth
 
 
 def inner(module: Module, b: str, c: str) -> RingElement:

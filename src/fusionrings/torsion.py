@@ -335,6 +335,8 @@ class _Leaf(NamedTuple):
 
 
 _EPS = 1e-9
+# an interval move larger than this queues its watchers again
+_MOVE = 1e-12
 
 
 @dataclass
@@ -342,14 +344,15 @@ class _SearchState:
     """Partial assignment: rows of the generator matrices plus an interval
     for every vertex dimension, narrowed by bound propagation.
 
-    ``pending`` lists the fixed rows ``(gi, b, row)`` in the order they were
-    added, and three indices record which constraints read which interval:
-    ``vrows[v]`` holds the ``pending`` indices of the row equations in which
-    vertex v is the row vertex or a participant, ``vcols[b]`` the column
-    keys ``(gi, c)`` that the rows of b feed, and ``cols[(gi, c)]`` the
-    ``(b, mult)`` entries of column c of generator gi in row order.  The
-    indices hold tuples that are replaced, never mutated, so ``clone``
-    copies only the outer containers.
+    ``rows[(gi, b)]`` is the fixed row b of generator gi, as ``(c, mult)``
+    pairs, in the order the rows were fixed; ``cols[(gi, c)]`` is the
+    partial column c of generator gi, as ``(b, mult)`` entries in that
+    order.  Each is a weighted sum that propagation revises, and
+    ``watch[v]`` lists the keys ``(gi, b, is_row)`` of the sums that read
+    vertex v's interval: a row reads its row vertex and its participants,
+    a column the lower bounds of the rows feeding it and its own vertex.
+    ``watch`` and ``cols`` hold tuples that are replaced, never mutated, so
+    ``clone`` copies only the outer containers.
 
     ``exact[label][b]`` is row b of a ring label's action matrix, as a
     ``{c: entry}`` dict of its nonzero entries, for every row that
@@ -362,45 +365,31 @@ class _SearchState:
     nvert: int
     rows: dict
     dims: list  # per vertex: (lo, hi)
-    pending: list
-    vrows: list
-    vcols: list
+    watch: list
     cols: dict
     exact: dict
 
     @classmethod
     def root(cls) -> "_SearchState":
-        return cls(
-            nvert=1, rows={}, dims=[(1.0, 1.0)], pending=[], vrows=[()], vcols=[()], cols={}, exact={}
-        )
+        return cls(nvert=1, rows={}, dims=[(1.0, 1.0)], watch=[()], cols={}, exact={})
 
     def clone(self) -> "_SearchState":
-        return _SearchState(
-            self.nvert,
-            dict(self.rows),
-            list(self.dims),
-            list(self.pending),
-            list(self.vrows),
-            list(self.vcols),
-            dict(self.cols),
-            self.exact,
-        )
+        return _SearchState(self.nvert, dict(self.rows), list(self.dims), list(self.watch), dict(self.cols), self.exact)
 
     def add_row(self, gi: int, b: int, row: tuple, new_count: int, d_max: float) -> None:
         """Fix row (gi, b), adding ``new_count`` vertices seeded [1, d_max]."""
         self.nvert += new_count
         self.dims.extend([(1.0, d_max)] * new_count)
-        self.vrows.extend([()] * new_count)
-        self.vcols.extend([()] * new_count)
-        index = len(self.pending)
+        self.watch.extend([()] * new_count)
         self.rows[(gi, b)] = row
-        self.pending.append((gi, b, row))
-        self.vrows[b] += (index,)
+        self.watch[b] += ((gi, b, True),) + tuple((gi, c, False) for c, _ in row)
         for c, mult in row:
             if c != b:
-                self.vrows[c] += (index,)
-            self.cols[(gi, c)] = self.cols.get((gi, c), ()) + ((b, mult),)
-        self.vcols[b] += tuple((gi, c) for c, _ in row)
+                self.watch[c] += ((gi, b, True),)
+            if (gi, c) not in self.cols:
+                self.cols[(gi, c)] = ()
+                self.watch[c] += ((gi, c, False),)
+            self.cols[(gi, c)] += ((b, mult),)
 
 
 class _Searcher:
@@ -445,120 +434,84 @@ class _Searcher:
 
     # ---- dimension propagation
 
-    @staticmethod
-    def _narrow(state: _SearchState, vertex: int, lo: float, hi: float) -> int:
-        """Intersect a vertex interval; -1 empty, 1 shrunk, 0 unchanged."""
-        cur_lo, cur_hi = state.dims[vertex]
-        new_lo = max(cur_lo, lo - _EPS)
-        new_hi = min(cur_hi, hi + _EPS)
-        if new_lo > new_hi + _EPS:
-            return -1
-        if new_lo > cur_lo + 1e-12 or new_hi < cur_hi - 1e-12:
-            state.dims[vertex] = (new_lo, new_hi)
-            return 1
-        return 0
-
     def _propagate(self, state: _SearchState) -> bool:
-        """Worklist bound propagation (AC-3) after the last pending row was fixed.
+        """Worklist bound propagation (AC-3) after the last row was fixed.
 
         Every vertex dimension lives in an interval, seeded [1, d_max] and
-        pinned to 1 at the root.  Two kinds of constraint narrow them: the
+        pinned to 1 at the root.  Two kinds of weighted sum narrow them: the
         row equations sum_c m_c D_c = d(g) D_b of the fixed rows, and the
         column bounds: the transpose equation sum_b m_{b,c} D_b = d(g) D_c
         holds at completion, and with nonnegative future entries the partial
-        column sum gives D_c >= partial_lo / d(g).  An empty interval refutes
-        the branch.
+        column sum gives D_c >= partial_lo / d(g).  Each revision intersects
+        the intervals it narrows, widened by ``_EPS``; an empty interval
+        refutes the branch.
 
-        The parent state is already at the fixpoint, so the worklist starts
-        from the new row and the columns it feeds.  When an interval shrinks,
-        the row equations that read it (``vrows``) are queued again; when a
-        lower bound rises, so are the columns its rows feed (``vcols``); when
-        an upper bound falls, so are the columns of that vertex itself.  Only
-        the order of revisions depends on the worklist: it stops where one more
-        sweep over every constraint would move no interval by more than the
-        change threshold of ``_narrow``.  Revisions are capped at 200 per
-        constraint; at the cap the branch is kept, since "not refuted" is
-        always sound.
+        The parent state is already closed, so the worklist starts from the
+        new row and the columns it feeds.  When an interval moves by more
+        than ``_MOVE``, every sum in its ``watch`` is queued again, and
+        queued rows are revised before queued columns.  The loop stops when
+        no queued sum is left: then one more revision of any sum moves no
+        interval by more than ``_MOVE``.  Which fixpoint within that
+        threshold it reaches depends on the order of revisions, and so can
+        the node count.  Revisions are capped at 200 per sum; at the cap the
+        branch is kept, since "not refuted" is always sound.
         """
-        dims = state.dims
-        pending = state.pending
-        vrows, vcols, cols = state.vrows, state.vcols, state.cols
-        new_index = len(pending) - 1
-        gi_new, _, row_new = pending[new_index]
-        row_queue = deque([new_index])
-        row_queued = {new_index}
-        col_queue = deque((gi_new, c) for c, _ in row_new)
-        col_queued = set(col_queue)
+        dims, watch, rows, cols, d_gen = state.dims, state.watch, state.rows, state.cols, self.d_gen
+        gi_new, b_new = next(reversed(rows))
+        row_queue = deque([(gi_new, b_new, True)])
+        col_queue = deque((gi_new, c, False) for c, _ in rows[(gi_new, b_new)])
+        queued = {*row_queue, *col_queue}
 
-        def shrunk(v: int, old: tuple[float, float]) -> None:
-            lo, hi = dims[v]
-            for index in vrows[v]:
-                if index not in row_queued:
-                    row_queued.add(index)
-                    row_queue.append(index)
-            if lo > old[0]:
-                for key in vcols[v]:
-                    if key not in col_queued:
-                        col_queued.add(key)
-                        col_queue.append(key)
-            if hi < old[1]:
-                for gi in range(self.kgen):
-                    key = (gi, v)
-                    if key in cols and key not in col_queued:
-                        col_queued.add(key)
-                        col_queue.append(key)
+        def narrow(v: int, lo: float, hi: float) -> bool:
+            """Intersect v's interval; False when it is empty."""
+            cur_lo, cur_hi = dims[v]
+            new_lo = max(cur_lo, lo - _EPS)
+            new_hi = min(cur_hi, hi + _EPS)
+            if new_lo > new_hi + _EPS:
+                return False
+            if new_lo > cur_lo + _MOVE or new_hi < cur_hi - _MOVE:
+                dims[v] = (new_lo, new_hi)
+                for key in watch[v]:
+                    if key not in queued:
+                        queued.add(key)
+                        (row_queue if key[2] else col_queue).append(key)
+            return True
 
-        for _ in range(200 * (len(pending) + len(cols))):
-            if row_queue:
-                index = row_queue.popleft()
-                row_queued.discard(index)
-                gi, b, row = pending[index]
-                d_g = self.d_gen[gi]
-                sum_lo = 0.0
-                sum_hi = 0.0
-                for c, mult in row:
-                    lo_c, hi_c = dims[c]
-                    sum_lo += mult * lo_c
-                    sum_hi += mult * hi_c
-                target_lo = d_g * dims[b][0]
-                target_hi = d_g * dims[b][1]
-                slack = REL_TOL * max(1.0, target_hi)
-                if sum_lo > target_hi + slack or sum_hi < target_lo - slack:
-                    return False
-                # narrow the row vertex through its equation
-                old = dims[b]
-                result = self._narrow(state, b, sum_lo / d_g, sum_hi / d_g)
-                if result < 0:
-                    return False
-                if result:
-                    shrunk(b, old)
-                # narrow each participant against the rest of the sum
-                for c, mult in row:
-                    old = lo_c, hi_c = dims[c]
-                    rest_lo = sum_lo - mult * lo_c
-                    rest_hi = sum_hi - mult * hi_c
-                    lo_new = (d_g * dims[b][0] - rest_hi) / mult
-                    hi_new = (d_g * dims[b][1] - rest_lo) / mult
-                    result = self._narrow(state, c, lo_new, hi_new)
-                    if result < 0:
-                        return False
-                    if result:
-                        shrunk(c, old)
-            elif col_queue:
-                key = col_queue.popleft()
-                col_queued.discard(key)
-                gi, c = key
-                col_lo = 0.0
-                for b, mult in cols[key]:
-                    col_lo += mult * dims[b][0]
-                old = dims[c]
-                result = self._narrow(state, c, col_lo / self.d_gen[gi], math.inf)
-                if result < 0:
-                    return False
-                if result:
-                    shrunk(c, old)
-            else:
+        for _ in range(200 * (len(rows) + len(cols))):
+            if not (row_queue or col_queue):
                 return True
+            key = (row_queue or col_queue).popleft()
+            queued.discard(key)
+            gi, b, is_row = key
+            d_g = d_gen[gi]
+            if not is_row:  # column b of generator gi
+                col_lo = 0.0
+                for a, mult in cols[(gi, b)]:
+                    col_lo += mult * dims[a][0]
+                if not narrow(b, col_lo / d_g, math.inf):
+                    return False
+                continue
+            row = rows[(gi, b)]
+            sum_lo = 0.0
+            sum_hi = 0.0
+            for c, mult in row:
+                lo_c, hi_c = dims[c]
+                sum_lo += mult * lo_c
+                sum_hi += mult * hi_c
+            lo_b, hi_b = dims[b]
+            slack = REL_TOL * max(1.0, d_g * hi_b)
+            if sum_lo > d_g * hi_b + slack or sum_hi < d_g * lo_b - slack:
+                return False
+            # narrow the row vertex through its equation, then each
+            # participant against the rest of the sum
+            if not narrow(b, sum_lo / d_g, sum_hi / d_g):
+                return False
+            for c, mult in row:
+                lo_c, hi_c = dims[c]
+                rest_lo = sum_lo - mult * lo_c
+                rest_hi = sum_hi - mult * hi_c
+                if not narrow(c, (d_g * dims[b][0] - rest_hi) / mult, (d_g * dims[b][1] - rest_lo) / mult):
+                    return False
         return True
 
     # ---- refutation on exact derived rows
@@ -573,7 +526,7 @@ class _Searcher:
         leaves that ``_complete`` would reject: the class list stays the
         same, and only node counts move.
         """
-        gi, b, row = state.pending[-1]
+        (gi, b), row = next(reversed(state.rows.items()))
         return self._close(state, [(self.gen_label[gi], b, dict(row))])
 
     def _close(self, state: _SearchState, seeds) -> bool:
@@ -1270,16 +1223,8 @@ def _ring_isomorphic(r1: BasedRingTable, r2: BasedRingTable) -> bool:
             continue
         if any(mapping[r1.involution_of(a)] != r2.involution_of(mapping[a]) for a in r1.basis):
             continue
-        good = True
-        for a in r1.basis:
-            for b in r1.basis:
-                image = r1.product(a, b).map_labels(lambda c: mapping[c])
-                if image != r2.product(mapping[a], mapping[b]):
-                    good = False
-                    break
-            if not good:
-                break
-        if good:
+        if all(r1.product(a, b).map_labels(mapping.__getitem__) == r2.product(mapping[a], mapping[b])
+               for a in r1.basis for b in r1.basis):
             return True
     return False
 

@@ -369,6 +369,11 @@ def test_anchored_mass_slack_stays_below_one_term():
     assert inner(_anchor_stub(10**7, 1e7), "0", "0") == RingElement({"0": 10**7})
     with pytest.raises(IncompatibleDimensionsError, match="mass 10000001.0 exceeds"):
         inner(_anchor_stub(10**7 + 1, 1e7), "0", "0")
+    # 10^17 - 2 rounds to 10^17 as a float, so a float sum once read the
+    # budget as met; the mass is summed exactly
+    with pytest.raises(InfiniteInnerProductError, match=r"depth 32: mass 1e\+17 of budget 1e\+17"):
+        inner(_anchor_stub(10**17 - 2, 1e17), "0", "0")
+    assert inner(_anchor_stub(10**17, 1e17), "0", "0") == RingElement({"0": 10**17})
 
 
 def test_anchored_mass_stops_at_a_label_cap_on_the_word_ring():

@@ -106,22 +106,26 @@ def test_symmetric4_classes_are_its_subgroup_classes():
     ring = permutation_group_ring(4)
     result = enumerate_modules(ring, ModuleSearchConfig(max_basis_size=dimension_bound(ring)))
     assert result.complete and result.certified_bound == 24
+    assert result.nodes_explored == 1759
     sizes = sorted(module.size for module in result.classes)
     assert sizes == subgroup_indices_two_generated(*symmetric_data(4)) == [1, 2, 3, 4, 6, 6, 6, 8, 12, 12, 24]
 
 
+# The node counts pin the order of revisions too: propagation stops within
+# a change threshold, so another order can reach another fixpoint.
 @pytest.mark.parametrize(
-    "make,sizes",
+    "make,nodes,sizes",
     [
-        (lambda: tensor_product(tensor_product(fibonacci(), fibonacci()), fibonacci()), [2, 4, 4, 4, 8]),
-        (lambda: tensor_product(su2_level(3), fibonacci()), [2, 4, 4, 8]),
+        (lambda: tensor_product(tensor_product(fibonacci(), fibonacci()), fibonacci()), 995, [2, 4, 4, 4, 8]),
+        (lambda: tensor_product(su2_level(3), fibonacci()), 174, [2, 4, 4, 8]),
+        (lambda: tensor_product(su2_level(4), cyclic_group_ring(2)), 246, [4, 4, 5, 5, 8, 10]),
     ],
-    ids=["fib_cubed", "su2_level3xfib"],
+    ids=["fib_cubed", "su2_level3xfib", "su2_level4xZ2"],
 )
-def test_frontier_searches_complete_at_the_bound(make, sizes):
+def test_frontier_searches_complete_at_the_bound(make, nodes, sizes):
     ring = make()
     result = enumerate_modules(ring, ModuleSearchConfig(max_basis_size=dimension_bound(ring)))
-    assert result.complete
+    assert result.complete and result.nodes_explored == nodes
     assert sorted(module.size for module in result.classes) == sizes
 
 
@@ -239,8 +243,8 @@ def test_recorded_canonical_key_matches_fresh_key(make):
 def _assert_closed(searcher, state):
     """One from-scratch pass over every row and column equation of ``state``
     must neither refute it nor move an interval by more than the change
-    threshold of ``_Searcher._narrow``."""
-    eps, threshold = torsion._EPS, 1e-12
+    threshold ``_MOVE`` of ``_Searcher._propagate``."""
+    eps, threshold = torsion._EPS, torsion._MOVE
 
     def check(v, lo, hi):
         cur_lo, cur_hi = state.dims[v]
@@ -304,6 +308,35 @@ def test_propagation_reaches_the_fixpoint(make, monkeypatch):
     # every closed state is a node, except those the exact-row cut refutes
     assert refuted
     assert len(closed) == result.nodes_explored - 1 + len(refuted)
+
+
+@pytest.mark.parametrize("make", [case[1] for case in PINNED_SEARCHES],
+                         ids=[case[0] for case in PINNED_SEARCHES])
+def test_propagation_indices_match_the_fixed_rows(make, monkeypatch):
+    # at every node, rebuilt from ``rows`` alone: a row is watched by its
+    # row vertex and its participants, a column by the row vertices feeding
+    # it and its own vertex, and a column lists its entries in fixing order
+    dfs = torsion._Searcher._dfs
+    nodes = []
+
+    def checked(searcher, state):
+        watch = [set() for _ in range(state.nvert)]
+        cols = {}
+        for (gi, b), row in state.rows.items():
+            watch[b].add((gi, b, True))
+            for c, mult in row:
+                watch[c] |= {(gi, b, True), (gi, c, False)}
+                watch[b].add((gi, c, False))
+                cols[(gi, c)] = cols.get((gi, c), ()) + ((b, mult),)
+        assert [set(keys) for keys in state.watch] == watch
+        assert state.cols == cols
+        nodes.append(state.nvert)
+        return dfs(searcher, state)
+
+    monkeypatch.setattr(torsion._Searcher, "_dfs", checked)
+    ring = make()
+    result = enumerate_modules(ring, ModuleSearchConfig(max_basis_size=dimension_bound(ring)))
+    assert result.complete and len(nodes) == result.nodes_explored
 
 
 @pytest.mark.parametrize("name,make,digest", [(case[0], case[1], case[3]) for case in PINNED_SEARCHES],
@@ -433,8 +466,7 @@ def _leaf(searcher, rows):
     m = len(rows[0])
     fixed = {(gi, b): tuple((c, n) for c, n in enumerate(row) if n) for gi, matrix in enumerate(rows)
              for b, row in enumerate(matrix)}
-    return torsion._SearchState(nvert=m, rows=fixed, dims=[(1.0, 1.0)] * m, pending=[], vrows=[], vcols=[],
-                                cols={}, exact={})
+    return torsion._SearchState(nvert=m, rows=fixed, dims=[(1.0, 1.0)] * m, watch=[], cols={}, exact={})
 
 
 def test_leaf_completion_rejects_a_zero_column_of_a_generator():
@@ -713,6 +745,30 @@ def test_word_structure_flags_planted_loop():
     assert any("loop" in v for v in report.violations)
 
 
+def test_word_structure_flags_planted_cycle():
+    # p+ also sends p+ to p-, closing the triangle e, p+, p-
+    report = word_module_structure_check(_planted_word_module("p+", "p-"), 2)
+    assert not report.is_tree and report.violations == ["underlying graph is not a tree"]
+
+
+@pytest.mark.parametrize(
+    "dims,field,violation",
+    [
+        (None, "dims_increasing", "no dimension data to order the tree"),
+        (lambda b: 1.0, "dims_increasing", "dimension does not increase at p+"),
+        # p+ is least, so it roots the tree: e and its two children make three
+        (lambda b: 0.5 if b == "p+" else free_unitary_ring().dim(b), "branching_ok",
+         "vertex p+ does not branch in two"),
+    ],
+    ids=["no_dims", "flat_dims", "misplaced_root"],
+)
+def test_word_structure_flags_dimension_data(dims, field, violation):
+    std = standard_module(free_unitary_ring())
+    module = LazyBasedModule(std.ring, std.action_row, std.level, std.enumerate_level, dims=dims)
+    report = word_module_structure_check(module, 2)
+    assert not getattr(report, field) and report.violations == [violation]
+
+
 # -- free product probe ------------------------------------------------------------------------------
 
 
@@ -823,6 +879,56 @@ def test_probe_detects_torsion_coset_module():
     assert any("factor 0" in o or "collide" in o for o in report.obstructions)
 
 
+def test_probe_needs_a_free_product_of_finite_rings():
+    with pytest.raises(StructuralError, match="needs a free product ring"):
+        free_product_module_probe(free_unitary_ring(), standard_module(free_unitary_ring()), 2)
+    ring = free_product([free_unitary_ring(), fibonacci()])
+    with pytest.raises(StructuralError, match="needs finite factor tables"):
+        free_product_module_probe(ring, standard_module(ring), 2)
+
+
+def _planted_free_module(extra):
+    """The standard module of fib * fib with ``extra`` added to the action
+    of 0:phi on e; the other rows stay standard."""
+    ring = free_product([fibonacci(), fibonacci()])
+    std = standard_module(ring)
+
+    def act(alpha, b):
+        row = std.action_row(alpha, b)
+        return row + RingElement.basis(extra) if (alpha, b) == ("0:phi", "e") else row
+
+    return LazyBasedModule(ring, act, std.level, std.enumerate_level, dims=ring.dim, anchor="e")
+
+
+@pytest.mark.parametrize(
+    "extra,obstructions",
+    [
+        # 0:phi sends e to 2 * 0:phi, so no element of {e, 0:phi} plays the unit
+        ("0:phi", ["factor 0 submodule at e is not a standard copy (size 2 vs 2)",
+                   "factor 0 submodule at e admits no unit anchor"]),
+        # 0:phi also sends e to level 2, and on from there past the window
+        ("1:phi.0:phi", ["descent left the truncation window at e (factor 0)"]),
+    ],
+    ids=["no_unit_anchor", "left_the_window"],
+)
+def test_probe_flags_planted_descent_obstructions(extra, obstructions):
+    module = _planted_free_module(extra)
+    report = free_product_module_probe(module.ring, module, 2)
+    assert (report.base_vertex, report.identification_ok, report.obstructions) == (None, False, obstructions)
+    assert not report.ok
+
+
+def test_probe_flags_a_reducible_label_at_the_base():
+    # dimensions that make 1:1.0:phi least: every letter acts on it
+    # irreducibly, so the descent stops there, but 0:phi.1:1 does not
+    ring = free_product([fibonacci(), cyclic_group_ring(2)])
+    module = LazyBasedModule(ring, ring.product, ring.level, ring.enumerate_level,
+                             dims=lambda b: 0.5 if b == "1:1.0:phi" else 1.0, anchor="e", contains_fn=ring.contains)
+    report = free_product_module_probe(ring, module, 2)
+    assert (report.base_vertex, report.identification_ok) == ("1:1.0:phi", False)
+    assert report.obstructions == ["0:phi.1:1 does not act irreducibly on 1:1.0:phi"] and not report.ok
+
+
 # -- tensor obstruction probe ----------------------------------------------------------------------
 
 
@@ -847,6 +953,23 @@ def test_tensor_probe_trivial_factor_is_torsion_free():
     report = tensor_obstruction_probe(cyclic_group_ring(1), fibonacci())
     assert report.torsion_free
     assert report.ok
+
+
+@pytest.mark.parametrize(
+    "r1,r2",
+    [
+        (cyclic_group_ring(2), cyclic_group_ring(3)),
+        # each of the next pairs agrees on everything the check before reads
+        (fibonacci(), cyclic_group_ring(2)),
+        (cyclic_group_ring(4), tensor_product(cyclic_group_ring(2), cyclic_group_ring(2))),
+        # some bijections keep the duality pairs, none the products
+        (cyclic_group_ring(9), tensor_product(cyclic_group_ring(3), cyclic_group_ring(3))),
+    ],
+    ids=["size", "dimension", "involution", "product"],
+)
+def test_ring_isomorphism_rejects_each_mismatch(r1, r2):
+    assert not torsion._ring_isomorphic(r1, r2) and not torsion._ring_isomorphic(r2, r1)
+    assert torsion._ring_isomorphic(r1, r1) and torsion._ring_isomorphic(r2, r2)
 
 
 # -- Verlinde module classification ------------------------------------------------

@@ -258,7 +258,7 @@ def split_pair_label(label: str) -> tuple[str, str]:
     return left, right
 
 
-def tensor_product(r1: BasedRingTable, r2: BasedRingTable, name: str = "") -> BasedRingTable:
+def tensor_product(r1: BasedRingTable, r2: BasedRingTable) -> BasedRingTable:
     """Componentwise products on the pair basis; dimensions multiply."""
     if r1.is_lazy or r2.is_lazy:
         raise StructuralError("tensor products require finite tables")
@@ -288,7 +288,7 @@ def tensor_product(r1: BasedRingTable, r2: BasedRingTable, name: str = "") -> Ba
             {pair_label(a, b): r1.dims(a) * r2.dims(b) for a in r1.basis for b in r2.basis},
             exactness=exact,
         )
-    return BasedRingTable(basis, unit, involution, products, dims=dims, name=name or f"({r1.name})x({r2.name})")
+    return BasedRingTable(basis, unit, involution, products, dims=dims, name=f"({r1.name})x({r2.name})")
 
 
 # -- free products ------------------------------------------------------------------
@@ -317,7 +317,7 @@ def _free_parse(label: str, nfactors: int) -> tuple[tuple[int, str], ...]:
     return tuple(letters)
 
 
-def free_product(factors: list[Ring], name: str = "") -> LazyBasedRing:
+def free_product(factors: list[Ring]) -> LazyBasedRing:
     """Free product on alternating words in the non-unit letters of the factors.
 
     Words from distinct factors concatenate; a same-factor junction expands
@@ -373,9 +373,7 @@ def free_product(factors: list[Ring], name: str = "") -> LazyBasedRing:
     if all_finite:
         letters_by_factor = [[a for a in f.basis if a != f.unit] for f in factors]
 
-    def enumerate_level_fn(n: int) -> list[str]:
-        if not all_finite:
-            raise StructuralError("level enumeration requires finite factor tables")
+    def enumerate_level_fn(n: int) -> list[str]:  # handed over only when every factor is finite
         if n == 0:
             return [FREE_UNIT]
         words: list[str] = []
@@ -417,7 +415,7 @@ def free_product(factors: list[Ring], name: str = "") -> LazyBasedRing:
         return value
 
     return LazyBasedRing(
-        name=name or "free(" + ",".join(f.name for f in factors) + ")",
+        name="free(" + ",".join(f.name for f in factors) + ")",
         unit=FREE_UNIT,
         product_fn=product_fn,
         involution_fn=involution_fn,

@@ -47,7 +47,7 @@ from .modules import (
     singleton_module,
     standard_module,
 )
-from .rings import REL_TOL, BasedRingTable, LazyBasedRing, fuse, require_sound, ring_dims
+from .rings import BasedRingTable, LazyBasedRing, fuse, require_sound, ring_dims
 from .spectra import FusionGraph, components
 
 
@@ -91,64 +91,47 @@ class TorsionVerdict:
     enumeration: EnumerationResult | None = None
 
 
-# -- generating sets and completion plans -----------------------------------------
+# -- generating sets ----------------------------------------------------------------
 
 
-def _derivation_plan(ring: BasedRingTable, gens: list[str]) -> tuple[list[tuple], set[str]]:
-    """Static order in which non-generator matrices follow from the
-    generator matrices by fusion expansion, and the labels it reaches.
+def _derivable(ring: BasedRingTable, gens: list[str]) -> set[str]:
+    """The labels whose matrices follow from the generator matrices by
+    fusion expansion: the generators, their duals, and the only unknown
+    member of the expansion of two known labels, with its dual.
 
-    A label is derived when it is the only unknown member of the expansion
-    of two known labels.  The rule is monotone, so the labels reached are
-    its unique fixpoint; where they fall short of the basis the propagation
-    stalls (every remaining expansion has two or more unknown members)."""
-    known = {ring.unit}
-    for g in gens:
-        known.add(g)
-        known.add(ring.involution_of(g))
-    steps: list[tuple] = []
-    changed = True
-    while changed and len(known) < ring.size:
-        changed = False
-        for x in sorted(known):
-            for y in sorted(known):
-                expansion = ring.product(x, y)
-                unknown = [c for c in expansion.support() if c not in known]
-                if len(unknown) != 1:
-                    continue
-                target = unknown[0]
-                coeff = expansion.coefficient(target)
-                rest = [(c, m) for c, m in expansion.items() if c != target]
-                steps.append(("product", target, x, y, coeff, tuple(rest)))
-                known.add(target)
-                bar = ring.involution_of(target)
-                if bar not in known:
-                    steps.append(("dual", bar, target))
-                    known.add(bar)
-                changed = True
-    return steps, known
+    The rule is monotone, so the labels reached are its unique fixpoint,
+    whatever order the expansions are read in; where they fall short of the
+    basis the derivation stalls (every remaining expansion has two or more
+    unknown members)."""
+    known = {ring.unit, *gens, *map(ring.involution_of, gens)}
+    while True:
+        found = set()
+        for x, y in itertools.product(known, repeat=2):
+            unknown = set(ring.product(x, y).support()) - known
+            if len(unknown) == 1:
+                found |= unknown
+        if not found:
+            return known
+        known |= found | set(map(ring.involution_of, found))
 
 
-def generating_set(ring: BasedRingTable) -> tuple[tuple[str, ...], list[tuple]]:
-    """Greedy small generating set plus a complete derivation plan.
+def generating_set(ring: BasedRingTable) -> tuple[str, ...]:
+    """Greedy small generating set whose matrices determine every basis matrix.
 
     Candidates are tried in ascending dimension (their action rows are the
     most constrained, which keeps the module search tight), keeping one of
     each dual pair; the set is then augmented with the lexicographically
-    least underivable label whenever the single-unknown propagation would
-    stall, so every basis matrix is recoverable from the generator matrices.
-    The result is recorded on the ring.
+    least label that ``_derivable`` does not reach, until it reaches every
+    label.  The result is recorded on the ring.
     """
-    cached = getattr(ring, "_generator_plan", None)
+    cached = getattr(ring, "_generators", None)
     if cached is not None:
         return cached
-    basis = list(ring.basis)
-    full = set(basis)
     dims = ring_dims(ring)
     # low-dimension generators first: their action rows are the most
     # constrained, which keeps the module search tight
     ordered = sorted(
-        (b for b in basis if b != ring.unit),
+        (b for b in ring.basis if b != ring.unit),
         key=lambda b: (round(dims(b) * 1e9), b),
     )
     gens: list[str] = []
@@ -157,18 +140,14 @@ def generating_set(ring: BasedRingTable) -> tuple[tuple[str, ...], list[tuple]]:
         if cand not in closure:
             gens.append(cand)
             closure, _ = saturate(ring, gens)
-    reduced: list[str] = []
-    for g in gens:
-        rep = min(g, ring.involution_of(g))
-        if rep not in reduced:
-            reduced.append(rep)
-    plan, known = _derivation_plan(ring, reduced)
+    # the closure holds each generator's dual, so no two generators share a dual pair
+    reduced = [min(g, ring.involution_of(g)) for g in gens]
+    known = _derivable(ring, reduced)
     while len(known) < ring.size:
-        reduced.append(min(full - known))
-        plan, known = _derivation_plan(ring, reduced)
-    result = (tuple(reduced), plan)
-    ring._generator_plan = result
-    return result
+        reduced.append(min(set(ring.basis) - known))
+        known = _derivable(ring, reduced)
+    ring._generators = tuple(reduced)
+    return ring._generators
 
 
 # -- canonical forms ----------------------------------------------------------------
@@ -282,8 +261,7 @@ def canonical_key(module: BasedModuleTable) -> bytes:
     cached = getattr(module, "_canonical_key", None)
     if cached is not None:
         return cached
-    gens, _ = generating_set(module.ring)
-    return _canonical_data([module.matrix(g) for g in gens], module.size)[0]
+    return _canonical_data([module.matrix(g) for g in generating_set(module.ring)], module.size)[0]
 
 
 def canonical_form(module: BasedModuleTable, deadline: float | None = None) -> BasedModuleTable:
@@ -301,8 +279,7 @@ def canonical_form(module: BasedModuleTable, deadline: float | None = None) -> B
     ring = module.ring
     A = module.action_tensor()
     m = A.shape[1]
-    gens, _ = generating_set(ring)
-    key, perm, _ = _canonical_data([A[ring.index[g]] for g in gens], m, deadline)
+    key, perm, _ = _canonical_data([A[ring.index[g]] for g in generating_set(ring)], m, deadline)
     rows = A[:, perm][:, :, perm].tolist()
     width = max(2, len(str(max(m - 1, 0))))
     labels = [f"v{i:0{width}d}" for i in range(m)]
@@ -396,15 +373,13 @@ class _Searcher:
     def __init__(self, ring: BasedRingTable, config: ModuleSearchConfig):
         self.ring = ring
         dims = ring_dims(ring)
-        gens, plan = generating_set(ring)
-        self.gens = list(gens)
-        self.plan = plan
+        self.gens = list(generating_set(ring))
         self.kgen = len(self.gens)
         self.d_gen = [dims(g) for g in self.gens]
         self.d_max = dims.max_value
         self.self_dual = [ring.involution_of(g) == g for g in self.gens]
         # no entry and no row total exceeds d(g) * d_max
-        self.entry_cap = [int(math.floor(d * self.d_max + 1e-9)) for d in self.d_gen]
+        self.entry_cap = [int(math.floor(d * self.d_max + _EPS)) for d in self.d_gen]
         self.max_size = config.max_basis_size
         self.deadline = None
         if config.time_budget is not None:
@@ -428,9 +403,6 @@ class _Searcher:
                 for a in {y} | {c for c, _ in rule[2]}:
                     self.feeds_row[a].append(rule)
         self.dual_label = [index[ring.involution_of(a)] for a in ring.basis]
-        # (source, target): the target's matrix is the source's transpose
-        self.transposes = [(g, self.dual_label[g]) for g in self.gen_label if self.dual_label[g] != g]
-        self.transposes += [(index[step[2]], index[step[1]]) for step in plan if step[0] == "dual"]
 
     # ---- dimension propagation
 
@@ -498,12 +470,9 @@ class _Searcher:
                 lo_c, hi_c = dims[c]
                 sum_lo += mult * lo_c
                 sum_hi += mult * hi_c
-            lo_b, hi_b = dims[b]
-            slack = REL_TOL * max(1.0, d_g * hi_b)
-            if sum_lo > d_g * hi_b + slack or sum_hi < d_g * lo_b - slack:
-                return False
-            # narrow the row vertex through its equation, then each
-            # participant against the rest of the sum
+            # narrowing the row vertex through its equation refutes a sum that
+            # leaves d(g) * [lo_b - 2 _EPS, hi_b + 2 _EPS], so the row needs no
+            # test of its own; then each participant narrows against the rest
             if not narrow(b, sum_lo / d_g, sum_hi / d_g):
                 return False
             for c, mult in row:
@@ -617,11 +586,16 @@ class _Searcher:
         The weighted row sum must reach d(g) * D_b, every dimension is at
         least 1, so partial weighted sums prune the generation early and
         known target dimensions cap each multiplicity individually.
+
+        A row is withheld only when the sum of its entries times the lower
+        dimension bounds, added in row order, exceeds d(g) * (hi_b + 3 _EPS):
+        the first revision of ``_propagate`` sums the same row in the same
+        order and refutes any sum above d(g) * (hi_b + 2 _EPS).
         """
         cap = self.entry_cap[gi]
         d_g = self.d_gen[gi]
-        # largest admissible weighted row sum, weighing by interval bounds
-        weight_hi = d_g * state.dims[b][1] * (1 + REL_TOL)
+        # largest weighted row sum that propagation does not refute
+        weight_hi = d_g * (state.dims[b][1] + 3 * _EPS)
         forced: list[tuple[int, int]] = []
         forced_total = 0
         forced_weight = 0.0
@@ -656,8 +630,8 @@ class _Searcher:
             if c >= state.nvert:
                 new_block(targets, [], cap, remaining, lo)
                 return
-            weight = max(state.dims[c][0], 1.0)
-            top = min(cap, remaining, int((weight_hi - lo) / weight + 1e-12))
+            weight = state.dims[c][0]  # a lower bound starts at 1 and only rises
+            top = min(cap, remaining, int((weight_hi - lo) / weight))
             for m in range(0, top + 1):
                 extend(
                     targets + ([(c, m)] if m else []),
@@ -673,17 +647,30 @@ class _Searcher:
 
     def _leaf_seeds(self, state: _SearchState):
         """A leaf's generator rows (also those the closure derived before the
-        search fixed them, so the two are compared), then, in plan order,
-        the rows of each ``transposes`` target: the columns of its source,
-        which the closure has made exact by then."""
+        search fixed them, so the two are compared), then, until none is
+        left, the missing rows of the dual of a label whose rows the closure
+        has all made exact: that label's columns.
+
+        The labels made wholly exact are then closed under duals and under
+        every fusion rule with one unknown term, the rule that
+        ``generating_set`` derives every label by, so every row is exact
+        unless a row broke a rule."""
         for (gi, b), row in state.rows.items():
             yield self.gen_label[gi], b, dict(row)
-        for source, target in self.transposes:
-            columns: list[dict] = [{} for _ in range(state.nvert)]
-            for b, row in state.exact[source].items():
+        m = state.nvert
+        while True:
+            exact = state.exact
+            source = next((a for a, rows in exact.items()
+                           if len(rows) == m and len(exact.get(self.dual_label[a], {})) < m), None)
+            if source is None:
+                return
+            target = self.dual_label[source]
+            columns = {c: {} for c in range(m) if c not in exact.get(target, {})}
+            for b, row in exact[source].items():
                 for c, n in row.items():
-                    columns[c][b] = n
-            for c, column in enumerate(columns):
+                    if c in columns:
+                        columns[c][b] = n
+            for c, column in columns.items():
                 yield target, c, column
 
     def _complete(self, state: _SearchState):
@@ -692,8 +679,8 @@ class _Searcher:
         ``_close`` from ``_leaf_seeds`` makes every row of every label exact
         or finds one that breaks a rule; with every row exact, every fusion
         rule has been checked on every row, which is associativity.  The
-        unit acts as the identity: no rule writes it and no generator
-        dual targets it, in a sound ring.  The module is connected: every
+        unit acts as the identity: no rule writes it and no non-unit label
+        has it as dual, in a sound ring.  The module is connected: every
         vertex after the root enters as a new target of a generator row of
         an earlier vertex.  A leaf anchored at a vertex of non-minimal
         dimension can only repeat a class found from its minimal anchor, and
@@ -771,7 +758,7 @@ class _Searcher:
 def dimension_bound(ring: BasedRingTable) -> int:
     """The derived exhaustiveness bound floor(sum of basis dimensions)."""
     dims = ring_dims(ring)
-    return int(math.floor(sum(dims.values[b] for b in ring.basis) + 1e-9))
+    return int(math.floor(sum(dims.values[b] for b in ring.basis) + _EPS))
 
 
 def enumerate_modules(ring: BasedRingTable, config: ModuleSearchConfig) -> EnumerationResult:
@@ -1028,7 +1015,7 @@ def word_module_structure_check(module, depth: int) -> WordStructureReport:
                     queue.append(w)
         for v in order:
             p = parent[v]
-            if p is not None and D[v] <= D[p] + 1e-9:
+            if p is not None and D[v] <= D[p] + _EPS:
                 dims_increasing = False
                 violations.append(f"dimension does not increase at {basis[v]}")
                 break
@@ -1209,18 +1196,18 @@ def free_product_module_probe(ring: LazyBasedRing, module, depth: int) -> FreePr
 
 
 def _ring_isomorphic(r1: BasedRingTable, r2: BasedRingTable) -> bool:
-    """Brute-force based-ring isomorphism for small tables."""
+    """Brute-force based-ring isomorphism for small tables.
+
+    Dimensions are not compared: a label bijection that keeps every product
+    maps each left-multiplication matrix to a permuted copy of its image's,
+    and a dimension is that matrix's Perron eigenvalue."""
     if r1.size != r2.size:
         return False
-    d1 = ring_dims(r1)
-    d2 = ring_dims(r2)
     labels1 = [b for b in r1.basis if b != r1.unit]
     labels2 = [b for b in r2.basis if b != r2.unit]
     for perm in itertools.permutations(labels2):
         mapping = {r1.unit: r2.unit}
         mapping.update(dict(zip(labels1, perm)))
-        if any(abs(d1(a) - d2(mapping[a])) > REL_TOL for a in r1.basis):
-            continue
         if any(mapping[r1.involution_of(a)] != r2.involution_of(mapping[a]) for a in r1.basis):
             continue
         if all(r1.product(a, b).map_labels(mapping.__getitem__) == r2.product(mapping[a], mapping[b])
@@ -1263,18 +1250,15 @@ class TensorObstructionReport:
         )
 
 
-def tensor_obstruction_probe(
-    r1: BasedRingTable, r2: BasedRingTable, config: ModuleSearchConfig | None = None
-) -> TensorObstructionReport:
+def tensor_obstruction_probe(r1: BasedRingTable, r2: BasedRingTable) -> TensorObstructionReport:
     """Run the torsion decision on a tensor product of two torsion-free
     rings and, when it fails, extract the matched pair of isomorphic finite
     fusion subrings from each witness."""
     square = tensor_product(r1, r2)
-    verdict = is_torsion_free(square, config)
+    verdict = is_torsion_free(square)
     if verdict.status == "torsion_free_certified":
         return TensorObstructionReport(True, verdict, [])
     reports: list[TensorWitnessReport] = []
-    dims = ring_dims(square)
     pure = [pair_label(a, r2.unit) for a in r1.basis if a != r1.unit]
     pure += [pair_label(r1.unit, b) for b in r2.basis if b != r2.unit]
     for witness in verdict.witnesses:

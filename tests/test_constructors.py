@@ -308,6 +308,13 @@ def test_free_product_with_lazy_factor_cannot_enumerate():
         fp.enumerate_level(1)
 
 
+def test_free_product_reads_a_lazy_factor_dimension():
+    # a word's dimension multiplies its letters' dimensions, read from the
+    # lazy su2 factor's own dimension function
+    fp = free_product([su2_ring(), cyclic_group_ring(2)])
+    assert fp.dim("0:2.1:1") == 3.0
+
+
 # -- generated subrings --------------------------------------------------------------------------
 
 

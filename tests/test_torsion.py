@@ -1,5 +1,6 @@
 """Enumeration, canonical forms, torsion verdicts, and proof-replay probes."""
 
+import functools
 import hashlib
 import itertools
 import math
@@ -40,6 +41,7 @@ from fusionrings import (
     tensor_product,
     twisted_tensor_module,
     unfold_word_module,
+    verify_based_ring,
     verify_module,
     word_module_structure_check,
     a_infinity_check,
@@ -141,36 +143,100 @@ def test_enumerated_modules_are_verified_connected_cofinite():
         assert is_cofinite(module).status == "cofinite"
 
 
-def test_generating_set_extends_a_stalled_derivation():
-    # the representation ring of A5: 3a alone generates it, but deriving
-    # the other matrices one unknown at a time stalls at {1, 3a, 5}, so the
-    # least underivable label 3b joins the generators
-    from fusionrings import BasedRingTable, verify_based_ring
+def _representation_ring(name, basis, duals, rules):
+    """A commutative fusion ring with unit ``basis[0]``, from the products
+    of non-unit labels, each a space-separated multiset of labels; ``duals``
+    pairs the labels that are not self-dual."""
+    unit = basis[0]
+    products = {(x, unit): {x: 1} for x in basis}
+    products.update({(unit, x): {x: 1} for x in basis})
+    for (x, y), terms in rules.items():
+        expansion = {c: terms.split().count(c) for c in terms.split()}
+        products[(x, y)] = products[(y, x)] = expansion
+    involution = {x: x for x in basis} | duals | {y: x for x, y in duals.items()}
+    return BasedRingTable(basis, unit, involution, products, name=name)
 
-    rules = {
+
+def _rep_a5_ring():
+    """The representation ring of A5."""
+    return _representation_ring("rep(A5)", ["1", "3a", "3b", "4", "5"], {}, {
         ("3a", "3a"): "1 3a 5", ("3a", "3b"): "4 5", ("3a", "4"): "3b 4 5",
         ("3a", "5"): "3a 3b 4 5", ("3b", "3b"): "1 3b 5", ("3b", "4"): "3a 4 5",
         ("3b", "5"): "3a 3b 4 5", ("4", "4"): "1 3a 3b 4 5", ("4", "5"): "3a 3b 4 5 5",
         ("5", "5"): "1 3a 3b 4 4 5 5",
-    }
-    basis = ["1", "3a", "3b", "4", "5"]
-    products = {(x, "1"): {x: 1} for x in basis}
-    products.update({("1", x): {x: 1} for x in basis})
-    for (x, y), terms in rules.items():
-        expansion = {c: terms.split().count(c) for c in terms.split()}
-        products[(x, y)] = products[(y, x)] = expansion
-    ring = BasedRingTable(basis, "1", {x: x for x in basis}, products, name="rep(A5)")
+    })
+
+
+def _rep_psl27_ring():
+    """The representation ring of PSL(2, 7).  Its one generator 3 has
+    3*3 = 3b + 6, so no matrix but its own follows from M_3 by fusion
+    expansion alone: leaf completion must first transpose M_3 into M_3b."""
+    return _representation_ring("rep(PSL(2,7))", ["1", "3", "3b", "6", "7", "8"], {"3": "3b"}, {
+        ("3", "3"): "3b 6", ("3", "3b"): "1 8", ("3", "6"): "3b 7 8", ("3", "7"): "6 7 8",
+        ("3", "8"): "3 6 7 8", ("3b", "3b"): "3 6", ("3b", "6"): "3 7 8", ("3b", "7"): "6 7 8",
+        ("3b", "8"): "3b 6 7 8", ("6", "6"): "1 6 6 7 8 8", ("6", "7"): "3 3b 6 7 7 8 8",
+        ("6", "8"): "3 3b 6 6 7 7 8 8", ("7", "7"): "1 3 3b 6 6 7 7 8 8",
+        ("7", "8"): "3 3b 6 6 7 7 8 8 8", ("8", "8"): "1 3 3b 6 6 7 7 7 8 8 8",
+    })
+
+
+@functools.cache
+def _oracle_plan(ring, gens):
+    """The order in which the non-generator matrices follow from the
+    generator matrices ``gens`` (a tuple) by fusion expansion, each step
+    ``("product", target, x, y, coeff, rest)`` or ``("dual", target,
+    source)``: a label is derived when it is the only unknown member of the
+    expansion of two known labels.  Written apart from the search, which
+    derives rows, not labels; the plan must reach every label."""
+    known = {ring.unit}
+    for g in gens:
+        known |= {g, ring.involution_of(g)}
+    steps = []
+    changed = True
+    while changed and len(known) < ring.size:
+        changed = False
+        for x in sorted(known):
+            for y in sorted(known):
+                expansion = ring.product(x, y)
+                unknown = [c for c in expansion.support() if c not in known]
+                if len(unknown) != 1:
+                    continue
+                target = unknown[0]
+                rest = [(c, m) for c, m in expansion.items() if c != target]
+                steps.append(("product", target, x, y, expansion.coefficient(target), tuple(rest)))
+                known.add(target)
+                bar = ring.involution_of(target)
+                if bar not in known:
+                    steps.append(("dual", bar, target))
+                    known.add(bar)
+                changed = True
+    assert len(known) == ring.size, f"{gens} do not generate {ring.name}"
+    return steps
+
+
+def test_generating_set_extends_a_stalled_derivation():
+    # 3a alone generates rep(A5), but deriving the other matrices one
+    # unknown at a time stalls at {1, 3a, 5}, so the least underivable
+    # label 3b joins the generators
+    ring = _rep_a5_ring()
     assert verify_based_ring(ring).ok
-    gens, plan = torsion.generating_set(ring)
+    gens = torsion.generating_set(ring)
     assert gens == ("3a", "3b")
-    assert [step[1] for step in plan] == ["5", "4"]
+    assert [step[1] for step in _oracle_plan(ring, gens)] == ["5", "4"]
+    assert torsion._derivable(ring, ["3a"]) == {"1", "3a", "5"}
+
+
+def test_generating_set_derives_through_a_dual():
+    ring = _rep_psl27_ring()
+    assert verify_based_ring(ring).ok
+    assert torsion.generating_set(ring) == ("3",)
+    assert ring.product("3", "3") == RingElement({"3b": 1, "6": 1})
+    assert _oracle_plan(ring, ("3",))[0][:2] == ("product", "6")
 
 
 def _multiplicity_two_ring():
     """The rank-3 fusion ring x*x = 1 + 2y, x*y = 2x + y, y*y = 1 + x + 2y:
     its derivation plan divides by 2 (y = (x*x - 1) / 2)."""
-    from fusionrings import BasedRingTable
-
     basis = ["1", "x", "y"]
     rules = {("x", "x"): {"1": 1, "y": 2}, ("x", "y"): {"x": 2, "y": 1},
              ("y", "y"): {"1": 1, "x": 1, "y": 2}}
@@ -179,6 +245,28 @@ def _multiplicity_two_ring():
     for (a, b), expansion in rules.items():
         products[(a, b)] = products[(b, a)] = expansion
     return BasedRingTable(basis, "1", {a: a for a in basis}, products, name="x2=1+2y")
+
+
+def test_generating_sets_pinned():
+    # canonical keys read the generator matrices, so this pins key bytes
+    # before any search runs
+    rings = (
+        [cyclic_group_ring(n) for n in range(1, 13)]
+        + [permutation_group_ring(n) for n in (3, 4, 5)]
+        + [su2_level(k) for k in range(1, 17)]
+        + [
+            tensor_product(fibonacci(), fibonacci()),
+            tensor_product(tensor_product(fibonacci(), fibonacci()), fibonacci()),
+            tensor_product(su2_level(2), cyclic_group_ring(2)),
+            tensor_product(su2_level(4), cyclic_group_ring(2)),
+            _rep_a5_ring(),
+            _multiplicity_two_ring(),
+        ]
+    )
+    gens = [torsion.generating_set(ring) for ring in rings]
+    assert hashlib.sha256(repr(gens).encode()).hexdigest() == (
+        "7b0963010d5642094f30fd5e990bea6d433c4eece13540e5c9bb4e26aa3f9fea"
+    )
 
 
 # Search nodes and the sha256 of the sorted canonical class keys at the
@@ -339,6 +427,42 @@ def test_propagation_indices_match_the_fixed_rows(make, monkeypatch):
     assert result.complete and len(nodes) == result.nodes_explored
 
 
+# the pinned searches over rings that are not group rings: in a group ring
+# every entry cap is 1, and the dimension bound never withholds a row
+BOUND_SEARCHES = [case for case in PINNED_SEARCHES if case[0] not in ("sym3", "cyclic6", "dihedral8")]
+
+
+@pytest.mark.parametrize("make", [case[1] for case in BOUND_SEARCHES],
+                         ids=[case[0] for case in BOUND_SEARCHES])
+def test_row_options_withhold_only_refuted_rows(make, monkeypatch):
+    # at every node, each row that the next cell gains when the row vertex's
+    # upper dimension bound is raised by 1 is one that ``_child`` refutes at
+    # the real interval
+    dfs = torsion._Searcher._dfs
+    withheld = []
+
+    def checked(searcher, state):
+        cell = searcher._next_cell(state)
+        if cell is not None:
+            gi, b = cell
+            options = list(searcher._row_options(state, gi, b))
+            raised = state.clone()
+            lo, hi = raised.dims[b]
+            raised.dims[b] = (lo, hi + 1.0)
+            more = list(searcher._row_options(raised, gi, b))
+            assert all(row in more for row in options)
+            for row in more:
+                if row not in options:
+                    assert searcher._child(state, gi, b, row) is None, (gi, b, row)
+                    withheld.append(row)
+        return dfs(searcher, state)
+
+    monkeypatch.setattr(torsion._Searcher, "_dfs", checked)
+    ring = make()
+    result = enumerate_modules(ring, ModuleSearchConfig(max_basis_size=dimension_bound(ring)))
+    assert result.complete and withheld
+
+
 @pytest.mark.parametrize("name,make,digest", [(case[0], case[1], case[3]) for case in PINNED_SEARCHES],
                          ids=[case[0] for case in PINNED_SEARCHES])
 def test_exact_row_cut_keeps_the_classes(name, make, digest, monkeypatch):
@@ -356,16 +480,18 @@ def test_exact_row_cut_keeps_the_classes(name, make, digest, monkeypatch):
                          ids=[case[0] for case in PINNED_SEARCHES])
 def test_leaves_are_unital_and_connected(make, monkeypatch):
     # Leaf completion checks neither the unit law nor connectedness.  This
-    # oracle checks both outside the search, at every leaf: no plan step and
-    # no generator dual targets the unit (so the assembled A[unit] stays the
-    # identity), the fixed generator rows alone link every vertex, and every
-    # accepted leaf has the identity at the unit and a connected union graph.
+    # oracle checks both outside the search, at every leaf: no step of the
+    # oracle's plan and no generator dual targets the unit (so the assembled
+    # A[unit] stays the identity), the fixed generator rows alone link every
+    # vertex, and every accepted leaf has the identity at the unit and a
+    # connected union graph.
     complete = torsion._Searcher._complete
     leaves, accepted = [], []
 
     def checked(searcher, state):
         ring = searcher.ring
-        targets = {step[1] for step in searcher.plan} | {ring.involution_of(g) for g in searcher.gens}
+        targets = {step[1] for step in _oracle_plan(ring, tuple(searcher.gens))}
+        targets |= {ring.involution_of(g) for g in searcher.gens}
         assert ring.unit not in targets
         rows = nx.Graph()
         rows.add_nodes_from(range(state.nvert))
@@ -386,7 +512,7 @@ def test_leaves_are_unital_and_connected(make, monkeypatch):
 
 
 def _replayed_leaf(searcher, state):
-    """Leaf completion as a numpy replay of the derivation plan, kept as an
+    """Leaf completion as a numpy replay of ``_oracle_plan``, kept as an
     oracle that shares no code with ``_Searcher._close``: ``(matrices,
     None)``, or ``(None, check)`` with the first check that rejects."""
     ring = searcher.ring
@@ -399,7 +525,7 @@ def _replayed_leaf(searcher, state):
                 M[b, c] = mult
         mats[g] = M
         mats[ring.involution_of(g)] = M.T
-    for step in searcher.plan:
+    for step in _oracle_plan(ring, tuple(searcher.gens)):
         if step[0] == "dual":
             _, target, source = step
             mats[target] = mats[source].T
@@ -442,6 +568,7 @@ def _assert_leaf_matches_replay(searcher, state, complete=None):
 LEAF_SEARCHES = [(case[0], case[1], None) for case in PINNED_SEARCHES] + [
     ("cyclic12", lambda: cyclic_group_ring(12), None),
     ("sym4_to_6", lambda: permutation_group_ring(4), 6),
+    ("psl27_to_3", _rep_psl27_ring, 3),
 ]
 
 
@@ -483,7 +610,7 @@ def test_random_leaves_match_the_plan_replay():
     # leaves no search reaches: every generator row fixed at random and no
     # row exact yet, so the closure meets every check of the replay
     rings = [cyclic_group_ring(3), cyclic_group_ring(6), permutation_group_ring(3), su2_level(3),
-             tensor_product(fibonacci(), fibonacci()), _multiplicity_two_ring()]
+             tensor_product(fibonacci(), fibonacci()), _multiplicity_two_ring(), _rep_psl27_ring()]
     rng = np.random.default_rng(5)
     checks = {}
     for ring in rings:
@@ -959,7 +1086,9 @@ def test_tensor_probe_trivial_factor_is_torsion_free():
     "r1,r2",
     [
         (cyclic_group_ring(2), cyclic_group_ring(3)),
-        # each of the next pairs agrees on everything the check before reads
+        # each of the next pairs agrees on everything the check before reads;
+        # no check reads dimensions, so the product check rejects this pair,
+        # whose dimensions differ because its products do
         (fibonacci(), cyclic_group_ring(2)),
         (cyclic_group_ring(4), tensor_product(cyclic_group_ring(2), cyclic_group_ring(2))),
         # some bijections keep the duality pairs, none the products

@@ -33,7 +33,7 @@ from .errors import (
     UnknownLabelError,
 )
 from .modules import standard_module, verify_module
-from .rings import frobenius_perron_dims, fuse, ring_dims, verify_based_ring, verify_lazy_ring
+from .rings import fuse, ring_dims, verify_based_ring, verify_lazy_ring
 from .spectra import dynkin_classify, export_dot, module_graph, symmetrize
 from .torsion import ModuleSearchConfig, dimension_bound, enumerate_modules, is_torsion_free
 
@@ -114,7 +114,7 @@ def cmd_dims(args) -> int:
     if module is not None or ring.is_lazy:
         raise MalformedDocumentError("dims expects a finite ring document")
     try:
-        dims = ring.dims if ring.dims is not None else frobenius_perron_dims(ring)
+        dims = ring_dims(ring)
     except NoDimensionFunctionError as exc:
         print(f"no dimension function: {exc}")
         return NEGATIVE

@@ -22,6 +22,7 @@ from .rings import (
     DimensionFunction,
     LazyBasedRing,
     Ring,
+    dim_of,
 )
 from .spectra import components
 
@@ -397,21 +398,13 @@ def free_product(factors: list[Ring]) -> LazyBasedRing:
         except ValueError:
             return False
 
-    def factor_dim(i: int, a: str) -> float:
-        f = factors[i]
-        if f.is_lazy:
-            return f.dim(a)
-        from .rings import ring_dims
-
-        return ring_dims(f)(a)
-
     have_dims = all(f.has_dims if f.is_lazy else True for f in factors)
 
     def dims_fn(label: str) -> float:
         word = _free_parse(label, nfactors)
         value = 1.0
         for i, a in word:
-            value *= factor_dim(i, a)
+            value *= dim_of(factors[i], a)
         return value
 
     return LazyBasedRing(

@@ -577,13 +577,12 @@ def standard_module(ring: Ring):
         action = {
             (alpha, b): ring.product(alpha, b) for alpha in ring.basis for b in ring.basis
         }
-        dims = ring.dims or None
         return BasedModuleTable(
             ring,
             ring.basis,
             action,
             name=f"standard({ring.name})",
-            dims=(lambda b: dims(b)) if dims is not None else None,
+            dims=ring.dims,
             anchor=ring.unit,
         )
     return LazyBasedModule(

@@ -378,8 +378,6 @@ class _Searcher:
         self.d_gen = [dims(g) for g in self.gens]
         self.d_max = dims.max_value
         self.self_dual = [ring.involution_of(g) == g for g in self.gens]
-        # no entry and no row total exceeds d(g) * d_max
-        self.entry_cap = [int(math.floor(d * self.d_max + _EPS)) for d in self.d_gen]
         self.max_size = config.max_basis_size
         self.deadline = None
         if config.time_budget is not None:
@@ -581,66 +579,54 @@ class _Searcher:
     # ---- row candidate generation
 
     def _row_options(self, state: _SearchState, gi: int, b: int):
-        """All admissible contents for row (generator gi, vertex b).
+        """All admissible contents for row (generator gi, vertex b), under one
+        bound: the row's entries times the lower dimension bounds, added in
+        row order, sum to at most d(g) * (hi_b + 3 _EPS).  The first revision
+        of ``_propagate`` sums the same row in the same order and refutes any
+        sum above d(g) * (hi_b + 2 _EPS).  A new vertex weighs its lower
+        bound 1.  For a self-dual generator M_g is symmetric, so column c < b
+        takes the fixed entry (c, b), under the same bound.
 
-        The weighted row sum must reach d(g) * D_b, every dimension is at
-        least 1, so partial weighted sums prune the generation early and
-        known target dimensions cap each multiplicity individually.
-
-        A row is withheld only when the sum of its entries times the lower
-        dimension bounds, added in row order, exceeds d(g) * (hi_b + 3 _EPS):
-        the first revision of ``_propagate`` sums the same row in the same
-        order and refutes any sum above d(g) * (hi_b + 2 _EPS).
+        No entry and no row total is capped apart from this bound.  Every
+        lower bound is at least 1, so the row total is at most the weighted
+        sum, at most d(g) * (d_max + 3 _EPS): a cap floor(d(g) * d_max)
+        could withhold more only where d(g) * d_max lies within 3 d(g) _EPS
+        below an integer.  Dropping a prune only admits rows, so it never
+        loses a class.
         """
-        cap = self.entry_cap[gi]
-        d_g = self.d_gen[gi]
         # largest weighted row sum that propagation does not refute
-        weight_hi = d_g * (state.dims[b][1] + 3 * _EPS)
-        forced: list[tuple[int, int]] = []
-        forced_total = 0
-        forced_weight = 0.0
-        if self.self_dual[gi]:
-            for c in range(b):
-                mult = dict(state.rows[(gi, c)]).get(b, 0)
-                if mult:
-                    forced.append((c, mult))
-                    forced_total += mult
-                    forced_weight += mult * state.dims[c][0]
-            if forced_total > cap or forced_weight > weight_hi:
-                return
-        budget = cap - forced_total
+        weight_hi = self.d_gen[gi] * (state.dims[b][1] + 3 * _EPS)
         room_new = self.max_size - state.nvert
         options: list[list[tuple[int, int]]] = []
 
-        def new_block(targets, block, prev, rem, lo):
+        def new_block(targets, block, lo):
             if len(block) <= room_new:
-                combined = forced + targets + [
-                    (state.nvert + i, m) for i, m in enumerate(block)
-                ]
+                combined = targets + [(state.nvert + i, m) for i, m in enumerate(block)]
                 if combined:
                     options.append(combined)
             if len(block) >= room_new:
                 return
-            for m in range(min(prev, rem), 0, -1):
-                if lo + m > weight_hi:  # every new vertex weighs at least 1
-                    continue
-                new_block(targets, block + [m], m, rem - m, lo + m)
+            for m in range(block[-1] if block else int(weight_hi - lo), 0, -1):
+                if lo + m <= weight_hi:  # every new vertex weighs at least 1
+                    new_block(targets, block + [m], lo + m)
 
-        def extend(targets, c, remaining, lo):
+        def extend(targets, c, lo):
             if c >= state.nvert:
-                new_block(targets, [], cap, remaining, lo)
+                new_block(targets, [], lo)
                 return
             weight = state.dims[c][0]  # a lower bound starts at 1 and only rises
-            top = min(cap, remaining, int((weight_hi - lo) / weight))
-            for m in range(0, top + 1):
-                extend(
-                    targets + ([(c, m)] if m else []),
-                    c + 1,
-                    remaining - m,
-                    lo + m * weight,
-                )
+            if self.self_dual[gi] and c < b:
+                choices = [dict(state.rows[(gi, c)]).get(b, 0)]
+            else:
+                choices = range(int((weight_hi - lo) / weight) + 1)
+            for m in choices:
+                if lo + m * weight <= weight_hi:
+                    extend(targets + ([(c, m)] if m else []), c + 1, lo + m * weight)
 
-        extend([], b if self.self_dual[gi] else 0, budget, forced_weight)
+        extend([], 0, 0.0)
+        # each closure refers to itself; unbinding both lets this node's
+        # state go when its last child returns, not at a cyclic collection
+        del extend, new_block
         yield from options
 
     # ---- leaf completion
@@ -896,11 +882,8 @@ def unfold_word_module(module, depth: int) -> UnfoldedModule:
         vertices.append(f"{b}#+")
         vertices.append(f"{b}#-")
     big = np.zeros((2 * m, 2 * m), dtype=np.int64)
-    for i in range(m):
-        for j in range(m):
-            if Mplus[i, j]:
-                big[2 * i, 2 * j + 1] = Mplus[i, j]
-                big[2 * j + 1, 2 * i] = Mplus[i, j]
+    big[0::2, 1::2] = Mplus
+    big[1::2, 0::2] = Mplus.T
     boundary = frozenset(
         v
         for b in window.basis

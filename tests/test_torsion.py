@@ -49,7 +49,7 @@ from fusionrings import (
 from fusionrings import torsion
 from fusionrings.errors import StructuralError
 from fusionrings.modules import LazyBasedModule
-from fusionrings.rings import REL_TOL, BasedRingTable, DimensionFunction
+from fusionrings.rings import BasedRingTable, DimensionFunction
 from fusionrings.torsion import FreeProductProbeReport
 
 
@@ -348,8 +348,6 @@ def _assert_closed(searcher, state):
         lo_b, hi_b = state.dims[b]
         sum_lo = sum(m * state.dims[c][0] for c, m in row)
         sum_hi = sum(m * state.dims[c][1] for c, m in row)
-        slack = REL_TOL * max(1.0, d_g * hi_b)
-        assert d_g * lo_b - slack <= sum_hi and sum_lo <= d_g * hi_b + slack
         check(b, sum_lo / d_g, sum_hi / d_g)
         for c, m in row:
             lo_c, hi_c = state.dims[c]
@@ -427,13 +425,8 @@ def test_propagation_indices_match_the_fixed_rows(make, monkeypatch):
     assert result.complete and len(nodes) == result.nodes_explored
 
 
-# the pinned searches over rings that are not group rings: in a group ring
-# every entry cap is 1, and the dimension bound never withholds a row
-BOUND_SEARCHES = [case for case in PINNED_SEARCHES if case[0] not in ("sym3", "cyclic6", "dihedral8")]
-
-
-@pytest.mark.parametrize("make", [case[1] for case in BOUND_SEARCHES],
-                         ids=[case[0] for case in BOUND_SEARCHES])
+@pytest.mark.parametrize("make", [case[1] for case in PINNED_SEARCHES],
+                         ids=[case[0] for case in PINNED_SEARCHES])
 def test_row_options_withhold_only_refuted_rows(make, monkeypatch):
     # at every node, each row that the next cell gains when the row vertex's
     # upper dimension bound is raised by 1 is one that ``_child`` refutes at
@@ -461,6 +454,36 @@ def test_row_options_withhold_only_refuted_rows(make, monkeypatch):
     ring = make()
     result = enumerate_modules(ring, ModuleSearchConfig(max_basis_size=dimension_bound(ring)))
     assert result.complete and withheld
+
+
+# the pinned searches, then six of them again without the exact-row cut,
+# which reaches more cells and so asks for more rows
+ROW_OPTION_SEARCHES = [(case[1], True) for case in PINNED_SEARCHES] + [
+    (case[1], False) for case in PINNED_SEARCHES
+    if case[0] in ("su2_level3", "su2_level4", "sym3", "cyclic6", "fib_squared", "su2_level2xZ2")
+]
+
+
+def test_row_options_pinned(monkeypatch):
+    # one sha256 over every call of ``_row_options`` in these searches: the
+    # number of rows fixed so far, the cell, and the rows it offers in order
+    row_options = torsion._Searcher._row_options
+    exact_rows = torsion._Searcher._exact_rows
+    calls = []
+
+    def recorded(searcher, state, gi, b):
+        options = list(row_options(searcher, state, gi, b))
+        calls.append((len(state.rows), gi, b, options))
+        return options
+
+    monkeypatch.setattr(torsion._Searcher, "_row_options", recorded)
+    for make, cut in ROW_OPTION_SEARCHES:
+        monkeypatch.setattr(torsion._Searcher, "_exact_rows",
+                            exact_rows if cut else lambda searcher, state: True)
+        ring = make()
+        assert enumerate_modules(ring, ModuleSearchConfig(max_basis_size=dimension_bound(ring))).complete
+    digest = hashlib.sha256(repr(calls).encode()).hexdigest()
+    assert digest == "36e5102d183f2224146d14b263791b283652e935480b2db46771eef7fe0d6705"
 
 
 @pytest.mark.parametrize("name,make,digest", [(case[0], case[1], case[3]) for case in PINNED_SEARCHES],

@@ -30,6 +30,7 @@ from .errors import (
     FusionError,
     MalformedDocumentError,
     NoDimensionFunctionError,
+    StructuralError,
     UnknownLabelError,
 )
 from .modules import standard_module, verify_module
@@ -323,7 +324,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (MalformedDocumentError, UnknownLabelError, ValueError) as exc:
+    except (MalformedDocumentError, StructuralError, UnknownLabelError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
     except FusionError as exc:

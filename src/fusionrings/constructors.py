@@ -390,6 +390,7 @@ def free_product(factors: list[Ring]) -> LazyBasedRing:
                     extend(word + ((i, a),), i)
 
         extend((), None)
+        del extend  # it refers to itself; unbinding frees it without a cyclic collection
         return sorted(words)
 
     def contains_fn(a: str) -> bool:

@@ -41,6 +41,7 @@ from .modules import (
     BasedModuleTable,
     LazyBasedModule,
     TruncatedModule,
+    _component_partition,
     act,
     dim_vector,
     inner,
@@ -249,7 +250,10 @@ def _canonical_data(matrices: list[np.ndarray], size: int, deadline: float | Non
                 split.extend(parts[value] for value in sorted(parts))
             descend(prefix + [v], rows + [row], split)
 
-    descend([], [], _refined_cells(entry))
+    try:
+        descend([], [], _refined_cells(entry))
+    finally:
+        del descend  # it refers to itself; unbinding frees it without a cyclic collection
     idx = np.array(best_perm, dtype=np.intp)
     key = f"{size}|".encode() + T[np.ix_(idx, idx)].astype(">i8").tobytes()
     return key, best_perm, leaves
@@ -1046,32 +1050,18 @@ class FreeProductProbeReport:
         return self.vacuous or (self.identification_ok and not self.obstructions)
 
 
-def _factor_submodule(module, letters: list[str], start: str, window_set: set[str]):
-    comp = {start}
-    queue = [start]
-    complete = True
-    while queue:
-        b = queue.pop()
-        for beta in letters:
-            row = module.action_row(beta, b)
-            for c in row.support():
-                if c not in window_set:
-                    complete = False
-                    continue
-                if c not in comp:
-                    comp.add(c)
-                    queue.append(c)
-    return sorted(comp), complete
-
-
 def free_product_module_probe(ring: LazyBasedRing, module, depth: int) -> FreeProductProbeReport:
     """Replay the descent that identifies a module over a free product with
     the standard module, on a truncation.
 
-    Per-factor submodules of complete vertices are matched against the
-    factor rings; the descent walks to a vertex on which every letter acts
-    irreducibly, and the resulting map from ring labels must be injective
-    up to the requested depth.
+    A factor's submodules are the components of the window under its
+    letters, as ``connected_components`` reports them, so an input that
+    breaks reciprocity gets those components too; on a based module every
+    edge runs both ways (a letter's dual is a letter of the same factor).
+    Complete submodules, from which no letter's row leaves the window, are
+    matched against the factor rings; the descent walks to a vertex on
+    which every letter acts irreducibly, and the resulting map from ring
+    labels must be injective up to the requested depth.
     """
     factors = ring.metadata.get("factors")
     if factors is None:
@@ -1082,24 +1072,27 @@ def free_product_module_probe(ring: LazyBasedRing, module, depth: int) -> FreePr
         return FreeProductProbeReport(True, None, True, [], 0)
 
     window = _word_window(module, depth)
-    window_set = set(window.basis)
     letter_pairs_by_factor = [
         [(f"{i}:{a}", a) for a in f.basis if a != f.unit] for i, f in enumerate(factors)
     ]
+    # per factor: each vertex's submodule and whether it is complete
+    submodule_of = []
+    for pairs in letter_pairs_by_factor:
+        letters = [free for free, _ in pairs]
+        parts = {}
+        for part in _component_partition(window, letters):
+            complete = all(window.row_complete(beta, v) for v in part for beta in letters)
+            parts.update(dict.fromkeys(part, (part, complete)))
+        submodule_of.append(parts)
     obstructions: list[str] = []
 
-    # per-factor submodule survey over fully visible components
+    # survey of the complete submodules, each named by its first vertex in window order
     checked = 0
     for s, factor in enumerate(factors):
         pairs = letter_pairs_by_factor[s]
-        letters = [free for free, _ in pairs]
-        seen: set[str] = set()
         for b in window.basis:
-            if b in seen:
-                continue
-            component, complete = _factor_submodule(window, letters, b, window_set)
-            seen.update(component)
-            if not complete:
+            component, complete = submodule_of[s][b]
+            if not complete or b != min(component, key=window.index.__getitem__):
                 continue
             checked += 1
             if match_standard_copy(component, pairs, factor.unit, window.action_row, factor.product) is None:
@@ -1130,9 +1123,7 @@ def free_product_module_probe(ring: LazyBasedRing, module, depth: int) -> FreePr
             base = current
             break
         pairs = letter_pairs_by_factor[bad_factor]
-        component, complete = _factor_submodule(
-            window, [free for free, _ in pairs], current, window_set
-        )
+        component, complete = submodule_of[bad_factor][current]
         if not complete:
             obstructions.append(
                 f"descent left the truncation window at {current} (factor {bad_factor})"

@@ -377,3 +377,37 @@ def test_malformed_document_exit_2(case, tmp_path, capsys):
     assert main(["verify", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+# a ring whose involution maps a -> b and b -> b is structurally broken (exit
+# 2 from every command); a sound ring with x.x = 2.1 has no dimension
+# function, a negative verdict (exit 1 from every command: verify reports
+# failed axioms, the others "multiplicativity fails at ('x', 'x')")
+VERDICT_DOCUMENTS = {
+    "broken involution": ({
+        "format": "fusionring/1", "name": "broken", "unit": "a",
+        "basis": [{"id": "a", "dual": "b"}, {"id": "b", "dual": "b"}],
+        "products": [["a", "a", "a", 1], ["a", "b", "b", 1], ["b", "a", "b", 1], ["b", "b", "a", 1]],
+    }, 2, "involution is not a bijection of the basis"),
+    "no dimension function": ({
+        "format": "fusionring/1", "name": "nodim", "unit": "1",
+        "basis": [{"id": "1", "dual": "1"}, {"id": "x", "dual": "x"}],
+        "products": [["1", "1", "1", 1], ["1", "x", "x", 1], ["x", "1", "x", 1], ["x", "x", "1", 2]],
+    }, 1, "fail"),
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "enumerate", "torsion", "dims"])
+@pytest.mark.parametrize("case", list(VERDICT_DOCUMENTS))
+def test_exit_code_of_each_command(case, command, tmp_path, capsys):
+    doc, code, message = VERDICT_DOCUMENTS[case]
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main([command, str(path)]) == code
+    out, err = capsys.readouterr()
+    assert message in out + err and "Traceback" not in err
+
+
+def test_torsion_below_the_certified_bound_exit_3(capsys):
+    assert main(["torsion", "builtin:fibonacci", "--max-size", "1"]) == 3
+    assert capsys.readouterr().out == "inconclusive\n"

@@ -1,6 +1,7 @@
 """Enumeration, canonical forms, torsion verdicts, and proof-replay probes."""
 
 import functools
+import gc
 import hashlib
 import itertools
 import math
@@ -42,6 +43,7 @@ from fusionrings import (
     twisted_tensor_module,
     unfold_word_module,
     verify_based_ring,
+    verify_lazy_ring,
     verify_module,
     word_module_structure_check,
     a_infinity_check,
@@ -786,6 +788,16 @@ def test_trivial_ring_is_torsion_free():
     assert verdict.status == "torsion_free_certified"
 
 
+@pytest.mark.parametrize("config,bound", [
+    (ModuleSearchConfig(max_basis_size=2), 2),  # complete, below the dimension bound
+    (ModuleSearchConfig(max_basis_size=10, time_budget=0), 0),  # cut before any class
+])
+def test_verdict_inconclusive_without_a_witness(config, bound):
+    verdict = is_torsion_free(su2_level(5), config)
+    assert verdict.status == "inconclusive"
+    assert (verdict.certified_bound, verdict.class_count, verdict.witnesses) == (bound, 0, [])
+
+
 def test_su2_level3_quotient_witness():
     verdict = is_torsion_free(su2_level(3))
     assert verdict.status == "not_torsion_free"
@@ -1105,6 +1117,14 @@ def test_tensor_probe_trivial_factor_is_torsion_free():
     assert report.ok
 
 
+def test_tensor_probe_reports_a_witness_without_a_matched_pair():
+    report = tensor_obstruction_probe(cyclic_group_ring(2), fibonacci())
+    assert not report.torsion_free
+    [witness_report] = report.witness_reports
+    assert witness_report.matched_pair is None
+    assert not witness_report.ok
+
+
 @pytest.mark.parametrize(
     "r1,r2",
     [
@@ -1371,3 +1391,29 @@ PINNED_REPLAYS = [
                          ids=[case[0] for case in PINNED_REPLAYS])
 def test_replay_outputs_pinned(lines, digest):
     assert hashlib.sha256(repr(sorted(lines())).encode()).hexdigest() == digest
+
+
+def test_recursive_closures_leave_no_cycles():
+    """Every recursive closure is unbound after use: a search (labelling and
+    row generation), a free product's word listing and a lazy verification
+    leave none of them to the cyclic collector."""
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    start = len(gc.garbage)
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        ring = group_ring(*dihedral_data(4)[:2], name="dihedral8")
+        assert enumerate_modules(ring, ModuleSearchConfig(max_basis_size=8)).complete
+        product = free_product([fibonacci(), cyclic_group_ring(3)])
+        for n in range(6):
+            product.enumerate_level(n)
+        assert verify_lazy_ring(product, 3).ok
+        gc.collect()
+        names = {getattr(obj, "__name__", None) for obj in gc.garbage[start:] if callable(obj)}
+    finally:
+        gc.set_debug(flags)
+        del gc.garbage[start:]
+        if enabled:
+            gc.enable()
+    assert not names & {"descend", "extend", "new_block"}

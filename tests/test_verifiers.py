@@ -89,7 +89,7 @@ def _rank3(xxx, xxy, xyy, yyy):
     return BasedRingTable("1xy", "1", {b: b for b in "1xy"}, products, name="rank3")
 
 
-def _lazy_su2(changes=None, involution=lambda a: a):
+def _lazy_su2(changes=None, involution=lambda a: a, level=int):
     def product(a, b):
         if (a, b) in (changes or {}):
             return RingElement(changes[(a, b)])
@@ -100,7 +100,7 @@ def _lazy_su2(changes=None, involution=lambda a: a):
         unit="0",
         product_fn=product,
         involution_fn=involution,
-        level_fn=int,
+        level_fn=level,
         enumerate_level_fn=lambda n: [str(n)],
         contains_fn=_is_canonical_nat,
     )
@@ -560,6 +560,22 @@ PINNED_REPORTS = {
 def test_broken_input_reports_are_pinned(kind, name):
     assert _report_lines(kind, name) == PINNED_REPORTS[(kind, name)]
 
+
+
+@pytest.mark.parametrize("ring,error", [
+    (_lazy_su2(level=lambda a: int(a) + 1), "unit is not at level 0"),
+    (_lazy_su2(involution=lambda a: {"1": "2"}.get(a, a)), "involution is not involutive at '1'"),
+    (_lazy_su2(involution=lambda a: {"0": "1", "1": "0"}.get(a, a)), "involution does not fix the unit"),
+], ids=["unit level", "not involutive", "unit not fixed"])
+def test_lazy_ring_structural_errors(ring, error):
+    assert verify_lazy_ring(ring, 2).structural_errors == [error]
+
+
+def test_involution_missing_a_label_is_structural():
+    z2 = cyclic_group_ring(2)
+    products = {(a, b): z2.product(a, b) for a in z2.basis for b in z2.basis}
+    report = verify_based_ring(BasedRingTable(z2.basis, "0", {"0": "0"}, products))
+    assert report.structural_errors == ["involution is not defined on exactly the basis"]
 
 
 def test_report_names_the_first_witness():

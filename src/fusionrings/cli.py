@@ -12,6 +12,7 @@ import json
 import os
 import sys
 
+from .constructors import free_product, tensor_product
 from .documents import (
     MODULE_FORMAT,
     RING_FORMAT,
@@ -196,20 +197,12 @@ def cmd_product(args) -> int:
     if args.tensor:
         if any(r.is_lazy for r in rings):
             raise MalformedDocumentError("tensor products require finite tables")
-        from .constructors import tensor_product
-
         out = rings[0]
         for other in rings[1:]:
             out = tensor_product(out, other)
-        doc = ring_to_document(out)
     else:
-        doc = {
-            "format": RING_FORMAT,
-            "lazy": {
-                "kind": "free_product",
-                "factors": [ring_to_document(r) for r in rings],
-            },
-        }
+        out = free_product(rings)
+    doc = ring_to_document(out)
     if args.out:
         write_document(args.out, doc)
         print(args.out)

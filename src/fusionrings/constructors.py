@@ -145,7 +145,7 @@ def _parse_word(label: str) -> str:
     if label == _WORD_UNIT:
         return ""
     letters = label[1::2]  # an odd length leaves one "p" more than letters
-    if label[::2] != "p" * len(letters) or letters.strip("+-"):
+    if not letters or label[::2] != "p" * len(letters) or letters.strip("+-"):
         raise ValueError(f"bad word label {label!r}")
     return letters
 
@@ -299,112 +299,84 @@ WORD_SEP = "."
 FREE_UNIT = "e"
 
 
-def _free_format(word: tuple[tuple[int, str], ...]) -> str:
-    return WORD_SEP.join(f"{i}{LETTER_SEP}{a}" for i, a in word) or FREE_UNIT
-
-
-def _free_parse(label: str, nfactors: int) -> tuple[tuple[int, str], ...]:
-    if label == FREE_UNIT:
-        return ()
-    letters = []
-    for chunk in label.split(WORD_SEP):
-        idx_text, sep, a = chunk.partition(LETTER_SEP)
-        if not sep or not idx_text.isdigit():
-            raise ValueError(f"bad free-product label {label!r}")
-        idx = int(idx_text)
-        if idx >= nfactors:
-            raise ValueError(f"factor index out of range in {label!r}")
-        letters.append((idx, a))
-    return tuple(letters)
+def _free_format(letters) -> str:
+    return WORD_SEP.join(f"{i}{LETTER_SEP}{a}" for i, a in letters) or FREE_UNIT
 
 
 def free_product(factors: list[Ring]) -> LazyBasedRing:
     """Free product on alternating words in the non-unit letters of the factors.
 
-    Words from distinct factors concatenate; a same-factor junction expands
-    by the factor's fusion and recurses on the shorter outer words.  Always
-    lazy: alternating words are unbounded even over finite tables.
+    A word is its letters ``i:a`` (factor index, letter) joined by ``.``, or
+    ``e``; no other spelling names it.  A same-factor junction expands by
+    the factor's fusion, a unit term joining the outer words in turn.
+    Always lazy: alternating words are unbounded even over finite tables.
     """
     factors = list(factors)
     if not factors:
         raise ValueError("free products need at least one factor")
-    nfactors = len(factors)
 
-    def valid_word(word: tuple[tuple[int, str], ...]) -> bool:
-        prev = None
+    def letters(label: str) -> list[tuple[int, str]]:
+        """The (factor index, letter) pairs of a word label, unchecked."""
+        if label == FREE_UNIT:
+            return []
+        pairs = []
+        for chunk in label.split(WORD_SEP):
+            index, _, a = chunk.partition(LETTER_SEP)
+            pairs.append((int(index), a))
+        return pairs
+
+    def contains_fn(label: str) -> bool:
+        try:
+            word = letters(label)
+        except ValueError:  # an index that is not an integer
+            return False
+        last = None
         for i, a in word:
-            if not factors[i].contains(a) or a == factors[i].unit:
+            if i == last or i not in range(len(factors)):
                 return False
-            if prev is not None and prev == i:
+            if a == factors[i].unit or not factors[i].contains(a):
                 return False
-            prev = i
-        return True
-
-    def product_words(w: tuple, z: tuple) -> RingElement:
-        if not w:
-            return RingElement.basis(_free_format(z))
-        if not z:
-            return RingElement.basis(_free_format(w))
-        i, a = w[-1]
-        j, b = z[0]
-        if i != j:
-            return RingElement.basis(_free_format(w + z))
-        expansion = factors[i].product(a, b)
-        out = RingElement()
-        unit_i = factors[i].unit
-        for gamma, coeff in expansion.items():
-            if gamma == unit_i:
-                out = out + coeff * product_words(w[:-1], z[1:])
-            else:
-                out = out + coeff * RingElement.basis(_free_format(w[:-1] + ((i, gamma),) + z[1:]))
-        return out
+            last = i
+        return _free_format(word) == label
 
     def product_fn(a: str, b: str) -> RingElement:
-        return product_words(_free_parse(a, nfactors), _free_parse(b, nfactors))
+        terms: dict[str, int] = {}
+        work = [(letters(a), letters(b), 1)]
+        while work:
+            w, z, coeff = work.pop()
+            if not w or not z or w[-1][0] != z[0][0]:
+                label = _free_format(w + z)
+                terms[label] = terms.get(label, 0) + coeff
+                continue
+            i, x = w[-1]
+            factor = factors[i]
+            for gamma, m in factor.product(x, z[0][1]).items():
+                # gamma replaces the junction; the unit leaves a new junction
+                # of the outer words, a non-unit letter one between factors
+                head = w[:-1] if gamma == factor.unit else w[:-1] + [(i, gamma)]
+                work.append((head, z[1:], coeff * m))
+        return RingElement._of(terms)
 
-    def involution_fn(a: str) -> str:
-        word = _free_parse(a, nfactors)
-        return _free_format(tuple((i, factors[i].involution_of(x)) for i, x in reversed(word)))
-
-    def level_fn(a: str) -> int:
-        return len(_free_parse(a, nfactors))
-
-    all_finite = all(not f.is_lazy for f in factors)
-    letters_by_factor: list[list[str]] = []
-    if all_finite:
-        letters_by_factor = [[a for a in f.basis if a != f.unit] for f in factors]
+    def involution_fn(label: str) -> str:
+        return _free_format([(i, factors[i].involution_of(a)) for i, a in reversed(letters(label))])
 
     def enumerate_level_fn(n: int) -> list[str]:  # handed over only when every factor is finite
-        if n == 0:
-            return [FREE_UNIT]
-        words: list[str] = []
-
-        def extend(word: tuple, last: int | None):
-            if len(word) == n:
-                words.append(_free_format(word))
-                return
-            for i in range(nfactors):
-                if i == last:
-                    continue
-                for a in letters_by_factor[i]:
-                    extend(word + ((i, a),), i)
-
-        extend((), None)
-        del extend  # it refers to itself; unbinding frees it without a cyclic collection
-        return sorted(words)
-
-    def contains_fn(a: str) -> bool:
-        try:
-            return valid_word(_free_parse(a, nfactors))
-        except ValueError:
-            return False
-
-    have_dims = all(f.has_dims if f.is_lazy else True for f in factors)
+        words: list[list[tuple[int, str]]] = [[]]
+        for _ in range(n):
+            longer = []
+            for w in words:
+                for i, factor in enumerate(factors):
+                    if w and w[-1][0] == i:
+                        continue
+                    for a in factor.basis:
+                        if a != factor.unit:
+                            longer.append(w + [(i, a)])
+            words = longer
+        return sorted(_free_format(w) for w in words)
 
     def dims_fn(label: str) -> float:
-        word = _free_parse(label, nfactors)
         value = 1.0
-        for i, a in word:
+        for i, a in letters(label):
             value *= dim_of(factors[i], a)
         return value
 
@@ -413,10 +385,10 @@ def free_product(factors: list[Ring]) -> LazyBasedRing:
         unit=FREE_UNIT,
         product_fn=product_fn,
         involution_fn=involution_fn,
-        level_fn=level_fn,
-        enumerate_level_fn=enumerate_level_fn if all_finite else None,
+        level_fn=lambda label: len(letters(label)),
+        enumerate_level_fn=None if any(f.is_lazy for f in factors) else enumerate_level_fn,
         contains_fn=contains_fn,
-        dims=dims_fn if have_dims else None,
+        dims=dims_fn if all(f.has_dims for f in factors if f.is_lazy) else None,
         metadata={"kind": "free_product", "factors": factors},
     )
 

@@ -636,12 +636,14 @@ class _Searcher:
     # ---- leaf completion
 
     def _leaf_seeds(self, state: _SearchState):
-        """A leaf's generator rows (also those the closure derived before the
-        search fixed them, so the two are compared), then, until none is
-        left, the missing rows of the dual of a label whose rows the closure
-        has all made exact: that label's columns.
+        """A leaf's generator rows, then, until none is left, the missing
+        rows of the dual of a label whose rows the closure has all made
+        exact: that label's columns.
 
-        The labels made wholly exact are then closed under duals and under
+        ``_exact_rows`` closed each generator row when the search fixed it;
+        seeding them again (one comparison each) keeps completion
+        independent of that node cut, which the tests switch off.  The
+        labels made wholly exact are then closed under duals and under
         every fusion rule with one unknown term, the rule that
         ``generating_set`` derives every label by, so every row is exact
         unless a row broke a rule."""
@@ -739,7 +741,7 @@ class _Searcher:
         return EnumerationResult(
             classes=classes,
             complete=complete,
-            certified_bound=self.max_size,
+            certified_bound=self.max_size if complete else 0,
             generators=tuple(self.gens),
             nodes_explored=self.nodes,
         )
@@ -808,7 +810,7 @@ def is_torsion_free(ring: BasedRingTable, config: ModuleSearchConfig | None = No
     return TorsionVerdict(
         status=status,
         witnesses=witnesses,
-        certified_bound=config.max_basis_size if result.complete else 0,
+        certified_bound=result.certified_bound,
         class_count=len(result.classes),
         enumeration=result,
     )

@@ -136,9 +136,12 @@ def fusion_subrings(ring) -> list[tuple[str, ...]]:
 
 def parse_word_oracle(label: str) -> tuple[str, ...]:
     """The word ring's label parser as a letter-by-letter loop: the tuple of
-    signs of ``label``, or ValueError when it is no word label."""
+    signs of ``label``, or ValueError when it is no word label.  Only ``e``
+    names the empty word; the empty string is no label."""
     if label == "e":
         return ()
+    if not label:
+        raise ValueError("the empty string is no word label")
     letters = []
     i = 0
     while i < len(label):

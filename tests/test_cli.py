@@ -411,3 +411,73 @@ def test_exit_code_of_each_command(case, command, tmp_path, capsys):
 def test_torsion_below_the_certified_bound_exit_3(capsys):
     assert main(["torsion", "builtin:fibonacci", "--max-size", "1"]) == 3
     assert capsys.readouterr().out == "inconclusive\n"
+
+
+def test_fuse_rejects_a_second_spelling_of_a_word_exit_2(tmp_path, capsys):
+    path = tmp_path / "z.json"
+    assert main(["product", "--free", "builtin:cyclic?n=2", "builtin:cyclic?n=3", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["fuse", str(path), "e", "01:1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "'01:1' is not in ring" in err
+
+
+def test_enumerate_cut_search_certifies_no_bound_exit_3(capsys):
+    assert main(["enumerate", "builtin:su2?level=5", "--budget", "0"]) == 3
+    assert capsys.readouterr().out == "classes=0 certified_bound=0 status=inconclusive\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["fuse", "{}", "0", "1"], "fuse expects a ring, not a module"),
+    (["dims", "{}"], "dims expects a finite ring document"),
+    (["enumerate", "{}"], "enumerate expects a finite ring document"),
+    (["torsion", "{}"], "torsion expects a finite ring document"),
+    (["product", "--free", "builtin:fibonacci", "{}"], "product expects ring documents"),
+])
+def test_module_document_where_a_ring_is_expected_exit_2(argv, message, tmp_path, capsys):
+    from fusionrings import standard_module
+    from fusionrings.documents import module_to_document
+
+    path = tmp_path / "module.json"
+    write_document(str(path), module_to_document(standard_module(cyclic_group_ring(2))))
+    assert main([str(path) if arg == "{}" else arg for arg in argv]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_graph_of_a_ring_needs_standard_exit_2(capsys):
+    assert main(["graph", "builtin:fibonacci", "--alpha", "phi"]) == 2
+    assert capsys.readouterr().err == "error: a ring document needs --standard to pick its module\n"
+
+
+@pytest.mark.parametrize("text,message", [
+    (None, "cannot read config"),
+    ("[1, 2]", "config must be a JSON object"),
+])
+def test_config_that_is_not_an_object_exit_2(text, message, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    assert main(["enumerate", "builtin:fibonacci", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+def test_unknown_document_format_exit_2(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text('{"format": "nope/1"}', encoding="utf-8")
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == "error: unknown document format 'nope/1'\n"
+
+
+def test_graph_alpha_unit_is_the_ring_unit(capsys):
+    assert main(["graph", "builtin:fibonacci", "--standard", "--alpha", "unit"]) == 0
+    assert capsys.readouterr().out == (
+        "digraph fusion {\n"
+        '  "1" [label="1 d=1"];\n'
+        '  "phi" [label="phi d=1.618033989"];\n'
+        '  "1" -> "1";\n'
+        '  "phi" -> "phi";\n'
+        "}\n"
+        "verdict: disconnected, 2 components\n"
+        "component 1: tadpole T_1 (norm < 2)\n"
+        "component phi: tadpole T_1 (norm < 2)\n"
+    )

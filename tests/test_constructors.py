@@ -1,6 +1,7 @@
 """Built-in rings, products and combinators, with independent oracles."""
 
 import functools
+import hashlib
 import itertools
 import math
 
@@ -313,6 +314,47 @@ def test_free_product_reads_a_lazy_factor_dimension():
     # lazy su2 factor's own dimension function
     fp = free_product([su2_ring(), cyclic_group_ring(2)])
     assert fp.dim("0:2.1:1") == 3.0
+
+
+# sha256 over each label a of ``labels_up_to(depth)``: (a, dual, level,
+# dimension), then ``product(a, b).items()`` for every label b; then the
+# levels 0..depth as ``enumerate_level`` lists them
+FREE_PRODUCT_TABLES = [
+    ("fib*fib", lambda: [fibonacci(), fibonacci()], 4, "149e819bfa578886"),
+    ("Z2*Z3", lambda: [cyclic_group_ring(2), cyclic_group_ring(3)], 4, "058cf80d6669b319"),
+    ("fib*Z2*Z3", lambda: [fibonacci(), cyclic_group_ring(2), cyclic_group_ring(3)], 3, "0bc4223f86dbc53a"),
+    ("su2_2*fib", lambda: [su2_level(2), fibonacci()], 3, "5971369176ea0063"),
+]
+
+
+@pytest.mark.parametrize("factors,depth,digest", [case[1:] for case in FREE_PRODUCT_TABLES],
+                         ids=[case[0] for case in FREE_PRODUCT_TABLES])
+def test_free_product_tables_pinned(factors, depth, digest):
+    ring = free_product(factors())
+    h = hashlib.sha256()
+    labels = ring.labels_up_to(depth)
+    for a in labels:
+        h.update(repr((a, ring.involution_of(a), ring.level(a), ring.dim(a))).encode())
+        for b in labels:
+            h.update(repr(ring.product(a, b).items()).encode())
+    h.update(repr([ring.enumerate_level(n) for n in range(depth + 1)]).encode())
+    assert h.hexdigest()[:16] == digest
+
+
+def test_free_product_names_each_word_one_way():
+    # "01:1" would read as letter 1:1, and "" as the empty word; only the
+    # spelling the product writes names a word
+    ring = free_product([cyclic_group_ring(2), cyclic_group_ring(3)])
+    for label in ("01:1", "0:1.01:1", "", "1:", "x:1", "2:1", "0:0", "0:1.0:1", "1:1."):
+        assert not ring.contains(label), label
+    for label in ("e", "1:1", "0:1.1:2"):
+        assert ring.contains(label), label
+
+
+def test_word_ring_rejects_the_empty_label():
+    ring = free_unitary_ring()
+    assert not ring.contains("")
+    assert ring.contains("e")
 
 
 # -- generated subrings --------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from fusionrings import (
     BasedRingTable,
+    LazyBasedRing,
     NoDimensionFunctionError,
     RingElement,
     UnitGroupError,
@@ -18,6 +19,7 @@ from fusionrings import (
     fuse,
     group_of_units,
     permutation_group_ring,
+    ring_dims,
     structure_constant,
     su2_level,
     su2_ring,
@@ -281,3 +283,11 @@ def test_structure_constant_linear_in_all_slots():
     # unit coefficient of (phi * phi) * dual(2 phi + 1): coefficients add up
     expected = 2 * structure_constant(fib, phi, phi, phi) + structure_constant(fib, phi, phi, one)
     assert structure_constant(fib, phi, phi, x) == expected
+
+
+def test_ring_dims_rejects_lazy_rings():
+    with pytest.raises(NoDimensionFunctionError, match="lazy rings expose dimensions per label"):
+        ring_dims(su2_ring())
+    bare = LazyBasedRing("bare", "0", lambda a, b: RingElement.basis("0"), lambda a: a, lambda a: 0)
+    with pytest.raises(NoDimensionFunctionError, match="ring bare carries no dimension data"):
+        ring_dims(bare)

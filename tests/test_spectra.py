@@ -602,3 +602,27 @@ def test_components_match_networkx(graph):
     firsts = [min(position[v] for v in c) for c in comps]
     assert firsts == sorted(firsts)
 
+
+
+def _looped_path(n):
+    m = np.zeros((n, n), dtype=np.int64)
+    for i in range(n - 1):
+        m[i, i + 1] = m[i + 1, i] = 1
+    m[0, 0] = m[n - 1, n - 1] = 1
+    return m
+
+
+@pytest.mark.parametrize("matrix,text", [
+    (star([1, 1, 2]), "D_5 (norm < 2)"),
+    (star([1, 2, 2]), "E6 (norm < 2)"),
+    (star([1, 2, 3]), "E7 (norm < 2)"),
+    (star([1, 2, 4]), "E8 (norm < 2)"),
+    (extended_d(5), "extended Dynkin D~5 (norm = 2)"),
+    (star([2, 2, 2]), "extended Dynkin E6~ (norm = 2)"),
+    (star([1, 3, 3]), "extended Dynkin E7~ (norm = 2)"),
+    (star([1, 2, 5]), "extended Dynkin E8~ (norm = 2)"),
+    (_looped_path(3), "loop-type norm-2 graph (norm = 2)"),
+    (star([1, 1, 1, 1, 1]), "norm exceeds 2"),
+], ids=["D5", "E6", "E7", "E8", "extended_D5", "extended_E6", "extended_E7", "extended_E8", "loop", "gt2"])
+def test_describe_names_each_shape(matrix, text):
+    assert dynkin_classify(graph_of(matrix)).describe() == text

@@ -1417,3 +1417,9 @@ def test_recursive_closures_leave_no_cycles():
         if enabled:
             gc.enable()
     assert not names & {"descend", "extend", "new_block"}
+
+
+def test_cut_search_certifies_no_bound():
+    # a search the budget cut certifies nothing, as is_torsion_free reports
+    result = enumerate_modules(su2_level(5), ModuleSearchConfig(max_basis_size=10, time_budget=0))
+    assert (result.complete, result.nodes_explored, result.certified_bound) == (False, 0, 0)

@@ -310,10 +310,13 @@ def free_product(factors: list[Ring]) -> LazyBasedRing:
     ``e``; no other spelling names it.  A same-factor junction expands by
     the factor's fusion, a unit term joining the outer words in turn.
     Always lazy: alternating words are unbounded even over finite tables.
+    A factor whose labels can hold ``.``, as a free product's do, is refused.
     """
     factors = list(factors)
     if not factors:
         raise ValueError("free products need at least one factor")
+    if any(f.metadata.get("kind") == "free_product" if f.is_lazy else WORD_SEP in "".join(f.basis) for f in factors):
+        raise StructuralError(f"a free product factor has labels holding the word separator {WORD_SEP!r}")
 
     def letters(label: str) -> list[tuple[int, str]]:
         """The (factor index, letter) pairs of a word label, unchecked."""

@@ -518,18 +518,20 @@ class _Searcher:
         divisible by the term's multiplicity, has a negative entry or
         differs from the term's exact row, or when two exact rows break
         reciprocity M_abar[b, c] = M_a[c, b] (checked once per pair, when
-        its second row turns exact).  Integers only.
+        its second row turns exact).  Integers only.  A cell (x, y, w), rule
+        x*y on row w, is read at most once per call: once ready, its rows are
+        exact and stay so, and the read added the solved row or found it
+        equal, so a second read solves the same equation for the first term,
+        gets back that term's exact row, and can neither add nor refute.
         """
         exact = state.exact = dict(state.exact)
         unit = self.unit
         copied: set[int] = set()
+        read: set[tuple[int, int, int]] = set()
         queue: list[tuple[int, int]] = []
 
-        def get(label: int, b: int) -> dict | None:
-            return {b: 1} if label == unit else exact.get(label, {}).get(b)
-
         def add(label: int, b: int, row: dict) -> bool:
-            known = get(label, b)
+            known = {b: 1} if label == unit else exact.get(label, {}).get(b)
             if known is not None or not row:  # an exact row never changes, and no row is zero
                 return known == row
             for c, other in exact.get(self.dual_label[label], {}).items():
@@ -551,13 +553,18 @@ class _Searcher:
                 for rule in self.feeds_x[label]:
                     cells.extend((rule, w) for w, row_y in exact.get(rule[1], {}).items() if b in row_y)
                 for (x, y, terms), w in cells:
-                    row_y = get(y, w)
+                    if (x, y, w) in read:
+                        continue
+                    row_y = exact.get(y, {}).get(w)
                     if row_y is None:
                         continue
-                    term_rows = [get(a, w) for a, _ in terms]
-                    rows_x = [get(x, c) for c in row_y]
-                    if term_rows.count(None) > 1 or None in rows_x:
+                    rows_x = [exact.get(x, {}).get(c) for c in row_y]
+                    if None in rows_x:
                         continue
+                    term_rows = [{w: 1} if a == unit else exact.get(a, {}).get(w) for a, _ in terms]
+                    if term_rows.count(None) > 1:
+                        continue
+                    read.add((x, y, w))
                     # solve for the unknown term, or for the first one when
                     # none is unknown, which ``add`` compares with its row
                     i = term_rows.index(None) if None in term_rows else 0

@@ -379,6 +379,17 @@ def test_malformed_document_exit_2(case, tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_nested_free_product_document_exit_2(tmp_path, capsys):
+    fib = ring_to_document(fibonacci())
+    inner = {"format": "fusionring/1", "lazy": {"kind": "free_product", "factors": [fib, fib]}}
+    doc = {"format": "fusionring/1", "lazy": {"kind": "free_product", "factors": [inner, _z2_ring_doc()]}}
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["verify", str(path), "--depth", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "word separator" in err and "Traceback" not in err
+
+
 # a ring whose involution maps a -> b and b -> b is structurally broken (exit
 # 2 from every command); a sound ring with x.x = 2.1 has no dimension
 # function, a negative verdict (exit 1 from every command: verify reports

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fusionrings import (
+    BasedRingTable,
     NotAFusionSubringError,
     RingElement,
     StructuralError,
@@ -499,3 +500,22 @@ def test_three_factor_free_product():
     threaded = fp.product("0:phi.1:1", "2:1")
     assert threaded == RingElement.basis("0:phi.1:1.2:1")
     assert fp.dim("0:phi.1:1.2:1") == pytest.approx(fp.dim("0:phi"), abs=1e-9)
+
+
+def test_free_product_refuses_factors_whose_letters_hold_the_word_separator():
+    # a nested free product yielded 1*0:0:phi.1:phi from a product, a word
+    # its own contains() rejected: the inner word split as the outer one
+    with pytest.raises(StructuralError, match="word separator"):
+        free_product([free_product([fibonacci(), fibonacci()]), cyclic_group_ring(2)])
+    z2 = cyclic_group_ring(2)
+    dotted = BasedRingTable(
+        ["0", "g.1"],
+        "0",
+        {"0": "0", "g.1": "g.1"},
+        {(a, b): RingElement.basis("0" if a == b else "g.1") for a in ("0", "g.1") for b in ("0", "g.1")},
+    )
+    assert verify_based_ring(dotted).ok
+    with pytest.raises(StructuralError, match="word separator"):
+        free_product([z2, dotted])
+    # a lazy factor whose letters hold no '.' is still taken
+    assert free_product([z2, su2_ring()]).contains("0:1.1:2")

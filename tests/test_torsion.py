@@ -501,6 +501,96 @@ def test_exact_row_cut_keeps_the_classes(name, make, digest, monkeypatch):
     assert with_cut.nodes_explored <= without_cut.nodes_explored == NODES_WITHOUT_CUT[name]
 
 
+def _closure_oracle(ring, gens, state):
+    """The exact rows that the fixed generator rows of ``state`` force, as
+    ``{(label index, row): {column: entry}}``, or None when one breaks a
+    rule.  A from-scratch fixpoint: seed every generator row, then sweep
+    every fusion rule x*y = sum_c N_xy^c c (x, y not the unit) on every row
+    w until a sweep adds nothing.  A rule whose row w of M_y, rows of M_x on
+    its support and all term rows are known must hold as an equation; with
+    one term row unknown, it is solved for that term, which must come out
+    nonzero, nonnegative and divisible by the term's multiplicity.  Rows
+    are checked against reciprocity M_abar[b, c] = M_a[c, b] at the end."""
+    index = {a: i for i, a in enumerate(ring.basis)}
+    unit = index[ring.unit]
+    dual = [index[ring.involution_of(a)] for a in ring.basis]
+    rules = [(index[x], index[y], [(index[c], m) for c, m in ring.product(x, y).items()])
+             for x in ring.basis for y in ring.basis if ring.unit not in (x, y)]
+    exact = {}
+
+    def known(a, w):
+        return {w: 1} if a == unit else exact.get((a, w))
+
+    for (gi, b), row in state.rows.items():
+        exact[(index[gens[gi]], b)] = dict(row)
+    added = True
+    while added:
+        added = False
+        for (x, y, terms), w in itertools.product(rules, range(state.nvert)):
+            row_y = known(y, w)
+            rows_x = None if row_y is None else [known(x, c) for c in row_y]
+            if rows_x is None or None in rows_x:
+                continue
+            lhs = {}
+            for c, m in row_y.items():
+                for d, n in known(x, c).items():
+                    lhs[d] = lhs.get(d, 0) + m * n
+            missing = [(a, m) for a, m in terms if known(a, w) is None]
+            if len(missing) > 1:
+                continue
+            rest = {}
+            for a, m in terms:
+                for d, n in (known(a, w) or {}).items():
+                    rest[d] = rest.get(d, 0) + m * n
+            diff = {d: lhs.get(d, 0) - rest.get(d, 0) for d in lhs.keys() | rest.keys()}
+            if not missing:
+                if any(diff.values()):
+                    return None
+                continue
+            a, m = missing[0]
+            if any(n < 0 or n % m for n in diff.values()) or not any(diff.values()):
+                return None
+            exact[(a, w)] = {d: n // m for d, n in diff.items() if n}
+            added = True
+    for (a, b), row in exact.items():
+        for c in range(state.nvert):
+            other = exact.get((dual[a], c))
+            if other is not None and row.get(c, 0) != other.get(b, 0):
+                return None
+    return exact
+
+
+@pytest.mark.parametrize("name", ["dihedral8", "rank3_mult2", "su2_level5", "fib_squared"])
+def test_closure_matches_a_from_scratch_fixpoint(name, monkeypatch):
+    # at every node the search closes, two closures agree with the oracle:
+    # the search's own, one row per call, and one call that closes every
+    # generator row of the node at once from no exact rows, which reaches
+    # many cells before they are ready.  Both give the oracle's verdict,
+    # and on a kept node its exact rows, unit rows left implicit.
+    make = {case[0]: case[1] for case in PINNED_SEARCHES}[name]
+    exact_rows = torsion._Searcher._exact_rows
+    verdicts = []
+
+    def checked(searcher, state):
+        oracle = _closure_oracle(searcher.ring, searcher.gens, state)
+        fresh = torsion._SearchState(state.nvert, state.rows, state.dims, state.watch, state.cols, {})
+        seeds = [(searcher.gen_label[gi], b, dict(row)) for (gi, b), row in state.rows.items()]
+        verdict = exact_rows(searcher, state)
+        for closed, kept in ((state, verdict), (fresh, searcher._close(fresh, seeds))):
+            assert kept == (oracle is not None)
+            if kept:
+                rows = {(a, b): row for a, by_row in closed.exact.items() for b, row in by_row.items()}
+                assert rows == oracle
+        verdicts.append(verdict)
+        return verdict
+
+    monkeypatch.setattr(torsion._Searcher, "_exact_rows", checked)
+    ring = make()
+    assert enumerate_modules(ring, ModuleSearchConfig(max_basis_size=dimension_bound(ring))).complete
+    # both verdicts occur
+    assert True in verdicts and False in verdicts
+
+
 @pytest.mark.parametrize("make", [case[1] for case in PINNED_SEARCHES],
                          ids=[case[0] for case in PINNED_SEARCHES])
 def test_leaves_are_unital_and_connected(make, monkeypatch):

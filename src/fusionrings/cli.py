@@ -34,7 +34,7 @@ from .errors import (
     StructuralError,
     UnknownLabelError,
 )
-from .modules import standard_module, verify_module
+from .modules import dim_vector, standard_module, verify_module
 from .rings import fuse, ring_dims, verify_based_ring, verify_lazy_ring
 from .spectra import dynkin_classify, export_dot, module_graph, symmetrize
 from .torsion import ModuleSearchConfig, dimension_bound, enumerate_modules, is_torsion_free
@@ -60,6 +60,9 @@ def _load_config(path: str | None) -> dict:
         raise MalformedDocumentError(f"cannot read config {path!r}: {exc}") from None
     if not isinstance(config, dict):
         raise MalformedDocumentError("config must be a JSON object")
+    unknown = [key for key in config if key not in _CONFIG_VALUES]
+    if unknown:
+        raise MalformedDocumentError(f"unknown config key {unknown[0]!r}")
     for key, (wanted, valid) in _CONFIG_VALUES.items():
         if key in config and not valid(config[key]):
             raise MalformedDocumentError(f"config {key!r} must be {wanted}, got {config[key]!r}")
@@ -78,6 +81,26 @@ def _resolve_any(source: str):
         module = module_from_document(doc)
         return module.ring, module
     raise MalformedDocumentError(f"unknown document format {fmt!r}")
+
+
+def _finite_ring(path: str, command: str):
+    ring, module = _resolve_any(path)
+    if module is not None or ring.is_lazy:
+        raise MalformedDocumentError(f"{command} expects a finite ring document")
+    return ring
+
+
+def _write_modules(out: str, tables, ring, name: str, stem: str, line: str) -> None:
+    """Write the tables as module documents ``out/{stem}_NNN.json`` named ``{name}_NNN``,
+    printing ``line`` with its fields ``i``, ``size`` and ``path`` after each."""
+    os.makedirs(out, exist_ok=True)
+    ring_doc = ring_to_document(ring)
+    for i, table in enumerate(tables):
+        doc = module_to_document(table, ring_doc)
+        doc["name"] = f"{name}_{i:03d}"
+        path = os.path.join(out, f"{stem}_{i:03d}.json")
+        write_document(path, doc)
+        print(line.format(i=i, size=table.size, path=path))
 
 
 def cmd_verify(args) -> int:
@@ -105,16 +128,12 @@ def cmd_fuse(args) -> int:
         element = parse_element(text)
         return element.map_labels(lambda l: ring.unit if l == "unit" else l)
 
-    x = resolve(args.x)
-    y = resolve(args.y)
-    print(fuse(ring, x, y).format())
+    print(fuse(ring, resolve(args.x), resolve(args.y)).format())
     return PASS
 
 
 def cmd_dims(args) -> int:
-    ring, module = _resolve_any(args.path)
-    if module is not None or ring.is_lazy:
-        raise MalformedDocumentError("dims expects a finite ring document")
+    ring = _finite_ring(args.path, "dims")
     try:
         dims = ring_dims(ring)
     except NoDimensionFunctionError as exc:
@@ -127,31 +146,17 @@ def cmd_dims(args) -> int:
 
 
 def _search_config(args, ring, config: dict) -> ModuleSearchConfig:
-    max_size = getattr(args, "max_size", None)
-    if max_size is None:
-        max_size = config.get("max_size") or dimension_bound(ring)
-    budget = getattr(args, "budget", None)
-    if budget is None:
-        budget = config.get("budget")
+    max_size = args.max_size if args.max_size is not None else config.get("max_size") or dimension_bound(ring)
+    budget = args.budget if args.budget is not None else config.get("budget")
     return ModuleSearchConfig(max_basis_size=max_size, time_budget=budget)
 
 
 def cmd_enumerate(args) -> int:
     config = _load_config(args.config)
-    ring, module = _resolve_any(args.path)
-    if module is not None or ring.is_lazy:
-        raise MalformedDocumentError("enumerate expects a finite ring document")
-    search = _search_config(args, ring, config)
-    result = enumerate_modules(ring, search)
-    ring_doc = ring_to_document(ring)
+    ring = _finite_ring(args.path, "enumerate")
+    result = enumerate_modules(ring, _search_config(args, ring, config))
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        for i, table in enumerate(result.classes):
-            doc = module_to_document(table, ring_doc)
-            doc["name"] = f"class_{i:03d}"
-            path = os.path.join(args.out, f"module_{i:03d}.json")
-            write_document(path, doc)
-            print(f"class {i:03d}: size={table.size} -> {path}")
+        _write_modules(args.out, result.classes, ring, "class", "module", "class {i:03d}: size={size} -> {path}")
     else:
         for i, table in enumerate(result.classes):
             print(f"class {i:03d}: size={table.size}")
@@ -162,29 +167,15 @@ def cmd_enumerate(args) -> int:
 
 def cmd_torsion(args) -> int:
     config = _load_config(args.config)
-    ring, module = _resolve_any(args.path)
-    if module is not None or ring.is_lazy:
-        raise MalformedDocumentError("torsion expects a finite ring document")
-    search = _search_config(args, ring, config)
-    verdict = is_torsion_free(ring, search)
+    ring = _finite_ring(args.path, "torsion")
+    verdict = is_torsion_free(ring, _search_config(args, ring, config))
     print(verdict.status)
     if args.out and verdict.witnesses:
-        os.makedirs(args.out, exist_ok=True)
-        ring_doc = ring_to_document(ring)
-        for i, witness in enumerate(verdict.witnesses):
-            doc = module_to_document(witness, ring_doc)
-            doc["name"] = f"witness_{i:03d}"
-            path = os.path.join(args.out, f"witness_{i:03d}.json")
-            write_document(path, doc)
-            print(f"witness: {path}")
+        _write_modules(args.out, verdict.witnesses, ring, "witness", "witness", "witness: {path}")
     elif verdict.witnesses:
         for witness in verdict.witnesses:
             print(f"witness: size={witness.size}")
-    if verdict.status == "torsion_free_certified":
-        return PASS
-    if verdict.status == "not_torsion_free":
-        return NEGATIVE
-    return INCONCLUSIVE
+    return {"torsion_free_certified": PASS, "not_torsion_free": NEGATIVE}.get(verdict.status, INCONCLUSIVE)
 
 
 def cmd_product(args) -> int:
@@ -219,21 +210,13 @@ def cmd_graph(args) -> int:
         module = standard_module(ring)
         if ring.is_lazy:
             module = module.truncate(args.depth)
-    alpha = args.alpha
-    if alpha == "unit":
-        alpha = module.ring.unit
-    dims = None
-    if getattr(module, "dims", None) is not None:
-        dims = module.dims
-    elif not module.ring.is_lazy:
+    alpha = module.ring.unit if args.alpha == "unit" else args.alpha
+    dims = module.dims
+    if dims is None and not module.ring.is_lazy:
         try:
-            ring_d = ring_dims(module.ring)
-            from .modules import dim_vector
-
-            vector = dim_vector(module, ring_d, module.basis[0])
-            dims = vector
+            dims = dim_vector(module)
         except FusionError:
-            dims = None
+            pass
     graph = module_graph(module, alpha, dims=dims)
     text = export_dot(graph)
     if args.dot:

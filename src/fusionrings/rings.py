@@ -9,7 +9,7 @@ matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -364,22 +364,29 @@ def exact_dtype(terms: int, *arrays: np.ndarray):
     return np.float64 if bound < 2**53 else np.int64 if bound < 2**63 else object
 
 
-def associativity_failures(T: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """Boolean ``F[a, b]``, true when ``(a*b).v != a.(b.v)`` for some v.
+def associativity_check(T: np.ndarray, A: np.ndarray) -> Callable[[int], np.ndarray]:
+    """The per-label associativity check: for a ring label b, the boolean
+    column over ring labels a, true when ``(a*b).v != a.(b.v)`` for some v.
 
     ``T[a, b, e]`` are ring structure constants and ``A[a, v, w]`` is the
     multiplicity of w in a.v; a ring is checked as its own module, A = T.
-    Works one ring label at a time, so memory is O(n m^2), not O(n^2 m^2).
+    A column costs one n x n by n x m^2 product and n m x m products.
     """
     n, m = A.shape[0], A.shape[1]
-    dtype = exact_dtype(max(n, m), T, A)
-    T, A = T.astype(dtype), A.astype(dtype)
-    rows, flat = A.reshape(n * m, m), A.reshape(n, m * m)
-    F = np.zeros((n, n), dtype=bool)
-    for a in range(n):
-        lhs = (rows @ A[a]).reshape(n, m * m)  # lhs[b] = A[b] @ A[a]: a.(b.v)
-        F[a] = (lhs != T[a] @ flat).any(axis=1)  # T[a] @ flat: (a*b).v
-    return F
+    A = A.astype(exact_dtype(max(n, m), T, A))
+    flat = A.reshape(n, m * m)
+    return lambda b: (T[:, b].astype(A.dtype) @ flat != (A[b] @ A).reshape(n, m * m)).any(axis=1)
+
+
+def per_label_failures(check: Callable[[int], np.ndarray], labels: Iterable[int], n: int) -> np.ndarray:
+    """Decide a per-label check on ``labels``: an all-false array when
+    ``check(i)`` passes on each of them, else the rows ``check(i)`` of all
+    n labels, whose first true entry in row-major order names the first
+    witness.  Each label is checked at most once."""
+    check = cache(check)
+    if any(check(i).any() for i in labels):
+        return np.stack([check(i) for i in range(n)])
+    return np.zeros(0, dtype=bool)
 
 
 # Prime for the span test of _middle_labels; n * p**2 < 2**63 for every n
@@ -518,10 +525,9 @@ def verify_based_ring(table: BasedRingTable) -> VerificationReport:
     associativity.  Finite support is automatic for tables and recorded
     as such.  All comparisons are exact integer ones.
 
-    Associativity is decided on the middle labels of :func:`_middle_labels`
-    only, each with two dense n x n^2 products; the all-pairs
-    :func:`associativity_failures` runs only when one of them fails, to
-    name the first failing pair.
+    Associativity is decided by :func:`per_label_failures` on the middle
+    labels of :func:`_middle_labels`; only when one of them fails is every
+    column checked, to name the first failing pair.
     """
     report = VerificationReport(subject=table.name)
     report.structural_errors = _structural_scan(table)
@@ -555,13 +561,8 @@ def verify_based_ring(table: BasedRingTable) -> VerificationReport:
     # dual(a*b) == dual(b)*dual(a)
     report.first_index("involution anti-multiplicative", diffs[2], labels, labels, labels)
 
-    # (x*s)*y == x*(s*y) for the middle labels s only, as rows x over (y, c);
-    # the full scan runs only to name the witness, where F[b, a] tests
-    # (b*a).c == b.(a.c) and the pair is reported as (a, b)
-    Tx = T.astype(exact_dtype(n, T))
-    flat = Tx.reshape(n, n * n)
-    middle_fails = ((Tx[:, s, :] @ flat != (Tx[s] @ Tx).reshape(n, n * n)).any() for s in _middle_labels(T))
-    F = associativity_failures(T, T).T if any(middle_fails) else np.zeros((n, n), dtype=bool)
+    # the column of s stacked as row s: the pair (s, b) fails when (b*s).c != b.(s.c)
+    F = per_label_failures(associativity_check(T, T), _middle_labels(T), n)
     report.first_index("associativity", F, labels, labels)
     return report
 

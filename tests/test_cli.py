@@ -229,6 +229,23 @@ def test_bad_budget_flag_exit_2(capsys, budget):
     assert capsys.readouterr().err == "error: time_budget must be a nonnegative number of seconds\n"
 
 
+@pytest.mark.parametrize("command", ["verify", "enumerate", "torsion"])
+def test_unknown_config_key_exit_2(tmp_path, capsys, command):
+    # a misspelt key used to be ignored: enumerate ran the full search and exited 0
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"max-size": 1, "budgt": 0}), encoding="utf-8")
+    assert main([command, "builtin:su2?level=5", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown config key 'max-size'\n"
+
+
+@pytest.mark.parametrize("command", ["enumerate", "torsion"])
+def test_max_size_flag_zero_exit_2(capsys, command):
+    assert main([command, "builtin:fibonacci", "--max-size", "0"]) == 2
+    assert capsys.readouterr().err == "error: max_basis_size must be at least 1\n"
+
+
 def test_config_search_values_accepted(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"max_size": 2, "budget": None, "depth": 0}), encoding="utf-8")

@@ -5,10 +5,10 @@ versions of the verifiers, the lazy-module ones with hand-written
 flag-and-break loops; the array versions and the shared witness search
 must reproduce every line, witness and check order.  The exception is a
 product or action that leaves the ring or module, which those versions
-raised on and which is now a structural error.  The associativity helper
-is compared with a pure-Python triple-sum oracle that shares no code
-with it, and the ring verifier's check on a few middle labels with that
-oracle and with the all-pairs helper.
+raised on and which is now a structural error.  The per-label
+associativity check is compared with a pure-Python triple-sum oracle that
+shares no code with it, and the ring and module verifiers' checks on a
+few middle labels with that oracle and a pairing-compatibility one.
 """
 
 import os
@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fusionrings import (
@@ -42,18 +42,19 @@ from fusionrings import (
     verify_lazy_ring,
     verify_module,
 )
-from fusionrings import cli
+from fusionrings import cli, modules
 from fusionrings.constructors import _is_canonical_nat, _su2_product
 from fusionrings.documents import resolve_ring, ring_to_document, write_document
 from fusionrings.rings import (
     _SPAN_PRIME,
     _middle_labels,
-    associativity_failures,
+    associativity_check,
     associativity_witnesses,
     exact_dtype,
     fuse,
+    per_label_failures,
 )
-from fusionrings.verification import VerificationReport
+from fusionrings.verification import CheckResult, VerificationReport
 
 from conftest import exact_rank, first_associativity_witness, left_closure_vectors
 
@@ -690,8 +691,8 @@ def _oracle_failures(T, A):
     ]
 
 
-def _cube(draw, n, m):
-    return [[[draw(st.sampled_from(VALUES)) for _ in range(m)] for _ in range(m)] for _ in range(n)]
+def _cube(draw, n, m, values=st.sampled_from(VALUES)):
+    return [[[draw(values) for _ in range(m)] for _ in range(m)] for _ in range(n)]
 
 
 @st.composite
@@ -718,8 +719,10 @@ def test_associativity_helper_matches_the_oracle(case):
     expected = _oracle_failures(T, A)
     if kind != "random" and A is T:
         assert not any(map(any, expected))
-    F = associativity_failures(np.array(T, dtype=np.int64), np.array(A, dtype=np.int64))
-    assert F.tolist() == expected
+    n = len(T)
+    check = associativity_check(np.array(T, dtype=np.int64), np.array(A, dtype=np.int64))
+    assert np.stack([check(b) for b in range(n)], axis=1).tolist() == expected
+    F = per_label_failures(check, range(n), n).T
     first = next(((a, b) for a, row in enumerate(expected) for b, bad in enumerate(row) if bad), None)
     assert (tuple(int(i) for i in np.argwhere(F)[0]) if F.any() else None) == first
 
@@ -797,26 +800,30 @@ def test_packed_associativity_with_coefficients_past_int64():
 # -- associativity on middle labels -------------------------------------------------
 
 
-def _table(T):
+def _table(T, swap=False):
     """The ring with constants ``T`` (nested lists) on labels 00, 01, ...,
-    unit 00 and the identity involution."""
+    unit 00 and the identity involution, or with ``swap`` the one that
+    exchanges 01 and 02."""
     labels = [f"{i:02d}" for i in range(len(T))]
     products = {
         (labels[a], labels[b]): {labels[c]: x for c, x in enumerate(T[a][b]) if x}
         for a in range(len(T))
         for b in range(len(T))
     }
-    return BasedRingTable(labels, labels[0], {b: b for b in labels}, products, name="table")
+    involution = {b: b for b in labels} | ({"01": "02", "02": "01"} if swap else {})
+    return BasedRingTable(labels, labels[0], involution, products, name="table")
 
 
 def _reference_lines(table, report):
-    """``report`` on ``table`` with its associativity line from the all-pairs scan."""
+    """``report`` on ``table`` with its associativity line from the oracle:
+    the pair (a, b) is named when (b*a).c != b.(a.c) for some c."""
     if report.structural_errors:
         return report.lines()
-    T, labels = table.structure_tensor(), table.basis
-    full = VerificationReport(report.subject)
-    full.first_index("associativity", associativity_failures(T, T).T, labels, labels)
-    checks = [full.checks[0] if c.name == "associativity" else c for c in report.checks]
+    T, labels = table.structure_tensor().tolist(), table.basis
+    oracle = _oracle_failures(T, T)
+    witness = next((f"{x}, {y}" for a, x in enumerate(labels) for b, y in enumerate(labels) if oracle[b][a]), None)
+    line = CheckResult("associativity", witness is None, witness)
+    checks = [line if c.name == "associativity" else c for c in report.checks]
     return VerificationReport(report.subject, checks).lines()
 
 
@@ -954,6 +961,132 @@ RELABELLED = {
 def test_associativity_verdict_ignores_the_basis_order(name, seed):
     table = RELABELLED[name]()
     assert _associative(_relabelled(table, seed)) == _associative(table) == name.startswith(("cyclic", "symmetric", "su2"))
+
+
+# -- module associativity and pairing compatibility on middle labels ---------------
+
+
+def _module_table(ring, A):
+    """The module over ``ring`` acting by ``A`` (nested lists) on p0, p1, ..."""
+    points = [f"p{i}" for i in range(len(A[0]))]
+    action = {
+        (alpha, points[v]): {points[w]: x for w, x in enumerate(A[a][v]) if x}
+        for a, alpha in enumerate(ring.basis)
+        for v in range(len(points))
+    }
+    return BasedModuleTable(ring, points, action, name="module")
+
+
+def _oracle_module_lines(ring, module):
+    """The associativity and pairing-compatibility lines of ``module``, by
+    Python-int sums over the table entries; inner(b, c) has coefficient
+    N_{a* b}^c at the ring label a."""
+    T, A = ring.structure_tensor().tolist(), module.action_tensor().tolist()
+    n, m = len(A), len(A[0])
+    inv = [ring.index[ring.involution[a]] for a in ring.basis]
+    R, M = ring.basis, module.basis
+    assoc = _oracle_failures(T, A)
+    witness = next((f"{R[a]}, {R[b]}" for a in range(n) for b in range(n) if assoc[a][b]), None)
+    inner = [[[A[inv[k]][b][c] for k in range(n)] for c in range(m)] for b in range(m)]
+    pairing = (
+        f"{R[a]}, {M[b]}, {M[c]}"
+        for a in range(n)
+        for b in range(m)
+        for c in range(m)
+        if [sum(inner[b][c][j] * T[a][j][k] for j in range(n)) for k in range(n)]
+        != [sum(A[a][b][e] * inner[e][c][k] for e in range(m)) for k in range(n)]
+    )
+    compatible = next(pairing, None)
+    return [
+        CheckResult("associativity", witness is None, witness).line(),
+        CheckResult("pairing compatibility with the action", compatible is None, compatible).line(),
+    ]
+
+
+def _module_lines(module):
+    names = ("associativity", "pairing compatibility with the action")
+    return [c.line() for c in verify_module(module).checks if c.name in names]
+
+
+# The ring gate: this ring fails associativity on its middles 00 and 01, and
+# the action on one point pt (00 by 1, 01 and 02 by 0) passes on them; yet
+# (02*02).pt = (00 + 01 + 02).pt = pt while 02.(02.pt) = 0
+GATE_RING = [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 0], [0, 0, 1], [0, 0, 0]], [[0, 0, 0], [0, 1, 1], [1, 1, 1]]]
+GATE_ACTION = [[[1]], [[0]], [[0]]]
+
+
+@st.composite
+def modules_over_rings(draw):
+    """(a) Random tables (n, m <= 3, entries 0..2, the identity involution or
+    one swapping 01 and 02), which mostly fail their middles, acting by
+    random tables.  (b) The rank-2 ring x*x = q + p*x acting on two points
+    by the companion matrix of t^2 - p*t - q or its transpose: associative
+    actions that mostly fail pairing compatibility.  (c) Standard modules of
+    cyclic group rings and S3.  Cases (b) and (c) may get one action entry
+    redrawn."""
+    kind = draw(st.sampled_from(["random", "companion", "standard"]))
+    if kind == "random":
+        n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        T = _cube(draw, n, n, st.integers(0, 2))
+        ring = _table(T, swap=n == 3 and draw(st.booleans()))
+        return ring, _cube(draw, n, m, st.integers(0, 2))
+    if kind == "companion":
+        p, q = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        M = [[0, 1], [q, p]] if draw(st.booleans()) else [[0, q], [1, p]]
+        ring, A = _table([[[1, 0], [0, 1]], [[0, 1], [q, p]]]), [[[1, 0], [0, 1]], M]
+    else:
+        ring = draw(st.sampled_from([cyclic_group_ring(k) for k in range(1, 5)] + [S3]))
+        A = standard_module(ring).action_tensor().tolist()
+    if draw(st.booleans()):
+        a, v, w = (draw(st.integers(0, size - 1)) for size in (len(A), len(A[0]), len(A[0])))
+        A[a][v][w] = draw(st.integers(0, 2))
+    return ring, A
+
+
+@settings(max_examples=300, deadline=None)
+@given(modules_over_rings())
+@example((_table(GATE_RING), GATE_ACTION))
+def test_module_checks_match_the_oracles(case):
+    ring, A = case
+    module = _module_table(ring, A)
+    assert _module_lines(module) == _oracle_module_lines(ring, module)
+
+
+def test_a_ring_failing_its_middles_is_checked_on_every_label():
+    ring = _table(GATE_RING)
+    module = _module_table(ring, GATE_ACTION)
+    T, A = ring.structure_tensor(), module.action_tensor()
+    assert _middle_labels(T) == [0, 1]
+    assert per_label_failures(associativity_check(T, T), [0, 1], 3).any()
+    assert per_label_failures(associativity_check(T, A), [0, 1], 3).size == 0
+    assert "FAIL  associativity  [02, 02]" in verify_module(module).lines()
+
+
+def test_module_checks_run_on_the_middles_only(monkeypatch):
+    """On the S4 standard module each per-label check runs on the ring's
+    middle labels only, and the ring's own middle columns once."""
+    ring = permutation_group_ring(4)
+    middles = _middle_labels(ring.structure_tensor())
+    assert len(middles) < ring.size
+    calls = []
+
+    def counted(kind, check):
+        def run(i):
+            calls.append((kind, i))
+            return check(i)
+
+        return run
+
+    check, decide = modules.associativity_check, modules.per_label_failures
+    kind = lambda T, A: "ring" if A is T else "action"
+    monkeypatch.setattr(modules, "associativity_check", lambda T, A: counted(kind(T, A), check(T, A)))
+    monkeypatch.setattr(modules, "per_label_failures", lambda c, labels, n: decide(counted("decided", c), labels, n))
+    assert verify_module(standard_module(ring)).ok
+    assert calls == (
+        [("ring", s) for s in middles]
+        + [call for s in middles for call in (("decided", s), ("action", s))]
+        + [("decided", s) for s in middles]
+    )
 
 
 # -- memory -----------------------------------------------------------------------------

@@ -341,6 +341,12 @@ class _SearchState:
     implicit).  Rows are never mutated; ``clone`` shares ``exact`` with
     the parent, and ``_close`` copies the outer dict and each per-label
     dict before it first writes to it.
+
+    ``need[(x, y, w)]`` counts what the armed cell x*y on row w lacks (see
+    ``_Searcher._close``): the non-exact rows of M_x on the support of row w
+    of M_y, plus its unknown term rows beyond one.  ``waits[c]`` lists the
+    exact rows (y, w) whose support holds c, so the cells (x, y, w) wait on
+    row c of M_x while it is not exact.  ``clone`` shares and ``_close`` copies both.
     """
 
     nvert: int
@@ -349,13 +355,16 @@ class _SearchState:
     watch: list
     cols: dict
     exact: dict
+    need: dict = field(default_factory=dict)
+    waits: dict = field(default_factory=dict)
 
     @classmethod
     def root(cls) -> "_SearchState":
         return cls(nvert=1, rows={}, dims=[(1.0, 1.0)], watch=[()], cols={}, exact={})
 
     def clone(self) -> "_SearchState":
-        return _SearchState(self.nvert, dict(self.rows), list(self.dims), list(self.watch), dict(self.cols), self.exact)
+        return _SearchState(self.nvert, dict(self.rows), list(self.dims), list(self.watch), dict(self.cols),
+                            self.exact, self.need, self.waits)
 
     def add_row(self, gi: int, b: int, row: tuple, new_count: int, d_max: float) -> None:
         """Fix row (gi, b), adding ``new_count`` vertices seeded [1, d_max]."""
@@ -389,21 +398,24 @@ class _Searcher:
         self.nodes = 0
         self.found: dict[bytes, BasedModuleTable] = {}
         # every fusion rule x*y = sum_c N_xy^c c with x and y not the unit,
-        # as (x, y, terms) on label indices; an exact row b of a label feeds
-        # row b of the rules in ``feeds_row`` (as M_y or a term) and the rows
-        # w of the rules in ``feeds_x`` whose M_y row w has b in its support
+        # on label indices: ``terms[x][y]`` its (c, N_xy^c), ``by_y[y]`` the
+        # pairs (x, bit set of its non-unit terms), and ``by_term[c][y]`` the
+        # same pairs for the rules with c one of two or more non-unit terms
         index = ring.index
         self.unit = index[ring.unit]
         self.gen_label = [index[g] for g in self.gens]
         T = ring.structure_tensor()
-        self.feeds_row = [[] for _ in ring.basis]
-        self.feeds_x = [[] for _ in ring.basis]
+        self.terms = [[()] * ring.size for _ in ring.basis]
+        self.by_y = [[] for _ in ring.basis]
+        self.by_term = [{} for _ in ring.basis]
         for x, y in itertools.product(range(ring.size), repeat=2):
             if self.unit not in (x, y):
-                rule = (x, y, tuple((int(c), int(T[x, y, c])) for c in np.flatnonzero(T[x, y])))
-                self.feeds_x[x].append(rule)
-                for a in {y} | {c for c, _ in rule[2]}:
-                    self.feeds_row[a].append(rule)
+                self.terms[x][y] = tuple((int(c), int(T[x, y, c])) for c in np.flatnonzero(T[x, y]))
+                labels = [c for c, _ in self.terms[x][y] if c != self.unit]
+                bits = sum(1 << c for c in labels)
+                self.by_y[y].append((x, bits))
+                for c in labels if len(labels) > 1 else ():
+                    self.by_term[c].setdefault(y, []).append((x, bits))
         self.dual_label = [index[ring.involution_of(a)] for a in ring.basis]
 
     # ---- dimension propagation
@@ -513,22 +525,27 @@ class _Searcher:
         row w of M_y M_x = sum_c N_xy^c M_c, read once row w of M_y, the
         rows of M_x on its support and all but at most one term's row w
         are exact, and solved for that term (for the first when none is
-        unknown).  Only the rules a newly exact row feeds are read.  A row
-        breaks a rule when it is all zero, when a solved row is not
-        divisible by the term's multiplicity, has a negative entry or
-        differs from the term's exact row, or when two exact rows break
-        reciprocity M_abar[b, c] = M_a[c, b] (checked once per pair, when
-        its second row turns exact).  Integers only.  A cell (x, y, w), rule
-        x*y on row w, is read at most once per call: once ready, its rows are
-        exact and stay so, and the read added the solved row or found it
-        equal, so a second read solves the same equation for the first term,
-        gets back that term's exact row, and can neither add nor refute.
+        unknown).  A row breaks a rule when it is all zero, when a solved
+        row is not divisible by the term's multiplicity, has a negative
+        entry or differs from the term's exact row, or when two exact rows
+        break reciprocity M_abar[b, c] = M_a[c, b] (checked once per pair,
+        when its second row turns exact).  Integers only.
+
+        Forward chaining (Dowling & Gallier, 1984) on the cells x*y on row w:
+        a new exact row (L, b) counts down the cells waiting on it as a row
+        of M_L, then the armed cells on row b with L and another unknown
+        term, then arms the cells x*L on row b.  A cell is read when its
+        count reaches 0, so at most once per search path (its M_y row turns
+        exact once); the ready cells of the newest row are read first.  The
+        fixpoint, and so the verdict, does not depend on that order.
         """
         exact = state.exact = dict(state.exact)
-        unit = self.unit
+        need = state.need = dict(state.need)
+        waits = state.waits = dict(state.waits)
+        unit, terms_of = self.unit, self.terms
         copied: set[int] = set()
-        read: set[tuple[int, int, int]] = set()
-        queue: list[tuple[int, int]] = []
+        pending: list[list[tuple[int, int, int]]] = []  # per new exact row, the cells it made ready
+        row_bits: dict[int, int] = {}  # row w -> bit set of the labels whose row w is exact
 
         def add(label: int, b: int, row: dict) -> bool:
             known = {b: 1} if label == unit else exact.get(label, {}).get(b)
@@ -541,30 +558,45 @@ class _Searcher:
                 copied.add(label)
                 exact[label] = dict(exact.get(label, {}))
             exact[label][b] = row
-            queue.append((label, b))
+            row_bits[b] = row_bits.get(b) or sum(1 << a for a, rows in exact.items() if b in rows)
+            row_bits[b] |= 1 << label
+            lacking, ready = ~row_bits[b], []
+            pending.append(ready)
+            filled = [(label, y, w) for y, w in waits.get(b, ())]
+            for y, rules in self.by_term[label].items():
+                if not lacking >> y & 1:  # row b of M_y is exact
+                    filled += [(x, y, b) for x, bits in rules if bits & lacking and (x, y, b) in need]
+            for cell in filled:
+                need[cell] -= 1
+                if not need[cell]:
+                    del need[cell]
+                    ready.append(cell)
+            for c in row:
+                waits[c] = waits.get(c, ()) + ((label, b),)
+            for x, bits in self.by_y[label]:
+                rows_x = exact.get(x, ())
+                count = (bits & lacking).bit_count()
+                count -= count > 0  # unknown term rows beyond one
+                for c in row:
+                    count += c not in rows_x
+                if count:
+                    need[x, label, b] = count
+                else:
+                    ready.append((x, label, b))
             return True
 
         for seed in seeds:
             if not add(*seed):
                 return False
-            while queue:
-                label, b = queue.pop()
-                cells = [(rule, b) for rule in self.feeds_row[label]]
-                for rule in self.feeds_x[label]:
-                    cells.extend((rule, w) for w, row_y in exact.get(rule[1], {}).items() if b in row_y)
-                for (x, y, terms), w in cells:
-                    if (x, y, w) in read:
-                        continue
-                    row_y = exact.get(y, {}).get(w)
-                    if row_y is None:
-                        continue
-                    rows_x = [exact.get(x, {}).get(c) for c in row_y]
-                    if None in rows_x:
-                        continue
-                    term_rows = [{w: 1} if a == unit else exact.get(a, {}).get(w) for a, _ in terms]
-                    if term_rows.count(None) > 1:
-                        continue
-                    read.add((x, y, w))
+            while pending:
+                for x, y, w in pending.pop():
+                    terms = terms_of[x][y]
+                    row_y = exact[y][w]
+                    rows_x, term_rows, ex_x = [], [], exact[x]  # loops: cheaper than comprehensions here
+                    for c in row_y:
+                        rows_x.append(ex_x[c])
+                    for a, _ in terms:
+                        term_rows.append({w: 1} if a == unit else exact.get(a, {}).get(w))
                     # solve for the unknown term, or for the first one when
                     # none is unknown, which ``add`` compares with its row
                     i = term_rows.index(None) if None in term_rows else 0

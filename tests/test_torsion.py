@@ -591,6 +591,67 @@ def test_closure_matches_a_from_scratch_fixpoint(name, monkeypatch):
     assert True in verdicts and False in verdicts
 
 
+def _bookkeeping_oracle(ring, state):
+    """The forward-chaining bookkeeping that the exact rows of ``state``
+    imply, rebuilt from ``state.exact`` alone: ``(armed, waiting)``.  A cell
+    (x, y, w), the rule x*y on row w with x, y not the unit, is armed once
+    row w of M_y is exact, until nothing is missing: ``armed`` maps it to
+    the rows of M_x on that row's support that are not exact plus its
+    unknown non-unit term rows beyond one, when that is not 0.  ``waiting``
+    maps each missing row (x, c) of M_x to the armed cells that lack it."""
+    index = {a: i for i, a in enumerate(ring.basis)}
+    exact = {(a, b): row for a, rows in state.exact.items() for b, row in rows.items()}
+    armed, waiting = {}, {}
+    for x, y in itertools.product(ring.basis, repeat=2):
+        if ring.unit in (x, y):
+            continue
+        terms = [index[c] for c, _ in ring.product(x, y).items() if c != ring.unit]
+        for (a, w), row_y in exact.items():
+            if a != index[y]:
+                continue
+            cell = (index[x], index[y], w)
+            missing = [(index[x], c) for c in row_y if (index[x], c) not in exact]
+            unknown = sum((t, w) not in exact for t in terms)
+            if missing or unknown > 1:
+                armed[cell] = len(missing) + max(unknown - 1, 0)
+            for row in missing:
+                waiting.setdefault(row, set()).add(cell)
+    return armed, waiting
+
+
+@pytest.mark.parametrize("name", ["dihedral8", "rank3_mult2", "su2_level5", "fib_squared"])
+def test_closure_bookkeeping_matches_the_exact_rows(name, monkeypatch):
+    # at every node, the armed cells, their counts and the waiting index of
+    # the state agree with the oracle's, and no armed cell with count 0 is
+    # left: a cell is read when its last input turns exact
+    make = {case[0]: case[1] for case in PINNED_SEARCHES}[name]
+    dfs = torsion._Searcher._dfs
+    nodes = []
+
+    def checked(searcher, state):
+        armed, waiting = _bookkeeping_oracle(searcher.ring, state)
+        assert set(state.need) == set(armed)
+        assert state.need == armed and 0 not in state.need.values()
+        # the index lists each exact row once, under each column of its support
+        columns = {c: sorted((y, w) for y, rows in state.exact.items() for w, row in rows.items() if c in row)
+                   for c in range(state.nvert)}
+        assert {c: sorted(rows) for c, rows in state.waits.items()} == {c: rows for c, rows in columns.items() if rows}
+        # and so the cells (x, y, w) with (y, w) under c wait on row c of every M_x that lacks it
+        read_off = {}
+        for c, rows in state.waits.items():
+            for x in range(searcher.ring.size):
+                if x != searcher.unit and c not in state.exact.get(x, {}):
+                    read_off[(x, c)] = {(x, y, w) for y, w in rows}
+        assert read_off == waiting
+        nodes.append(len(state.need))
+        return dfs(searcher, state)
+
+    monkeypatch.setattr(torsion._Searcher, "_dfs", checked)
+    ring = make()
+    result = enumerate_modules(ring, ModuleSearchConfig(max_basis_size=dimension_bound(ring)))
+    assert result.complete and len(nodes) == result.nodes_explored and max(nodes) > 0
+
+
 @pytest.mark.parametrize("make", [case[1] for case in PINNED_SEARCHES],
                          ids=[case[0] for case in PINNED_SEARCHES])
 def test_leaves_are_unital_and_connected(make, monkeypatch):

@@ -23,6 +23,7 @@ import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from typing import NamedTuple
 
 import numpy as np
@@ -66,9 +67,12 @@ class ModuleSearchConfig:
     time_budget: float | None = None
 
     def __post_init__(self):
+        if type(self.max_basis_size) is bool or not isinstance(self.max_basis_size, Integral):
+            raise ValueError("max_basis_size must be an integer")
         if self.max_basis_size < 1:
             raise ValueError("max_basis_size must be at least 1")
-        if self.time_budget is not None and not self.time_budget >= 0:
+        budget = self.time_budget
+        if budget is not None and (type(budget) is bool or not isinstance(budget, Real) or not budget >= 0):
             raise ValueError("time_budget must be a nonnegative number of seconds")
 
 
@@ -215,48 +219,45 @@ def _canonical_data(matrices: list[np.ndarray], size: int, deadline: float | Non
     """
     T = np.stack(matrices, axis=-1) if matrices else np.zeros((size, size, 0), dtype=np.int64)
     entry = [[tuple(e) for e in row] for row in T.tolist()]
-    best_rows: list[tuple] | None = None
-    best_perm: list[int] = []
-    leaves = 0
-
-    def descend(prefix: list[int], rows: list[tuple], cells: list[list[int]]) -> None:
-        nonlocal best_rows, best_perm, leaves
-        if deadline is not None and time.monotonic() > deadline:
-            raise _Budget()
-        if not cells:
-            leaves += 1
-            if best_rows is None or rows < best_rows:
-                best_rows, best_perm = rows, prefix
-            return
-        head, rest = cells[0], cells[1:]
-        options = {}
-        for v in head:
-            Ev = entry[v]
-            tail = [sorted(Ev[w] for w in head if w != v)] + [sorted(Ev[w] for w in c) for c in rest]
-            options[v] = tuple(Ev[u] for u in prefix) + (Ev[v],) + tuple(x for part in tail for x in part)
-        row = min(options.values())
-        i = len(prefix)
-        if best_rows is not None and rows == best_rows[:i] and row > best_rows[i]:
-            return
-        for v in head:
-            if options[v] != row:
-                continue
-            Ev = entry[v]
-            split: list[list[int]] = []
-            for cell in [[w for w in head if w != v]] + rest:
-                parts: dict[tuple, list[int]] = {}
-                for w in cell:
-                    parts.setdefault(Ev[w], []).append(w)
-                split.extend(parts[value] for value in sorted(parts))
-            descend(prefix + [v], rows + [row], split)
-
-    try:
-        descend([], [], _refined_cells(entry))
-    finally:
-        del descend  # it refers to itself; unbinding frees it without a cyclic collection
+    _, best_perm, leaves = _descend(entry, deadline, [], [], _refined_cells(entry), (None, [], 0))
     idx = np.array(best_perm, dtype=np.intp)
     key = f"{size}|".encode() + T[np.ix_(idx, idx)].astype(">i8").tobytes()
     return key, best_perm, leaves
+
+
+def _descend(entry: list, deadline: float | None, prefix: list, rows: list, cells: list, best: tuple) -> tuple:
+    """The branch of ``_canonical_data``'s search below ``prefix`` and its
+    ``rows``, filled from ``cells``: ``best`` (least rows or None, their
+    permutation, complete permutations compared) updated by its leaves."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise _Budget()
+    best_rows, best_perm, leaves = best
+    if not cells:
+        if best_rows is None or rows < best_rows:
+            best_rows, best_perm = rows, prefix
+        return best_rows, best_perm, leaves + 1
+    head, rest = cells[0], cells[1:]
+    options = {}
+    for v in head:
+        Ev = entry[v]
+        tail = [sorted(Ev[w] for w in head if w != v)] + [sorted(Ev[w] for w in c) for c in rest]
+        options[v] = tuple(Ev[u] for u in prefix) + (Ev[v],) + tuple(x for part in tail for x in part)
+    row = min(options.values())
+    i = len(prefix)
+    if best_rows is not None and rows == best_rows[:i] and row > best_rows[i]:
+        return best
+    for v in head:
+        if options[v] != row:
+            continue
+        Ev = entry[v]
+        split: list[list[int]] = []
+        for cell in [[w for w in head if w != v]] + rest:
+            parts: dict[tuple, list[int]] = {}
+            for w in cell:
+                parts.setdefault(Ev[w], []).append(w)
+            split.extend(parts[value] for value in sorted(parts))
+        best = _descend(entry, deadline, prefix + [v], rows + [row], split, best)
+    return best
 
 
 def canonical_key(module: BasedModuleTable) -> bytes:
@@ -366,8 +367,9 @@ class _SearchState:
         return _SearchState(self.nvert, dict(self.rows), list(self.dims), list(self.watch), dict(self.cols),
                             self.exact, self.need, self.waits)
 
-    def add_row(self, gi: int, b: int, row: tuple, new_count: int, d_max: float) -> None:
-        """Fix row (gi, b), adding ``new_count`` vertices seeded [1, d_max]."""
+    def add_row(self, gi: int, b: int, row: tuple, d_max: float) -> None:
+        """Fix row (gi, b); its targets c >= ``nvert`` become new vertices seeded [1, d_max]."""
+        new_count = sum(1 for c, _ in row if c >= self.nvert)
         self.nvert += new_count
         self.dims.extend([(1.0, d_max)] * new_count)
         self.watch.extend([()] * new_count)
@@ -380,6 +382,18 @@ class _SearchState:
                 self.cols[(gi, c)] = ()
                 self.watch[c] += ((gi, c, False),)
             self.cols[(gi, c)] += ((b, mult),)
+
+
+def _new_blocks(room: int, weight_hi: float, lo: float, block: tuple):
+    """``block`` and its extensions, in the order the search offers them:
+    the multiplicities of up to ``room`` new vertices, non-increasing (new
+    vertices are interchangeable), each vertex weighing 1 onto the weighted
+    row sum ``lo``, which stays at most ``weight_hi``."""
+    yield block
+    if len(block) < room:
+        for m in range(block[-1] if block else int(weight_hi - lo), 0, -1):
+            if lo + m <= weight_hi:
+                yield from _new_blocks(room, weight_hi, lo + m, block + (m,))
 
 
 class _Searcher:
@@ -627,8 +641,8 @@ class _Searcher:
         row order, sum to at most d(g) * (hi_b + 3 _EPS).  The first revision
         of ``_propagate`` sums the same row in the same order and refutes any
         sum above d(g) * (hi_b + 2 _EPS).  A new vertex weighs its lower
-        bound 1.  For a self-dual generator M_g is symmetric, so column c < b
-        takes the fixed entry (c, b), under the same bound.
+        bound 1.  For a self-dual generator M_g is symmetric, so a column c
+        whose row is fixed takes its entry (c, b), under the same bound.
 
         No entry and no row total is capped apart from this bound.  Every
         lower bound is at least 1, so the row total is at most the weighted
@@ -639,38 +653,24 @@ class _Searcher:
         """
         # largest weighted row sum that propagation does not refute
         weight_hi = self.d_gen[gi] * (state.dims[b][1] + 3 * _EPS)
-        room_new = self.max_size - state.nvert
-        options: list[list[tuple[int, int]]] = []
-
-        def new_block(targets, block, lo):
-            if len(block) <= room_new:
-                combined = targets + [(state.nvert + i, m) for i, m in enumerate(block)]
-                if combined:
-                    options.append(combined)
-            if len(block) >= room_new:
-                return
-            for m in range(block[-1] if block else int(weight_hi - lo), 0, -1):
-                if lo + m <= weight_hi:  # every new vertex weighs at least 1
-                    new_block(targets, block + [m], lo + m)
-
-        def extend(targets, c, lo):
-            if c >= state.nvert:
-                new_block(targets, [], lo)
-                return
+        prefixes: list[tuple[list, float]] = [([], 0.0)]  # (entries on vertices < c, weighted sum)
+        for c in range(state.nvert):
             weight = state.dims[c][0]  # a lower bound starts at 1 and only rises
-            if self.self_dual[gi] and c < b:
-                choices = [dict(state.rows[(gi, c)]).get(b, 0)]
-            else:
-                choices = range(int((weight_hi - lo) / weight) + 1)
-            for m in choices:
-                if lo + m * weight <= weight_hi:
-                    extend(targets + ([(c, m)] if m else []), c + 1, lo + m * weight)
-
-        extend([], 0, 0.0)
-        # each closure refers to itself; unbinding both lets this node's
-        # state go when its last child returns, not at a cyclic collection
-        del extend, new_block
-        yield from options
+            symmetric = self.self_dual[gi] and (gi, c) in state.rows
+            fixed = (dict(state.rows[(gi, c)]).get(b, 0),) if symmetric else None
+            extended = []
+            for targets, lo in prefixes:
+                for m in fixed or range(int((weight_hi - lo) / weight) + 1):
+                    if lo + m * weight <= weight_hi:
+                        extended.append((targets + [(c, m)] if m else targets, lo + m * weight))
+            prefixes = extended
+        options = []
+        for targets, lo in prefixes:
+            for block in _new_blocks(self.max_size - state.nvert, weight_hi, lo, ()):
+                row = targets + [(state.nvert + i, m) for i, m in enumerate(block)]
+                if row:
+                    options.append(row)
+        return options
 
     # ---- leaf completion
 
@@ -745,9 +745,8 @@ class _Searcher:
     def _child(self, state: _SearchState, gi: int, b: int, row) -> _SearchState | None:
         """``state`` with row (gi, b) fixed and propagated, or None when
         propagation refutes it or an exact derived row does."""
-        new_count = sum(1 for c, _ in row if c >= state.nvert)
         child = state.clone()
-        child.add_row(gi, b, tuple(row), new_count, self.d_max)
+        child.add_row(gi, b, tuple(row), self.d_max)
         return child if self._propagate(child) and self._exact_rows(child) else None
 
     def _dfs(self, state: _SearchState):

@@ -501,6 +501,30 @@ def test_exact_row_cut_keeps_the_classes(name, make, digest, monkeypatch):
     assert with_cut.nodes_explored <= without_cut.nodes_explored == NODES_WITHOUT_CUT[name]
 
 
+def _generator_major(searcher, state):
+    return next(((gi, b) for gi in range(searcher.kgen) for b in range(state.nvert)
+                 if (gi, b) not in state.rows), None)
+
+
+def _newest_vertex_first(searcher, state):
+    return next(((gi, b) for b in reversed(range(state.nvert)) for gi in reversed(range(searcher.kgen))
+                 if (gi, b) not in state.rows), None)
+
+
+@pytest.mark.parametrize("order", [_generator_major, _newest_vertex_first],
+                         ids=["generator_major", "newest_vertex_first"])
+@pytest.mark.parametrize("name,make,digest", [(case[0], case[1], case[3]) for case in PINNED_SEARCHES],
+                         ids=[case[0] for case in PINNED_SEARCHES])
+def test_any_cell_order_finds_the_pinned_classes(name, make, digest, order, monkeypatch):
+    # only ``_next_cell`` knows the order in which cells are filled: another
+    # valid order moves the node count, never the classes
+    monkeypatch.setattr(torsion._Searcher, "_next_cell", order)
+    ring = make()
+    result = enumerate_modules(ring, ModuleSearchConfig(max_basis_size=dimension_bound(ring)))
+    assert result.complete
+    assert _keys_digest(result.classes) == digest
+
+
 def _closure_oracle(ring, gens, state):
     """The exact rows that the fixed generator rows of ``state`` force, as
     ``{(label index, row): {column: entry}}``, or None when one breaks a
@@ -947,6 +971,20 @@ def test_verdict_inconclusive_without_a_witness(config, bound):
     verdict = is_torsion_free(su2_level(5), config)
     assert verdict.status == "inconclusive"
     assert (verdict.certified_bound, verdict.class_count, verdict.witnesses) == (bound, 0, [])
+
+
+@pytest.mark.parametrize("size,budget", [
+    (2.5, None), (True, None), ("3", None), (0, None), (np.int64(0), None),
+    (3, True), (3, -1.0), (3, math.nan), (3, "1"),
+])
+def test_search_config_rejects_bad_values(size, budget):
+    with pytest.raises(ValueError):
+        ModuleSearchConfig(max_basis_size=size, time_budget=budget)
+
+
+@pytest.mark.parametrize("size,budget", [(1, None), (np.int64(3), 0), (3, 0.5), (3, np.float64(2.0))])
+def test_search_config_accepts_integer_sizes_and_real_budgets(size, budget):
+    assert ModuleSearchConfig(max_basis_size=size, time_budget=budget).max_basis_size == size
 
 
 def test_su2_level3_quotient_witness():
@@ -1568,6 +1606,25 @@ def test_recursive_closures_leave_no_cycles():
         if enabled:
             gc.enable()
     assert not names & {"descend", "extend", "new_block"}
+
+
+def test_searches_leave_no_cyclic_garbage():
+    # a complete search and one cut by its budget (possibly inside a
+    # labelling) free everything they made by reference counting alone
+    dihedral8 = group_ring(*dihedral_data(4)[:2], name="dihedral8")
+    fib_cubed = tensor_product(tensor_product(fibonacci(), fibonacci()), fibonacci())
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        assert enumerate_modules(dihedral8, ModuleSearchConfig(max_basis_size=8)).complete
+        cut = enumerate_modules(fib_cubed, ModuleSearchConfig(max_basis_size=17, time_budget=0.05))
+        freed = gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+    assert not cut.complete
+    assert freed == 0
 
 
 def test_cut_search_certifies_no_bound():

@@ -384,6 +384,24 @@ class _SearchState:
             self.cols[(gi, c)] += ((b, mult),)
 
 
+def _row_prefixes(columns: list, weight_hi: float):
+    """The entries of a row on the existing vertices, with their weighted
+    sums, in the order the search offers them (ascending, vertex 0 first):
+    ``columns[c]`` is vertex c's (weight, fixed entry or None), and each
+    entry m keeps the weighted sum at most ``weight_hi``.  Depth first, so
+    that a caller who stops early pays only for what it took."""
+    stack = [(0, 0.0, [])]  # (next vertex, weighted sum, entries so far)
+    while stack:
+        c, lo, targets = stack.pop()
+        if c == len(columns):
+            yield targets, lo
+            continue
+        weight, fixed = columns[c]
+        for m in fixed or range(int((weight_hi - lo) / weight), -1, -1):  # pushed high to low, popped low to high
+            if lo + m * weight <= weight_hi:
+                stack.append((c + 1, lo + m * weight, targets + [(c, m)] if m else targets))
+
+
 def _new_blocks(room: int, weight_hi: float, lo: float, block: tuple):
     """``block`` and its extensions, in the order the search offers them:
     the multiplicities of up to ``room`` new vertices, non-increasing (new
@@ -636,41 +654,52 @@ class _Searcher:
     # ---- row candidate generation
 
     def _row_options(self, state: _SearchState, gi: int, b: int):
-        """All admissible contents for row (generator gi, vertex b), under one
-        bound: the row's entries times the lower dimension bounds, added in
-        row order, sum to at most d(g) * (hi_b + 3 _EPS).  The first revision
-        of ``_propagate`` sums the same row in the same order and refutes any
-        sum above d(g) * (hi_b + 2 _EPS).  A new vertex weighs its lower
-        bound 1.  For a self-dual generator M_g is symmetric, so a column c
-        whose row is fixed takes its entry (c, b), under the same bound.
+        """The admissible contents for row (generator gi, vertex b), one at
+        a time, under one bound: the row's entries times the lower dimension
+        bounds, added in row order, sum to at most d(g) * (hi_b + 3 _EPS).
+        The first revision of ``_propagate`` sums the same row in the same
+        order and refutes any sum above d(g) * (hi_b + 2 _EPS).  A new
+        vertex weighs its lower bound 1.
 
-        No entry and no row total is capped apart from this bound.  Every
+        Forward checking (Haralick & Elliott, 1980) fixes every entry that
+        the node already determines: all of them when row b of g is in
+        ``state.exact`` (and then no new vertex enters), entry c when row c
+        of the dual label is (reciprocity M_g[b, c] = M_gbar[c, b]), and, for
+        a self-dual generator, entry c when row (gi, c) is fixed (M_g is
+        symmetric; this reads ``rows``, so it holds without the exact-row
+        cut).  A row that the exact rows withhold breaks one of them, so
+        ``_close`` refutes its child at its first seed: the surviving
+        children stay the same.
+
+        No entry and no row total is capped apart from the bound.  Every
         lower bound is at least 1, so the row total is at most the weighted
         sum, at most d(g) * (d_max + 3 _EPS): a cap floor(d(g) * d_max)
         could withhold more only where d(g) * d_max lies within 3 d(g) _EPS
         below an integer.  Dropping a prune only admits rows, so it never
         loses a class.
         """
+        g = self.gen_label[gi]
+        own = state.exact.get(g, {}).get(b)
+        dual = state.exact.get(self.dual_label[g], {})
+        columns = []  # per existing vertex c: (its weight, its fixed entry or None)
+        for c in range(state.nvert):
+            if own is not None:
+                fixed = (own.get(c, 0),)
+            elif c in dual:
+                fixed = (dual[c].get(b, 0),)
+            elif self.self_dual[gi] and (gi, c) in state.rows:
+                fixed = (dict(state.rows[(gi, c)]).get(b, 0),)
+            else:
+                fixed = None
+            columns.append((state.dims[c][0], fixed))  # a lower bound starts at 1 and only rises
+        room = 0 if own is not None else self.max_size - state.nvert
         # largest weighted row sum that propagation does not refute
         weight_hi = self.d_gen[gi] * (state.dims[b][1] + 3 * _EPS)
-        prefixes: list[tuple[list, float]] = [([], 0.0)]  # (entries on vertices < c, weighted sum)
-        for c in range(state.nvert):
-            weight = state.dims[c][0]  # a lower bound starts at 1 and only rises
-            symmetric = self.self_dual[gi] and (gi, c) in state.rows
-            fixed = (dict(state.rows[(gi, c)]).get(b, 0),) if symmetric else None
-            extended = []
-            for targets, lo in prefixes:
-                for m in fixed or range(int((weight_hi - lo) / weight) + 1):
-                    if lo + m * weight <= weight_hi:
-                        extended.append((targets + [(c, m)] if m else targets, lo + m * weight))
-            prefixes = extended
-        options = []
-        for targets, lo in prefixes:
-            for block in _new_blocks(self.max_size - state.nvert, weight_hi, lo, ()):
+        for targets, lo in _row_prefixes(columns, weight_hi):
+            for block in _new_blocks(room, weight_hi, lo, ()):
                 row = targets + [(state.nvert + i, m) for i, m in enumerate(block)]
                 if row:
-                    options.append(row)
-        return options
+                    yield row
 
     # ---- leaf completion
 
@@ -736,10 +765,33 @@ class _Searcher:
     # ---- depth-first search
 
     def _next_cell(self, state: _SearchState):
-        for b in range(state.nvert):
-            for gi in range(self.kgen):
-                if (gi, b) not in state.rows:
-                    return gi, b
+        """The open cell with the fewest row options, as ``(gi, b,
+        options)``, or None at a leaf: fail-first (Haralick & Elliott,
+        1980), ties in vertex-major order (vertex b, then generator).
+
+        The cells are counted side by side.  Each pass takes up to
+        ``limit`` options of every open cell, resuming where the last pass
+        stopped, and the limit falls to the best count so far; a cell whose
+        options run out below it is the answer once the pass ends.  A pass
+        in which none does is repeated with four times the limit, which
+        starts at 2.  The deadline is checked before each cell is counted.
+        The search order lives here alone."""
+        cells = [(gi, b, self._row_options(state, gi, b), [])
+                 for b in range(state.nvert) for gi in range(self.kgen) if (gi, b) not in state.rows]
+        limit = 2
+        while cells:
+            best = None
+            for gi, b, rows, taken in cells:
+                if self.deadline is not None and time.monotonic() > self.deadline:
+                    raise _Budget()
+                taken += itertools.islice(rows, limit - len(taken))
+                if len(taken) < limit:
+                    best, limit = (gi, b, taken), len(taken)
+                    if not limit:
+                        return best
+            if best is not None:
+                return best
+            limit *= 4
         return None
 
     def _child(self, state: _SearchState, gi: int, b: int, row) -> _SearchState | None:
@@ -759,8 +811,8 @@ class _Searcher:
         if cell is None:
             self._harvest(state)
             return
-        gi, b = cell
-        for row in self._row_options(state, gi, b):
+        gi, b, options = cell
+        for row in options:
             child = self._child(state, gi, b, row)
             if child is not None:
                 self._dfs(child)

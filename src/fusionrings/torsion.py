@@ -384,34 +384,33 @@ class _SearchState:
             self.cols[(gi, c)] += ((b, mult),)
 
 
-def _row_prefixes(columns: list, weight_hi: float):
-    """The entries of a row on the existing vertices, with their weighted
-    sums, in the order the search offers them (ascending, vertex 0 first):
-    ``columns[c]`` is vertex c's (weight, fixed entry or None), and each
-    entry m keeps the weighted sum at most ``weight_hi``.  Depth first, so
-    that a caller who stops early pays only for what it took."""
-    stack = [(0, 0.0, [])]  # (next vertex, weighted sum, entries so far)
+def _rows(columns: list, room: int, weight_hi: float):
+    """The nonempty rows of one cell, in the order the search offers them,
+    depth first, so that a caller who stops early pays only for what it
+    took.  ``columns[c]`` is existing vertex c's (weight, fixed entry or
+    None), and each entry m keeps the weighted row sum at most
+    ``weight_hi``.  The existing vertices take ascending entries, vertex 0
+    first; then up to ``room`` new vertices, new vertex i as column
+    ``len(columns) + i``, each weighing 1, take non-increasing
+    multiplicities (new vertices are interchangeable) in descending order,
+    and a row comes before its extensions."""
+    n = len(columns)
+    stack = [(0, 0.0, [])]  # (next column, weighted sum, entries so far)
     while stack:
-        c, lo, targets = stack.pop()
-        if c == len(columns):
-            yield targets, lo
-            continue
-        weight, fixed = columns[c]
-        for m in fixed or range(int((weight_hi - lo) / weight), -1, -1):  # pushed high to low, popped low to high
+        c, lo, row = stack.pop()
+        if c < n:
+            weight, fixed = columns[c]
+            entries = fixed or range(int((weight_hi - lo) / weight), -1, -1)  # pushed high to low, popped low to high
+        else:
+            if row:
+                yield row
+            if c == n + room:
+                continue
+            weight = 1
+            entries = range(1, (row[-1][1] if c > n else int(weight_hi - lo)) + 1)  # popped high to low
+        for m in entries:
             if lo + m * weight <= weight_hi:
-                stack.append((c + 1, lo + m * weight, targets + [(c, m)] if m else targets))
-
-
-def _new_blocks(room: int, weight_hi: float, lo: float, block: tuple):
-    """``block`` and its extensions, in the order the search offers them:
-    the multiplicities of up to ``room`` new vertices, non-increasing (new
-    vertices are interchangeable), each vertex weighing 1 onto the weighted
-    row sum ``lo``, which stays at most ``weight_hi``."""
-    yield block
-    if len(block) < room:
-        for m in range(block[-1] if block else int(weight_hi - lo), 0, -1):
-            if lo + m <= weight_hi:
-                yield from _new_blocks(room, weight_hi, lo + m, block + (m,))
+                stack.append((c + 1, lo + m * weight, row + [(c, m)] if m else row))
 
 
 class _Searcher:
@@ -667,9 +666,14 @@ class _Searcher:
         of the dual label is (reciprocity M_g[b, c] = M_gbar[c, b]), and, for
         a self-dual generator, entry c when row (gi, c) is fixed (M_g is
         symmetric; this reads ``rows``, so it holds without the exact-row
-        cut).  A row that the exact rows withhold breaks one of them, so
-        ``_close`` refutes its child at its first seed: the surviving
-        children stay the same.
+        cut).  With the cut on, a fixed row of a self-dual generator is
+        exact, so reciprocity already fixes what the symmetry does; the
+        symmetry branch stays for the searches without the cut, which
+        without it grow far past their pinned node counts (fib x fib from
+        348 to 130,847 nodes; dihedral8 from 14,040 to beyond 579,193,
+        unfinished after 60 s).  A row that the exact rows withhold breaks
+        one of them, so ``_close`` refutes its child at its first seed: the
+        surviving children stay the same.
 
         No entry and no row total is capped apart from the bound.  Every
         lower bound is at least 1, so the row total is at most the weighted
@@ -695,11 +699,7 @@ class _Searcher:
         room = 0 if own is not None else self.max_size - state.nvert
         # largest weighted row sum that propagation does not refute
         weight_hi = self.d_gen[gi] * (state.dims[b][1] + 3 * _EPS)
-        for targets, lo in _row_prefixes(columns, weight_hi):
-            for block in _new_blocks(room, weight_hi, lo, ()):
-                row = targets + [(state.nvert + i, m) for i, m in enumerate(block)]
-                if row:
-                    yield row
+        return _rows(columns, room, weight_hi)
 
     # ---- leaf completion
 
@@ -734,7 +734,8 @@ class _Searcher:
                 yield target, c, column
 
     def _complete(self, state: _SearchState):
-        """The action matrices of a leaf, or None when it is not a module.
+        """The action tensor of a leaf, ``(n, m, m)`` in basis order, or
+        None when it is not a module.
 
         ``_close`` from ``_leaf_seeds`` makes every row of every label exact
         or finds one that breaks a rule; with every row exact, every fusion
@@ -753,12 +754,12 @@ class _Searcher:
         A = np.zeros((self.ring.size, m, m), dtype=np.int64)
         A.reshape(-1)[[ab * m + c for ab, row in rows for c in row]] = [n for _, row in rows for n in row.values()]
         A[self.unit] = np.eye(m, dtype=np.int64)
-        return dict(zip(self.ring.basis, A))
+        return A
 
     def _harvest(self, state: _SearchState):
-        mats = self._complete(state)
-        if mats is not None:
-            leaf = _Leaf(self.ring, f"module over {self.ring.name}", np.stack(list(mats.values())))
+        tensor = self._complete(state)
+        if tensor is not None:
+            leaf = _Leaf(self.ring, f"module over {self.ring.name}", tensor)
             table = canonical_form(leaf, self.deadline)
             self.found.setdefault(canonical_key(table), table)
 
@@ -769,29 +770,21 @@ class _Searcher:
         options)``, or None at a leaf: fail-first (Haralick & Elliott,
         1980), ties in vertex-major order (vertex b, then generator).
 
-        The cells are counted side by side.  Each pass takes up to
-        ``limit`` options of every open cell, resuming where the last pass
-        stopped, and the limit falls to the best count so far; a cell whose
-        options run out below it is the answer once the pass ends.  A pass
-        in which none does is repeated with four times the limit, which
-        starts at 2.  The deadline is checked before each cell is counted.
-        The search order lives here alone."""
+        The cells are counted in lockstep: each round draws one more option
+        from every open cell, in vertex-major order, and the first cell that
+        runs out is the answer.  So no cell gives more than one option past
+        the fewest.  The deadline is read before each draw.  The search
+        order lives here alone."""
         cells = [(gi, b, self._row_options(state, gi, b), [])
                  for b in range(state.nvert) for gi in range(self.kgen) if (gi, b) not in state.rows]
-        limit = 2
         while cells:
-            best = None
             for gi, b, rows, taken in cells:
                 if self.deadline is not None and time.monotonic() > self.deadline:
                     raise _Budget()
-                taken += itertools.islice(rows, limit - len(taken))
-                if len(taken) < limit:
-                    best, limit = (gi, b, taken), len(taken)
-                    if not limit:
-                        return best
-            if best is not None:
-                return best
-            limit *= 4
+                row = next(rows, None)
+                if row is None:
+                    return gi, b, taken
+                taken.append(row)
         return None
 
     def _child(self, state: _SearchState, gi: int, b: int, row) -> _SearchState | None:

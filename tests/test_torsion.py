@@ -566,6 +566,77 @@ def test_deadline_is_read_between_counted_cells(monkeypatch):
     assert counted == [(0, 0)]
 
 
+@pytest.mark.parametrize("make", [case[1] for case in PINNED_SEARCHES],
+                         ids=[case[0] for case in PINNED_SEARCHES])
+def test_next_cell_counts_in_lockstep(make, monkeypatch):
+    # at every node, the chosen cell has the fewest row options and is the
+    # first of the fewest in vertex-major order, and no open cell gave more
+    # than one option past the fewest before the choice was made
+    row_options = torsion._Searcher._row_options
+    next_cell = torsion._Searcher._next_cell
+    drawn = {}
+    choices = []
+
+    def counted(searcher, state, gi, b):
+        for row in row_options(searcher, state, gi, b):
+            drawn[gi, b] = drawn.get((gi, b), 0) + 1
+            yield row
+
+    def checked(searcher, state):
+        drawn.clear()
+        cell = next_cell(searcher, state)
+        cells = [(gi, b) for b in range(state.nvert) for gi in range(searcher.kgen) if (gi, b) not in state.rows]
+        counts = {c: sum(1 for _ in row_options(searcher, state, *c)) for c in cells}
+        if cell is None:
+            assert not cells
+        else:
+            gi, b, options = cell
+            fewest = min(counts.values())
+            assert options == list(row_options(searcher, state, gi, b))
+            assert len(options) == fewest and (gi, b) == next(c for c in cells if counts[c] == fewest)
+            assert all(n <= fewest + 1 for n in drawn.values()), (drawn, fewest)
+        choices.append(cell)
+        return cell
+
+    monkeypatch.setattr(torsion._Searcher, "_row_options", counted)
+    monkeypatch.setattr(torsion._Searcher, "_next_cell", checked)
+    ring = make()
+    result = enumerate_modules(ring, ModuleSearchConfig(max_basis_size=dimension_bound(ring)))
+    assert result.complete and len(choices) == result.nodes_explored
+
+
+def _rows_oracle(columns, room, weight_hi):
+    """The rows of ``torsion._rows`` by brute force: every entry on the
+    existing columns times every non-increasing block of new-vertex
+    multiplicities, kept when the weighted sum is at most ``weight_hi`` and
+    the row is not empty, sorted by the existing entries ascending, then by
+    the block in preorder with larger multiplicities first."""
+    n = len(columns)
+    entries = [fixed if fixed is not None else range(int(weight_hi / weight) + 1) for weight, fixed in columns]
+    blocks = [block for k in range(room + 1) for block in itertools.product(range(1, int(weight_hi) + 1), repeat=k)
+              if all(x >= y for x, y in zip(block, block[1:]))]
+    found = []
+    for prefix, block in itertools.product(itertools.product(*entries), blocks):
+        if sum(m * weight for m, (weight, _) in zip(prefix, columns)) + sum(block) <= weight_hi:
+            row = [(c, m) for c, m in enumerate(prefix) if m] + [(n + i, m) for i, m in enumerate(block)]
+            if row:
+                found.append(((prefix, tuple(-m for m in block)), row))
+    return [row for _, row in sorted(found)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    # dyadic weights keep every weighted sum exact, so the oracle's sum and
+    # the generator's running sum meet the bound alike
+    st.lists(st.tuples(st.sampled_from([1.0, 1.5, 2.0, 2.5, 3.0]),
+                       st.one_of(st.none(), st.integers(0, 3).map(lambda m: (m,)))), max_size=3),
+    st.integers(0, 3),
+    st.floats(0.0, 12.0),
+)
+def test_rows_match_a_brute_force_oracle(columns, room, weight_hi):
+    assert list(torsion._rows(columns, room, weight_hi)) == _rows_oracle(columns, room, weight_hi)
+
+
 @pytest.mark.parametrize("name,make,digest", [(case[0], case[1], case[3]) for case in PINNED_SEARCHES],
                          ids=[case[0] for case in PINNED_SEARCHES])
 def test_exact_row_cut_keeps_the_classes(name, make, digest, monkeypatch):
@@ -797,12 +868,12 @@ def test_leaves_are_unital_and_connected(make, monkeypatch):
         rows.add_edges_from((b, c) for (_, b), row in state.rows.items() for c, _ in row)
         assert nx.is_connected(rows)
         leaves.append(state.nvert)
-        mats = complete(searcher, state)
-        if mats is not None:
-            assert np.array_equal(mats[ring.unit], np.eye(state.nvert, dtype=np.int64))
-            assert nx.is_connected(nx.from_numpy_array(sum(mats.values())))
+        tensor = complete(searcher, state)
+        if tensor is not None:
+            assert np.array_equal(tensor[ring.index[ring.unit]], np.eye(state.nvert, dtype=np.int64))
+            assert nx.is_connected(nx.from_numpy_array(tensor.sum(axis=0)))
             accepted.append(state.nvert)
-        return mats
+        return tensor
 
     monkeypatch.setattr(torsion._Searcher, "_complete", checked)
     ring = make()
@@ -852,16 +923,17 @@ def _replayed_leaf(searcher, state):
 def _assert_leaf_matches_replay(searcher, state, complete=None):
     """``_close`` on the leaf and ``_complete`` each reject exactly when the
     replay rejects, associativity included, and ``_complete`` otherwise
-    returns the replay's matrices; returns what ``_complete`` returned."""
+    returns the replay's matrices stacked in basis order; returns what
+    ``_complete`` returned."""
     expected, check = _replayed_leaf(searcher, state)
     closed = state.clone()
     assert searcher._close(closed, searcher._leaf_seeds(closed)) == (check is None), check
-    mats = (complete or torsion._Searcher._complete)(searcher, state)
-    assert (mats is None) == (expected is None), check
-    if mats is not None:
-        assert mats.keys() == expected.keys()
-        assert all(np.array_equal(mats[a], expected[a]) for a in mats)
-    return mats
+    tensor = (complete or torsion._Searcher._complete)(searcher, state)
+    assert (tensor is None) == (expected is None), check
+    if tensor is not None:
+        assert expected.keys() == set(searcher.ring.basis)
+        assert np.array_equal(tensor, np.stack([expected[a] for a in searcher.ring.basis]))
+    return tensor
 
 
 LEAF_SEARCHES = [(case[0], case[1], None) for case in PINNED_SEARCHES] + [
@@ -877,9 +949,9 @@ def test_leaf_completion_matches_the_plan_replay(make, size, monkeypatch):
     leaves = []
 
     def checked(searcher, state):
-        mats = _assert_leaf_matches_replay(searcher, state, complete)
-        leaves.append(mats is not None)
-        return mats
+        tensor = _assert_leaf_matches_replay(searcher, state, complete)
+        leaves.append(tensor is not None)
+        return tensor
 
     monkeypatch.setattr(torsion._Searcher, "_complete", checked)
     ring = make()

@@ -101,17 +101,23 @@ class TorsionVerdict:
 
 def _derivable(ring: BasedRingTable, gens: list[str]) -> set[str]:
     """The labels whose matrices follow from the generator matrices by
-    fusion expansion: the generators, their duals, and the only unknown
-    member of the expansion of two known labels, with its dual.
+    fusion expansion through the middles (the unit, the generators and
+    their duals), the rules that the search's closure reads: the middles,
+    and the only unknown member of an expansion x*s with x known and s a
+    middle, with its dual.  Each label reached lies in the subring of
+    R (x) Q that the middles generate (the involution reverses products
+    and keeps the middles), so reaching every label proves that they
+    generate it, as ``_Searcher._complete`` needs.
 
     The rule is monotone, so the labels reached are its unique fixpoint,
     whatever order the expansions are read in; where they fall short of the
     basis the derivation stalls (every remaining expansion has two or more
     unknown members)."""
     known = {ring.unit, *gens, *map(ring.involution_of, gens)}
+    middles = list(known)
     while True:
         found = set()
-        for x, y in itertools.product(known, repeat=2):
+        for x, y in itertools.product(known, middles):
             unknown = set(ring.product(x, y).support()) - known
             if len(unknown) == 1:
                 found |= unknown
@@ -343,11 +349,12 @@ class _SearchState:
     the parent, and ``_close`` copies the outer dict and each per-label
     dict before it first writes to it.
 
-    ``need[(x, y, w)]`` counts what the armed cell x*y on row w lacks (see
-    ``_Searcher._close``): the non-exact rows of M_x on the support of row w
-    of M_y, plus its unknown term rows beyond one.  ``waits[c]`` lists the
-    exact rows (y, w) whose support holds c, so the cells (x, y, w) wait on
-    row c of M_x while it is not exact.  ``clone`` shares and ``_close`` copies both.
+    ``need[(x, y, w)]`` counts what the armed cell x*y on row w, y a middle
+    (a generator or its dual), lacks (see ``_Searcher._close``): the
+    non-exact rows of M_x on the support of row w of M_y, plus its unknown
+    term rows beyond one.  ``waits[c]`` lists the exact rows (y, w) of the
+    middles whose support holds c, so the cells (x, y, w) wait on row c of
+    M_x while it is not exact.  ``clone`` shares and ``_close`` copies both.
     """
 
     nvert: int
@@ -428,26 +435,28 @@ class _Searcher:
             self.deadline = time.monotonic() + config.time_budget
         self.nodes = 0
         self.found: dict[bytes, BasedModuleTable] = {}
-        # every fusion rule x*y = sum_c N_xy^c c with x and y not the unit,
-        # on label indices: ``terms[x][y]`` its (c, N_xy^c), ``by_y[y]`` the
-        # pairs (x, bit set of its non-unit terms), and ``by_term[c][y]`` the
-        # same pairs for the rules with c one of two or more non-unit terms
+        # every fusion rule x*y = sum_c N_xy^c c with x not the unit and y
+        # a middle, on label indices: ``terms[x][y]`` its (c, N_xy^c),
+        # ``by_y[y]`` the pairs (x, bit set of its non-unit terms), and
+        # ``by_term[c][y]`` the same pairs for the rules with c one of two
+        # or more non-unit terms
         index = ring.index
         self.unit = index[ring.unit]
         self.gen_label = [index[g] for g in self.gens]
+        self.dual_label = [index[ring.involution_of(a)] for a in ring.basis]
+        self.middles = {*self.gen_label, *(self.dual_label[g] for g in self.gen_label)}
         T = ring.structure_tensor()
         self.terms = [[()] * ring.size for _ in ring.basis]
         self.by_y = [[] for _ in ring.basis]
         self.by_term = [{} for _ in ring.basis]
         for x, y in itertools.product(range(ring.size), repeat=2):
-            if self.unit not in (x, y):
+            if x != self.unit and y in self.middles:
                 self.terms[x][y] = tuple((int(c), int(T[x, y, c])) for c in np.flatnonzero(T[x, y]))
                 labels = [c for c, _ in self.terms[x][y] if c != self.unit]
                 bits = sum(1 << c for c in labels)
                 self.by_y[y].append((x, bits))
                 for c in labels if len(labels) > 1 else ():
                     self.by_term[c].setdefault(y, []).append((x, bits))
-        self.dual_label = [index[ring.involution_of(a)] for a in ring.basis]
 
     # ---- dimension propagation
 
@@ -552,23 +561,30 @@ class _Searcher:
         rows determine it, the same in every completion of the node: unit
         rows (implicit), a generator row once fixed (the columns of a
         non-self-dual generator, its dual's rows, are seeded only at a
-        leaf), and a row that a fusion rule x*y = sum_c N_xy^c c forces:
-        row w of M_y M_x = sum_c N_xy^c M_c, read once row w of M_y, the
-        rows of M_x on its support and all but at most one term's row w
-        are exact, and solved for that term (for the first when none is
-        unknown).  A row breaks a rule when it is all zero, when a solved
-        row is not divisible by the term's multiplicity, has a negative
-        entry or differs from the term's exact row, or when two exact rows
-        break reciprocity M_abar[b, c] = M_a[c, b] (checked once per pair,
-        when its second row turns exact).  Integers only.
+        leaf), and a row that a middle rule x*y = sum_c N_xy^c c, y a
+        generator or its dual, forces: row w of M_y M_x = sum_c N_xy^c M_c,
+        read once row w of M_y, the rows of M_x on its support and all but
+        at most one term's row w are exact, and solved for that term (for
+        the first when none is unknown).  A row breaks a rule when it is all
+        zero, when a solved row is not divisible by the term's
+        multiplicity, has a negative entry or differs from the term's exact
+        row, or when two exact rows break reciprocity M_abar[b, c] =
+        M_a[c, b] (checked once per pair, when its second row turns exact).
+        Integers only.
 
-        Forward chaining (Dowling & Gallier, 1984) on the cells x*y on row w:
-        a new exact row (L, b) counts down the cells waiting on it as a row
-        of M_L, then the armed cells on row b with L and another unknown
-        term, then arms the cells x*L on row b.  A cell is read when its
-        count reaches 0, so at most once per search path (its M_y row turns
-        exact once); the ready cells of the newest row are read first.  The
-        fixpoint, and so the verdict, does not depend on that order.
+        Only the middle rules are read; at a leaf they imply the rest (see
+        ``_complete``).  Above it a rule with y no middle could refute a
+        branch sooner, so leaving it out can raise node counts, never lose
+        a class.
+
+        Forward chaining (Dowling & Gallier, 1984) on the cells x*y on row
+        w, y a middle: a new exact row (L, b) counts down the cells waiting
+        on it as a row of M_L, then the armed cells on row b with L and
+        another unknown term, then, when L is a middle, arms the cells x*L
+        on row b.  A cell is read when its count reaches 0, so at most once
+        per search path (its M_y row turns exact once); the ready cells of
+        the newest row are read first.  The fixpoint, and so the verdict,
+        does not depend on that order.
         """
         exact = state.exact = dict(state.exact)
         need = state.need = dict(state.need)
@@ -602,9 +618,10 @@ class _Searcher:
                 if not need[cell]:
                     del need[cell]
                     ready.append(cell)
-            for c in row:
-                waits[c] = waits.get(c, ()) + ((label, b),)
-            for x, bits in self.by_y[label]:
+            if label in self.middles:
+                for c in row:
+                    waits[c] = waits.get(c, ()) + ((label, b),)
+            for x, bits in self.by_y[label]:  # empty unless label is a middle
                 rows_x = exact.get(x, ())
                 count = (bits & lacking).bit_count()
                 count -= count > 0  # unknown term rows beyond one
@@ -712,9 +729,10 @@ class _Searcher:
         seeding them again (one comparison each) keeps completion
         independent of that node cut, which the tests switch off.  The
         labels made wholly exact are then closed under duals and under
-        every fusion rule with one unknown term, the rule that
-        ``generating_set`` derives every label by, so every row is exact
-        unless a row broke a rule."""
+        every middle rule x*s with one unknown term, the rule that
+        ``_derivable`` reaches every label by for the generators that
+        ``generating_set`` picks, so every row is exact unless a row broke
+        a rule."""
         for (gi, b), row in state.rows.items():
             yield self.gen_label[gi], b, dict(row)
         m = state.nvert
@@ -738,10 +756,18 @@ class _Searcher:
         None when it is not a module.
 
         ``_close`` from ``_leaf_seeds`` makes every row of every label exact
-        or finds one that breaks a rule; with every row exact, every fusion
-        rule has been checked on every row, which is associativity.  The
-        unit acts as the identity: no rule writes it and no non-unit label
-        has it as dual, in a sound ring.  The module is connected: every
+        or finds one that breaks a rule; with every row exact, every middle
+        rule (x*s).w = x.(s.w), s a generator or its dual, has been checked
+        for every x and w.  That is associativity (Light's test, as in
+        ``rings._middle_labels``): the y with (x*y).w = x.(y.w) for all x
+        and w span a subring Y of R (x) Q, as for y, z in Y (x*(y*z)).w =
+        ((x*y)*z).w = (x*y).(z.w) = x.(y.(z.w)) = x.((y*z).w) by ring
+        associativity (``require_sound`` checked it), and the unit, acting
+        as the identity, is in Y.  Y holds the middles, which generate
+        R (x) Q since ``_derivable`` reaches every label, so Y is all of
+        it.  The unit acts as the identity: no rule writes it and no
+        non-unit label has it as dual, in a sound ring.  The module is
+        connected: every
         vertex after the root enters as a new target of a generator row of
         an earlier vertex.  A leaf anchored at a vertex of non-minimal
         dimension can only repeat a class found from its minimal anchor, and

@@ -133,6 +133,15 @@ def test_frontier_searches_complete_at_the_bound(make, nodes, sizes):
     assert sorted(module.size for module in result.classes) == sizes
 
 
+def test_rep_a5_to_size_5_pinned():
+    # the closure reads only the middle rules, so an interior node can
+    # outlive a rule that would refute it: 2,656 nodes here, where a
+    # closure over every rule takes 2,423 for the same classes
+    result = enumerate_modules(_rep_a5_ring(), ModuleSearchConfig(max_basis_size=5))
+    assert result.complete and result.nodes_explored == 2656
+    assert sorted(module.size for module in result.classes) == [1, 2, 3, 3, 4, 4, 4, 4, 5, 5]
+
+
 def test_enumerated_modules_are_verified_connected_cofinite():
     ring = su2_level(3)
     result = enumerate_modules(ring, ModuleSearchConfig(max_basis_size=dimension_bound(ring)))
@@ -269,6 +278,31 @@ def test_generating_sets_pinned():
     assert hashlib.sha256(repr(gens).encode()).hexdigest() == (
         "7b0963010d5642094f30fd5e990bea6d433c4eece13540e5c9bb4e26aa3f9fea"
     )
+
+
+def test_middle_rules_reach_every_label():
+    # leaf completion derives rows through the middle rules x*s alone, s a
+    # generator or its dual; on every ring whose generating set is pinned,
+    # and on rep(PSL(2,7)), they reach the labels that the unrestricted
+    # expansion of the oracle plan reaches: all of them
+    rings = (
+        [cyclic_group_ring(n) for n in range(1, 13)]
+        + [permutation_group_ring(n) for n in (3, 4, 5)]
+        + [su2_level(k) for k in range(1, 17)]
+        + [
+            tensor_product(fibonacci(), fibonacci()),
+            tensor_product(tensor_product(fibonacci(), fibonacci()), fibonacci()),
+            tensor_product(su2_level(2), cyclic_group_ring(2)),
+            tensor_product(su2_level(4), cyclic_group_ring(2)),
+            _rep_a5_ring(),
+            _multiplicity_two_ring(),
+            _rep_psl27_ring(),
+        ]
+    )
+    for ring in rings:
+        gens = torsion.generating_set(ring)
+        planned = {ring.unit, *gens, *map(ring.involution_of, gens), *(step[1] for step in _oracle_plan(ring, gens))}
+        assert torsion._derivable(ring, list(gens)) == planned == set(ring.basis), ring.name
 
 
 # Search nodes and the sha256 of the sorted canonical class keys at the
@@ -785,19 +819,26 @@ def test_closure_matches_a_from_scratch_fixpoint(name, monkeypatch):
     assert True in verdicts and False in verdicts
 
 
+def _middle_indices(ring):
+    """The label indices of the generators and their duals."""
+    return {ring.index[a] for g in torsion.generating_set(ring) for a in (g, ring.involution_of(g))}
+
+
 def _bookkeeping_oracle(ring, state):
     """The forward-chaining bookkeeping that the exact rows of ``state``
     imply, rebuilt from ``state.exact`` alone: ``(armed, waiting)``.  A cell
-    (x, y, w), the rule x*y on row w with x, y not the unit, is armed once
-    row w of M_y is exact, until nothing is missing: ``armed`` maps it to
-    the rows of M_x on that row's support that are not exact plus its
-    unknown non-unit term rows beyond one, when that is not 0.  ``waiting``
-    maps each missing row (x, c) of M_x to the armed cells that lack it."""
+    (x, y, w), the rule x*y on row w with x not the unit and y a generator
+    or its dual, is armed once row w of M_y is exact, until nothing is
+    missing: ``armed`` maps it to the rows of M_x on that row's support
+    that are not exact plus its unknown non-unit term rows beyond one, when
+    that is not 0.  ``waiting`` maps each missing row (x, c) of M_x to the
+    armed cells that lack it."""
     index = {a: i for i, a in enumerate(ring.basis)}
+    middles = _middle_indices(ring)
     exact = {(a, b): row for a, rows in state.exact.items() for b, row in rows.items()}
     armed, waiting = {}, {}
     for x, y in itertools.product(ring.basis, repeat=2):
-        if ring.unit in (x, y):
+        if ring.unit in (x, y) or index[y] not in middles:
             continue
         terms = [index[c] for c, _ in ring.product(x, y).items() if c != ring.unit]
         for (a, w), row_y in exact.items():
@@ -826,8 +867,11 @@ def test_closure_bookkeeping_matches_the_exact_rows(name, monkeypatch):
         armed, waiting = _bookkeeping_oracle(searcher.ring, state)
         assert set(state.need) == set(armed)
         assert state.need == armed and 0 not in state.need.values()
-        # the index lists each exact row once, under each column of its support
-        columns = {c: sorted((y, w) for y, rows in state.exact.items() for w, row in rows.items() if c in row)
+        # the index lists each exact row of a generator or its dual once,
+        # under each column of its support
+        middles = _middle_indices(searcher.ring)
+        columns = {c: sorted((y, w) for y, rows in state.exact.items() if y in middles
+                             for w, row in rows.items() if c in row)
                    for c in range(state.nvert)}
         assert {c: sorted(rows) for c, rows in state.waits.items()} == {c: rows for c, rows in columns.items() if rows}
         # and so the cells (x, y, w) with (y, w) under c wait on row c of every M_x that lacks it
@@ -940,6 +984,7 @@ LEAF_SEARCHES = [(case[0], case[1], None) for case in PINNED_SEARCHES] + [
     ("cyclic12", lambda: cyclic_group_ring(12), None),
     ("sym4_to_6", lambda: permutation_group_ring(4), 6),
     ("psl27_to_3", _rep_psl27_ring, 3),
+    ("repA5_to_5", _rep_a5_ring, 5),
 ]
 
 
@@ -981,7 +1026,7 @@ def test_random_leaves_match_the_plan_replay():
     # leaves no search reaches: every generator row fixed at random and no
     # row exact yet, so the closure meets every check of the replay
     rings = [cyclic_group_ring(3), cyclic_group_ring(6), permutation_group_ring(3), su2_level(3),
-             tensor_product(fibonacci(), fibonacci()), _multiplicity_two_ring(), _rep_psl27_ring()]
+             tensor_product(fibonacci(), fibonacci()), _multiplicity_two_ring(), _rep_psl27_ring(), _rep_a5_ring()]
     rng = np.random.default_rng(5)
     checks = {}
     for ring in rings:

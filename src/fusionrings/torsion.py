@@ -104,10 +104,10 @@ def _derivable(ring: BasedRingTable, gens: list[str]) -> set[str]:
     fusion expansion through the middles (the unit, the generators and
     their duals), the rules that the search's closure reads: the middles,
     and the only unknown member of an expansion x*s with x known and s a
-    middle, with its dual.  Each label reached lies in the subring of
-    R (x) Q that the middles generate (the involution reverses products
-    and keeps the middles), so reaching every label proves that they
-    generate it, as ``_Searcher._complete`` needs.
+    middle, with its dual.  When the involution reverses products, each
+    label reached lies in the subring of R (x) Q that the middles generate,
+    so reaching every label proves that they generate it, as
+    ``_Searcher._complete`` needs.
 
     The rule is monotone, so the labels reached are its unique fixpoint,
     whatever order the expansions are read in; where they fall short of the
@@ -350,7 +350,7 @@ class _SearchState:
     dict before it first writes to it.
 
     ``need[(x, y, w)]`` counts what the armed cell x*y on row w, y a middle
-    (a generator or its dual), lacks (see ``_Searcher._close``): the
+    (see ``_Searcher.__init__``), lacks (see ``_Searcher._close``): the
     non-exact rows of M_x on the support of row w of M_y, plus its unknown
     term rows beyond one.  ``waits[c]`` lists the exact rows (y, w) of the
     middles whose support holds c, so the cells (x, y, w) wait on row c of
@@ -420,6 +420,25 @@ def _rows(columns: list, room: int, weight_hi: float):
                 stack.append((c + 1, lo + m * weight, row + [(c, m)] if m else row))
 
 
+def _middle_rules_suffice(T: np.ndarray, dual: list[int], middles: set[int]) -> bool:
+    """Whether the middle rules of a module imply all its rules (see
+    ``_Searcher._complete``): the involution ``dual`` reverses products,
+    and (x*s)*z = x*(s*z) for every middle s and all x, z.  With middles
+    that generate the ring the second is its associativity (Light's test,
+    as in ``rings._middle_labels``).  ``require_sound`` checks neither.
+    Integer products, as ``rings.associativity_check`` computes in floats
+    where they are exact: the search uses no BLAS, whose first call costs
+    half a megabyte of memory."""
+    inv = np.asarray(dual)
+    if (T != T[np.ix_(inv, inv, inv)].transpose(1, 0, 2)).any():
+        return False
+    n = len(T)
+    if n * int(T.max(initial=0)) ** 2 >= 2**63:
+        T = T.astype(object)
+    flat = T.reshape(n, n * n)
+    return all(np.array_equal(T[:, s] @ flat, (T[s] @ T).reshape(n, n * n)) for s in middles)
+
+
 class _Searcher:
     def __init__(self, ring: BasedRingTable, config: ModuleSearchConfig):
         self.ring = ring
@@ -439,13 +458,17 @@ class _Searcher:
         # a middle, on label indices: ``terms[x][y]`` its (c, N_xy^c),
         # ``by_y[y]`` the pairs (x, bit set of its non-unit terms), and
         # ``by_term[c][y]`` the same pairs for the rules with c one of two
-        # or more non-unit terms
+        # or more non-unit terms.  The middles are the generators and their
+        # duals, or every label but the unit in a ring where their rules do
+        # not imply the rest
         index = ring.index
         self.unit = index[ring.unit]
         self.gen_label = [index[g] for g in self.gens]
         self.dual_label = [index[ring.involution_of(a)] for a in ring.basis]
-        self.middles = {*self.gen_label, *(self.dual_label[g] for g in self.gen_label)}
         T = ring.structure_tensor()
+        self.middles = {*self.gen_label, *(self.dual_label[g] for g in self.gen_label)}
+        if not _middle_rules_suffice(T, self.dual_label, self.middles):
+            self.middles = set(range(ring.size)) - {self.unit}
         self.terms = [[()] * ring.size for _ in ring.basis]
         self.by_y = [[] for _ in ring.basis]
         self.by_term = [{} for _ in ring.basis]
@@ -562,15 +585,15 @@ class _Searcher:
         rows (implicit), a generator row once fixed (the columns of a
         non-self-dual generator, its dual's rows, are seeded only at a
         leaf), and a row that a middle rule x*y = sum_c N_xy^c c, y a
-        generator or its dual, forces: row w of M_y M_x = sum_c N_xy^c M_c,
-        read once row w of M_y, the rows of M_x on its support and all but
-        at most one term's row w are exact, and solved for that term (for
-        the first when none is unknown).  A row breaks a rule when it is all
-        zero, when a solved row is not divisible by the term's
-        multiplicity, has a negative entry or differs from the term's exact
-        row, or when two exact rows break reciprocity M_abar[b, c] =
-        M_a[c, b] (checked once per pair, when its second row turns exact).
-        Integers only.
+        middle (a generator or its dual, see ``__init__``), forces:
+        row w of M_y M_x = sum_c N_xy^c M_c, read once row w of M_y, the
+        rows of M_x on its support and all but at most one term's row w are
+        exact, and solved for that term (for the first when none is
+        unknown).  A row breaks a rule when it is all zero, when a solved
+        row is not divisible by the term's multiplicity, has a negative
+        entry or differs from the term's exact row, or when two exact rows
+        break reciprocity M_abar[b, c] = M_a[c, b] (checked once per pair,
+        when its second row turns exact).  Integers only.
 
         Only the middle rules are read; at a leaf they imply the rest (see
         ``_complete``).  Above it a rule with y no middle could refute a
@@ -757,21 +780,23 @@ class _Searcher:
 
         ``_close`` from ``_leaf_seeds`` makes every row of every label exact
         or finds one that breaks a rule; with every row exact, every middle
-        rule (x*s).w = x.(s.w), s a generator or its dual, has been checked
-        for every x and w.  That is associativity (Light's test, as in
-        ``rings._middle_labels``): the y with (x*y).w = x.(y.w) for all x
-        and w span a subring Y of R (x) Q, as for y, z in Y (x*(y*z)).w =
-        ((x*y)*z).w = (x*y).(z.w) = x.(y.(z.w)) = x.((y*z).w) by ring
-        associativity (``require_sound`` checked it), and the unit, acting
-        as the identity, is in Y.  Y holds the middles, which generate
-        R (x) Q since ``_derivable`` reaches every label, so Y is all of
-        it.  The unit acts as the identity: no rule writes it and no
-        non-unit label has it as dual, in a sound ring.  The module is
-        connected: every
-        vertex after the root enters as a new target of a generator row of
-        an earlier vertex.  A leaf anchored at a vertex of non-minimal
-        dimension can only repeat a class found from its minimal anchor, and
-        the canonical key does not see the anchor.
+        rule (x*s).w = x.(s.w) has been checked for every x and w.  When
+        the middles are the generators and their duals, that is
+        associativity (Light's test, as in ``rings._middle_labels``): the y
+        with (x*y).w = x.(y.w) for all x and w span a subring Y of R (x) Q,
+        as for y, z in Y (x*(y*z)).w = ((x*y)*z).w = (x*y).(z.w) =
+        x.(y.(z.w)) = x.((y*z).w) by ring associativity, and the unit,
+        acting as the identity, is in Y.  Y holds the middles, which
+        generate R (x) Q since ``_derivable`` reaches every label, so Y is
+        all of it.  ``_middle_rules_suffice`` checked the ring axioms this
+        uses; in a ring that fails them every label but the unit is a
+        middle, and every rule is checked.  The unit acts as the identity:
+        no rule writes it and no non-unit label has it as dual, in a sound
+        ring.  The module is connected: every vertex after the root enters
+        as a new target of a generator row of an earlier vertex.  A leaf
+        anchored at a vertex of non-minimal dimension can only repeat a
+        class found from its minimal anchor, and the canonical key does not
+        see the anchor.
         """
         if not self._close(state, self._leaf_seeds(state)):
             return None

@@ -280,29 +280,70 @@ def test_generating_sets_pinned():
     )
 
 
-def test_middle_rules_reach_every_label():
+def _derivable_through_every_pair(ring, gens):
+    """The labels that the expansions of any two known labels reach from
+    ``gens``, with their duals: ``_derivable`` without its restriction to
+    the expansions x*s with s a generator or its dual."""
+    known = {ring.unit, *gens, *map(ring.involution_of, gens)}
+    while True:
+        found = set()
+        for x, y in itertools.product(known, repeat=2):
+            unknown = set(ring.product(x, y).support()) - known
+            if len(unknown) == 1:
+                found |= unknown
+        if not found:
+            return known
+        known |= found | set(map(ring.involution_of, found))
+
+
+def test_middle_rules_pick_the_generators_that_every_rule_picks(monkeypatch):
     # leaf completion derives rows through the middle rules x*s alone, s a
-    # generator or its dual; on every ring whose generating set is pinned,
-    # and on rep(PSL(2,7)), they reach the labels that the unrestricted
-    # expansion of the oracle plan reaches: all of them
-    rings = (
-        [cyclic_group_ring(n) for n in range(1, 13)]
-        + [permutation_group_ring(n) for n in (3, 4, 5)]
-        + [su2_level(k) for k in range(1, 17)]
-        + [
-            tensor_product(fibonacci(), fibonacci()),
-            tensor_product(tensor_product(fibonacci(), fibonacci()), fibonacci()),
-            tensor_product(su2_level(2), cyclic_group_ring(2)),
-            tensor_product(su2_level(4), cyclic_group_ring(2)),
-            _rep_a5_ring(),
-            _multiplicity_two_ring(),
-            _rep_psl27_ring(),
-        ]
-    )
+    # generator or its dual; on rings whose generating sets are not pinned
+    # that derivation still reaches every label that an expansion of any
+    # two known labels reaches, so no ring gains a generator
+    rings = [
+        *(su2_level(k) for k in (17, 21, 28)),
+        tensor_product(su2_level(3), su2_level(3)),
+        tensor_product(su2_level(2), su2_level(3)),
+        tensor_product(fibonacci(), su2_level(4)),
+        tensor_product(cyclic_group_ring(2), cyclic_group_ring(4)),
+        group_ring(*dihedral_data(5)[:2], name="dihedral10"),
+        _rep_psl27_ring(),
+    ]
+    picked = [torsion.generating_set(ring) for ring in rings]
+    monkeypatch.setattr(torsion, "_derivable", _derivable_through_every_pair)
     for ring in rings:
-        gens = torsion.generating_set(ring)
-        planned = {ring.unit, *gens, *map(ring.involution_of, gens), *(step[1] for step in _oracle_plan(ring, gens))}
-        assert torsion._derivable(ring, list(gens)) == planned == set(ring.basis), ring.name
+        monkeypatch.setattr(ring, "_generators", None)
+    assert [torsion.generating_set(ring) for ring in rings] == picked
+
+
+def test_a_nonassociative_ring_is_searched_on_every_rule():
+    # su2 level 3 with 2*2 = 0 + 1 in place of 0 + 2, its dimensions kept:
+    # not associative, so the rules x*s of its middles 1 and 3 no longer
+    # imply the rest and the search reads every rule.  On the middle rules
+    # alone it also emitted a 4-element class that breaks 2*2.
+    base = su2_level(3)
+    products = {(a, b): base.product(a, b) for a in base.basis for b in base.basis}
+    products["2", "2"] = {"0": 1, "1": 1}
+    ring = BasedRingTable(base.basis, base.unit, base.involution, products, dims=base.dims)
+    assert "associativity" in {check.name for check in verify_based_ring(ring).failed_checks()}
+    result = enumerate_modules(ring, ModuleSearchConfig(max_basis_size=4))
+    assert result.complete and [module.size for module in result.classes] == [2]
+    for module in result.classes:
+        assert "associativity" not in {check.name for check in verify_module(module).failed_checks()}
+
+
+def test_an_involution_that_keeps_products_arms_every_rule():
+    # with the duals of 0|1 and 1|0 swapped and nothing else, su2_3 x su2_3
+    # stays associative but its involution no longer reverses products,
+    # which the dual step of _derivable needs: every label is a middle
+    base = tensor_product(su2_level(3), su2_level(3))
+    products = {(a, b): base.product(a, b) for a in base.basis for b in base.basis}
+    involution = {**base.involution, "0|1": "1|0", "1|0": "0|1"}
+    ring = BasedRingTable(base.basis, base.unit, involution, products, dims=base.dims)
+    assert "involution anti-multiplicative" in {check.name for check in verify_based_ring(ring).failed_checks()}
+    searcher = torsion._Searcher(ring, ModuleSearchConfig(max_basis_size=4))
+    assert searcher.middles == set(range(ring.size)) - {searcher.unit}
 
 
 # Search nodes and the sha256 of the sorted canonical class keys at the

@@ -17,7 +17,8 @@ class StructuralError(FusionError):
 
     Distinct from an axiom failure: a structurally sound table may still
     violate the based-ring or based-module axioms, which verification
-    reports instead of raising.
+    reports instead of raising.  The module search and the torsion verdict
+    raise it for a table that fails an axiom.
     """
 
 

@@ -49,7 +49,7 @@ from .modules import (
     singleton_module,
     standard_module,
 )
-from .rings import BasedRingTable, LazyBasedRing, fuse, require_sound, ring_dims
+from .rings import BasedRingTable, LazyBasedRing, fuse, ring_dims, verify_based_ring
 from .spectra import FusionGraph, components
 
 
@@ -104,9 +104,10 @@ def _derivable(ring: BasedRingTable, gens: list[str]) -> set[str]:
     fusion expansion through the middles (the unit, the generators and
     their duals), the rules that the search's closure reads: the middles,
     and the only unknown member of an expansion x*s with x known and s a
-    middle, with its dual.  When the involution reverses products, each
-    label reached lies in the subring of R (x) Q that the middles generate,
-    so reaching every label proves that they generate it, as
+    middle, with its dual.  In a based ring, whose involution reverses
+    products (``enumerate_modules`` searches no other ring), each label
+    reached lies in the subring of R (x) Q that the middles generate, so
+    reaching every label proves that they generate it, as
     ``_Searcher._complete`` needs.
 
     The rule is monotone, so the labels reached are its unique fixpoint,
@@ -420,25 +421,6 @@ def _rows(columns: list, room: int, weight_hi: float):
                 stack.append((c + 1, lo + m * weight, row + [(c, m)] if m else row))
 
 
-def _middle_rules_suffice(T: np.ndarray, dual: list[int], middles: set[int]) -> bool:
-    """Whether the middle rules of a module imply all its rules (see
-    ``_Searcher._complete``): the involution ``dual`` reverses products,
-    and (x*s)*z = x*(s*z) for every middle s and all x, z.  With middles
-    that generate the ring the second is its associativity (Light's test,
-    as in ``rings._middle_labels``).  ``require_sound`` checks neither.
-    Integer products, as ``rings.associativity_check`` computes in floats
-    where they are exact: the search uses no BLAS, whose first call costs
-    half a megabyte of memory."""
-    inv = np.asarray(dual)
-    if (T != T[np.ix_(inv, inv, inv)].transpose(1, 0, 2)).any():
-        return False
-    n = len(T)
-    if n * int(T.max(initial=0)) ** 2 >= 2**63:
-        T = T.astype(object)
-    flat = T.reshape(n, n * n)
-    return all(np.array_equal(T[:, s] @ flat, (T[s] @ T).reshape(n, n * n)) for s in middles)
-
-
 class _Searcher:
     def __init__(self, ring: BasedRingTable, config: ModuleSearchConfig):
         self.ring = ring
@@ -458,17 +440,13 @@ class _Searcher:
         # a middle, on label indices: ``terms[x][y]`` its (c, N_xy^c),
         # ``by_y[y]`` the pairs (x, bit set of its non-unit terms), and
         # ``by_term[c][y]`` the same pairs for the rules with c one of two
-        # or more non-unit terms.  The middles are the generators and their
-        # duals, or every label but the unit in a ring where their rules do
-        # not imply the rest
+        # or more non-unit terms.  The middles are the generators and their duals
         index = ring.index
         self.unit = index[ring.unit]
         self.gen_label = [index[g] for g in self.gens]
         self.dual_label = [index[ring.involution_of(a)] for a in ring.basis]
         T = ring.structure_tensor()
         self.middles = {*self.gen_label, *(self.dual_label[g] for g in self.gen_label)}
-        if not _middle_rules_suffice(T, self.dual_label, self.middles):
-            self.middles = set(range(ring.size)) - {self.unit}
         self.terms = [[()] * ring.size for _ in ring.basis]
         self.by_y = [[] for _ in ring.basis]
         self.by_term = [{} for _ in ring.basis]
@@ -780,18 +758,18 @@ class _Searcher:
 
         ``_close`` from ``_leaf_seeds`` makes every row of every label exact
         or finds one that breaks a rule; with every row exact, every middle
-        rule (x*s).w = x.(s.w) has been checked for every x and w.  When
-        the middles are the generators and their duals, that is
-        associativity (Light's test, as in ``rings._middle_labels``): the y
-        with (x*y).w = x.(y.w) for all x and w span a subring Y of R (x) Q,
-        as for y, z in Y (x*(y*z)).w = ((x*y)*z).w = (x*y).(z.w) =
+        rule (x*s).w = x.(s.w) has been checked for every x and w.  With
+        the middles the generators and their duals, that is associativity
+        (Light's test, as in ``rings._middle_labels``): the y with
+        (x*y).w = x.(y.w) for all x and w span a subring Y of R (x) Q, as
+        for y, z in Y (x*(y*z)).w = ((x*y)*z).w = (x*y).(z.w) =
         x.(y.(z.w)) = x.((y*z).w) by ring associativity, and the unit,
         acting as the identity, is in Y.  Y holds the middles, which
         generate R (x) Q since ``_derivable`` reaches every label, so Y is
-        all of it.  ``_middle_rules_suffice`` checked the ring axioms this
-        uses; in a ring that fails them every label but the unit is a
-        middle, and every rule is checked.  The unit acts as the identity:
-        no rule writes it and no non-unit label has it as dual, in a sound
+        all of it.  The ring axioms this uses hold, since
+        ``enumerate_modules`` searches only a ring that
+        ``verify_based_ring`` passes.  The unit acts as the identity: no
+        rule writes it and no non-unit label has it as dual, in a based
         ring.  The module is connected: every vertex after the root enters
         as a new target of a generator row of an earlier vertex.  A leaf
         anchored at a vertex of non-minimal dimension can only repeat a
@@ -881,6 +859,24 @@ class _Searcher:
         )
 
 
+def _require_based_ring(ring: BasedRingTable, task: str) -> None:
+    """Raise :class:`StructuralError` unless ``ring`` is a finite table that
+    :func:`verify_based_ring` passes, naming its structural faults or else
+    its failed checks with their witnesses.  A pass is recorded on the ring,
+    so ``is_torsion_free``, which calls ``enumerate_modules``, checks once."""
+    if ring.is_lazy:
+        raise StructuralError(f"{task} requires a finite ring")
+    if getattr(ring, "_based", False):
+        return
+    report = verify_based_ring(ring)
+    if report.structural_errors:
+        raise StructuralError("; ".join(report.structural_errors))
+    if not report.ok:
+        failed = "; ".join(f"{c.name} fails at {c.witness}" for c in report.failed_checks())
+        raise StructuralError(f"{task} requires a based ring: {failed}")
+    ring._based = True
+
+
 def dimension_bound(ring: BasedRingTable) -> int:
     """The derived exhaustiveness bound floor(sum of basis dimensions)."""
     dims = ring_dims(ring)
@@ -889,10 +885,10 @@ def dimension_bound(ring: BasedRingTable) -> int:
 
 def enumerate_modules(ring: BasedRingTable, config: ModuleSearchConfig) -> EnumerationResult:
     """All connected based modules with at most ``max_basis_size`` elements,
-    up to basis-permutation isomorphism, in canonical order."""
-    if ring.is_lazy:
-        raise StructuralError("module enumeration requires a finite ring")
-    require_sound(ring)  # leaf completion relies on a sound table
+    up to basis-permutation isomorphism, in canonical order.  Raises
+    :class:`StructuralError` on a ring that :func:`verify_based_ring` fails:
+    the exhaustiveness bound and leaf completion both rest on its axioms."""
+    _require_based_ring(ring, "module enumeration")
     return _Searcher(ring, config).run()
 
 
@@ -912,10 +908,10 @@ def is_torsion_free(ring: BasedRingTable, config: ModuleSearchConfig | None = No
 
     The verdict is certified only when the search completed and was allowed
     to reach the derived dimension bound; a budget cut yields inconclusive
-    unless a witness already surfaced.
+    unless a witness already surfaced.  It raises as :func:`enumerate_modules`
+    does, before the integer dimension shortcut.
     """
-    if ring.is_lazy:
-        raise StructuralError("torsion verdicts require a finite ring")
+    _require_based_ring(ring, "a torsion verdict")
     shortcut = integer_dim_shortcut(ring)
     if shortcut is not None:
         return TorsionVerdict(

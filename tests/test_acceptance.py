@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,6 +60,8 @@ from fusionrings import (
 )
 from fusionrings.cli import main as fusion_main
 from fusionrings.spectra import FusionGraph
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def criterion(number, description):
@@ -337,7 +340,7 @@ def test_criterion_11_thread_determinism(tmp_path):
     ]
 
     def run(threads):
-        env = dict(os.environ, FUSION_THREADS=str(threads))
+        env = dict(os.environ, FUSION_THREADS=str(threads), PYTHONPATH=str(SRC))
         outputs = []
         proc = subprocess.run(
             [sys.executable, "-m", "fusionrings.cli", "torsion", "builtin:fibonacci"],

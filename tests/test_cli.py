@@ -7,12 +7,15 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from fusionrings.cli import main
 from fusionrings.documents import ring_to_document, write_document
 from fusionrings import cyclic_group_ring, fibonacci
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(*argv, capsys=None):
@@ -259,7 +262,9 @@ def test_import_loads_numpy_only():
         "import sys, fusionrings, fusionrings.cli\n"
         "print(sorted(m for m in ('networkx', 'scipy', 'hypothesis') if m in sys.modules))"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": str(SRC)}
+    )
     assert proc.stdout == "[]\n"
 
 
@@ -268,6 +273,7 @@ def test_cli_entry_point_subprocess():
         [sys.executable, "-m", "fusionrings.cli", "torsion", "builtin:fibonacci"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
     )
     assert proc.returncode == 0
     assert proc.stdout == "torsion_free_certified\n"
@@ -312,6 +318,44 @@ def test_module_over_a_structurally_broken_ring_exit_2(tmp_path, capsys):
         write_document(str(path), document)
         assert main(["verify", str(path)]) == 2
         assert line in capsys.readouterr().out.splitlines()
+
+
+def _swapped_duals_ring():
+    # su2_3 x su2_3 with the duals of 0|1 and 1|0 swapped: associative, but
+    # the dual pairing fails first
+    from fusionrings import su2_level, tensor_product
+    from fusionrings.rings import BasedRingTable
+
+    base = tensor_product(su2_level(3), su2_level(3))
+    products = {(a, b): base.product(a, b) for a in base.basis for b in base.basis}
+    involution = {**base.involution, "0|1": "1|0", "1|0": "0|1"}
+    return BasedRingTable(base.basis, base.unit, involution, products, dims=base.dims), [], "dual pairing fails at 0|1, 0|1"
+
+
+def _nonassociative_ring():
+    # su2 level 3 with 2*2 = 0 + 1: it has no dimension function either, so
+    # only a given size bound reaches the axiom check (exit 1 without one)
+    from fusionrings import su2_level
+    from fusionrings.rings import BasedRingTable
+
+    base = su2_level(3)
+    products = {(a, b): base.product(a, b) for a in base.basis for b in base.basis}
+    products["2", "2"] = {"0": 1, "1": 1}
+    return BasedRingTable(base.basis, base.unit, base.involution, products), ["--max-size", "4"], "associativity fails at 1, 1"
+
+
+@pytest.mark.parametrize("make", [_swapped_duals_ring, _nonassociative_ring])
+@pytest.mark.parametrize("command", ["enumerate", "torsion"])
+def test_a_ring_that_fails_an_axiom_is_not_searched_exit_2(tmp_path, capsys, command, make):
+    ring, options, failure = make()
+    path = tmp_path / "ring.json"
+    write_document(str(path), ring_to_document(ring))
+    out = tmp_path / "out"
+    assert main([command, str(path), "--out", str(out), *options]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "requires a based ring: " in captured.err and failure in captured.err
+    assert not out.exists()
 
 
 def test_graph_symmetrizes_nonsymmetric_action(capsys):

@@ -5,6 +5,7 @@ import gc
 import hashlib
 import itertools
 import math
+import re
 
 import networkx as nx
 import numpy as np
@@ -317,33 +318,89 @@ def test_middle_rules_pick_the_generators_that_every_rule_picks(monkeypatch):
     assert [torsion.generating_set(ring) for ring in rings] == picked
 
 
-def test_a_nonassociative_ring_is_searched_on_every_rule():
+def _failures(ring):
+    """The failed checks of the ring's axiom report, as a message tail."""
+    return "; ".join(f"{c.name} fails at {c.witness}" for c in verify_based_ring(ring).failed_checks())
+
+
+def test_a_nonassociative_ring_is_rejected_before_the_search():
     # su2 level 3 with 2*2 = 0 + 1 in place of 0 + 2, its dimensions kept:
-    # not associative, so the rules x*s of its middles 1 and 3 no longer
-    # imply the rest and the search reads every rule.  On the middle rules
-    # alone it also emitted a 4-element class that breaks 2*2.
+    # not associative (its duality symmetry fails first), so neither the
+    # exhaustiveness bound nor leaf completion holds for it.  Searched, it
+    # listed a class of size 2 whose module report failed pairing
+    # compatibility.
     base = su2_level(3)
     products = {(a, b): base.product(a, b) for a in base.basis for b in base.basis}
     products["2", "2"] = {"0": 1, "1": 1}
     ring = BasedRingTable(base.basis, base.unit, base.involution, products, dims=base.dims)
-    assert "associativity" in {check.name for check in verify_based_ring(ring).failed_checks()}
-    result = enumerate_modules(ring, ModuleSearchConfig(max_basis_size=4))
-    assert result.complete and [module.size for module in result.classes] == [2]
-    for module in result.classes:
-        assert "associativity" not in {check.name for check in verify_module(module).failed_checks()}
+    failures = _failures(ring)
+    assert failures.startswith("duality symmetry fails at 1, 2, 2; ") and "; associativity fails at " in failures
+    with pytest.raises(StructuralError, match=re.escape(f"module enumeration requires a based ring: {failures}")):
+        enumerate_modules(ring, ModuleSearchConfig(max_basis_size=4))
 
 
-def test_an_involution_that_keeps_products_arms_every_rule():
+def test_an_involution_that_keeps_products_is_rejected_before_the_search():
     # with the duals of 0|1 and 1|0 swapped and nothing else, su2_3 x su2_3
     # stays associative but its involution no longer reverses products,
-    # which the dual step of _derivable needs: every label is a middle
+    # which the dual step of _derivable needs; the dual pairing fails first
     base = tensor_product(su2_level(3), su2_level(3))
     products = {(a, b): base.product(a, b) for a in base.basis for b in base.basis}
     involution = {**base.involution, "0|1": "1|0", "1|0": "0|1"}
     ring = BasedRingTable(base.basis, base.unit, involution, products, dims=base.dims)
-    assert "involution anti-multiplicative" in {check.name for check in verify_based_ring(ring).failed_checks()}
-    searcher = torsion._Searcher(ring, ModuleSearchConfig(max_basis_size=4))
-    assert searcher.middles == set(range(ring.size)) - {searcher.unit}
+    failures = _failures(ring)
+    assert failures.startswith("dual pairing fails at ") and "; involution anti-multiplicative fails at " in failures
+    with pytest.raises(StructuralError, match=re.escape(failures)):
+        enumerate_modules(ring, ModuleSearchConfig(max_basis_size=4))
+
+
+def test_a_torsion_verdict_rejects_a_ring_that_fails_an_axiom():
+    # Z4 with 2*2 = 2 and integer dimensions attached: the singleton
+    # shortcut once answered not_torsion_free with a witness whose module
+    # report failed pairing compatibility
+    z4 = cyclic_group_ring(4)
+    products = {(a, b): z4.product(a, b) for a in z4.basis for b in z4.basis}
+    products["2", "2"] = {"2": 1}
+    dims = DimensionFunction({b: 1.0 for b in z4.basis}, "integer")
+    ring = BasedRingTable(z4.basis, "0", z4.involution, products, dims=dims)
+    with pytest.raises(StructuralError, match=re.escape(f"a torsion verdict requires a based ring: {_failures(ring)}")):
+        is_torsion_free(ring)
+
+
+def _perturbed_tables():
+    """su2 level 3 and Z3 with one structure constant raised by one, every
+    pair and term in turn: nonnegative tables the axiom check rejects."""
+    for base in (su2_level(3), cyclic_group_ring(3)):
+        for a, b, c in itertools.product(base.basis, repeat=3):
+            products = {(x, y): base.product(x, y) for x in base.basis for y in base.basis}
+            products[a, b] = products[a, b] + RingElement.basis(c)
+            yield BasedRingTable(base.basis, base.unit, base.involution, products, dims=base.dims)
+
+
+def test_every_table_the_axiom_check_fails_is_refused_by_both_entry_points():
+    for ring in _perturbed_tables():
+        assert not verify_based_ring(ring).ok
+        for call in (lambda: enumerate_modules(ring, ModuleSearchConfig(max_basis_size=2)), lambda: is_torsion_free(ring)):
+            with pytest.raises(StructuralError, match=re.escape(_failures(ring))):
+                call()
+
+
+def test_the_axiom_check_runs_once_per_table(monkeypatch):
+    calls = []
+
+    def counted(ring):
+        calls.append(ring)
+        return verify_based_ring(ring)
+
+    monkeypatch.setattr(torsion, "verify_based_ring", counted)
+    config = ModuleSearchConfig(max_basis_size=2)
+    # searched, and answered by the singleton shortcut
+    for make in (lambda: su2_level(3), lambda: cyclic_group_ring(3)):
+        for call in (lambda ring: enumerate_modules(ring, config), is_torsion_free):
+            ring = make()
+            calls.clear()
+            call(ring)
+            call(ring)
+            assert calls == [ring]
 
 
 # Search nodes and the sha256 of the sorted canonical class keys at the
@@ -1099,7 +1156,7 @@ def test_perron_dimensions_are_computed_once_per_ring(monkeypatch):
 
 def test_enumeration_rejects_a_structurally_broken_ring():
     # supplied dimensions skip the Perron computation and its structural
-    # scan, so the search runs the scan itself before leaf completion relies on it
+    # scan, so the search's own axiom check names the fault
     z4 = cyclic_group_ring(4)
     products = {(a, b): z4.product(a, b) for a in z4.basis for b in z4.basis}
     involution = {"0": "0", "1": "2", "2": "3", "3": "1"}

@@ -348,14 +348,9 @@ class _SearchState:
     ``_Searcher._close`` found fixed by the generator rows (unit rows are
     implicit).  Rows are never mutated; ``clone`` shares ``exact`` with
     the parent, and ``_close`` copies the outer dict and each per-label
-    dict before it first writes to it.
-
-    ``need[(x, y, w)]`` counts what the armed cell x*y on row w, y a middle
-    (see ``_Searcher.__init__``), lacks (see ``_Searcher._close``): the
-    non-exact rows of M_x on the support of row w of M_y, plus its unknown
-    term rows beyond one.  ``waits[c]`` lists the exact rows (y, w) of the
-    middles whose support holds c, so the cells (x, y, w) wait on row c of
-    M_x while it is not exact.  ``clone`` shares and ``_close`` copies both.
+    dict before it first writes to it.  It is the closure's only state:
+    ``_close`` tests the cells that a new exact row can complete against
+    ``exact`` itself, so a node carries no counts between calls.
     """
 
     nvert: int
@@ -364,16 +359,13 @@ class _SearchState:
     watch: list
     cols: dict
     exact: dict
-    need: dict = field(default_factory=dict)
-    waits: dict = field(default_factory=dict)
 
     @classmethod
     def root(cls) -> "_SearchState":
         return cls(nvert=1, rows={}, dims=[(1.0, 1.0)], watch=[()], cols={}, exact={})
 
     def clone(self) -> "_SearchState":
-        return _SearchState(self.nvert, dict(self.rows), list(self.dims), list(self.watch), dict(self.cols),
-                            self.exact, self.need, self.waits)
+        return _SearchState(self.nvert, dict(self.rows), list(self.dims), list(self.watch), dict(self.cols), self.exact)
 
     def add_row(self, gi: int, b: int, row: tuple, d_max: float) -> None:
         """Fix row (gi, b); its targets c >= ``nvert`` become new vertices seeded [1, d_max]."""
@@ -437,10 +429,9 @@ class _Searcher:
         self.nodes = 0
         self.found: dict[bytes, BasedModuleTable] = {}
         # every fusion rule x*y = sum_c N_xy^c c with x not the unit and y
-        # a middle, on label indices: ``terms[x][y]`` its (c, N_xy^c),
-        # ``by_y[y]`` the pairs (x, bit set of its non-unit terms), and
-        # ``by_term[c][y]`` the same pairs for the rules with c one of two
-        # or more non-unit terms.  The middles are the generators and their duals
+        # a middle, on label indices: ``terms[x][y]`` its (c, N_xy^c), and
+        # ``by_term[c][y]`` the x whose rule has c as one of two or more
+        # non-unit terms.  The middles are the generators and their duals
         index = ring.index
         self.unit = index[ring.unit]
         self.gen_label = [index[g] for g in self.gens]
@@ -448,16 +439,13 @@ class _Searcher:
         T = ring.structure_tensor()
         self.middles = {*self.gen_label, *(self.dual_label[g] for g in self.gen_label)}
         self.terms = [[()] * ring.size for _ in ring.basis]
-        self.by_y = [[] for _ in ring.basis]
         self.by_term = [{} for _ in ring.basis]
         for x, y in itertools.product(range(ring.size), repeat=2):
             if x != self.unit and y in self.middles:
                 self.terms[x][y] = tuple((int(c), int(T[x, y, c])) for c in np.flatnonzero(T[x, y]))
                 labels = [c for c, _ in self.terms[x][y] if c != self.unit]
-                bits = sum(1 << c for c in labels)
-                self.by_y[y].append((x, bits))
                 for c in labels if len(labels) > 1 else ():
-                    self.by_term[c].setdefault(y, []).append((x, bits))
+                    self.by_term[c].setdefault(y, []).append(x)
 
     # ---- dimension propagation
 
@@ -578,22 +566,30 @@ class _Searcher:
         branch sooner, so leaving it out can raise node counts, never lose
         a class.
 
-        Forward chaining (Dowling & Gallier, 1984) on the cells x*y on row
-        w, y a middle: a new exact row (L, b) counts down the cells waiting
-        on it as a row of M_L, then the armed cells on row b with L and
-        another unknown term, then, when L is a middle, arms the cells x*L
-        on row b.  A cell is read when its count reaches 0, so at most once
-        per search path (its M_y row turns exact once); the ready cells of
-        the newest row are read first.  The fixpoint, and so the verdict,
-        does not depend on that order.
+        A cell, the middle rule x*y on row w, turns ready only when one of
+        its inputs turns exact, so each new exact row (L, b) tests just the
+        cells it can complete: as a row of M_x, L*y on each exact row w of a
+        middle y whose support holds b; as a term row, x*y on row b when L
+        leaves exactly one of its two or more non-unit terms unknown
+        (``by_term``); as a row of M_y, when L is a middle, x*L on row b for
+        every x.  A term row that arrives after a cell turned ready (the one
+        its read solved, say) leaves none unknown and tests nothing, so each
+        cell is read at most once per search path, and nothing but
+        ``state.exact`` outlives the call.  The cells of the newest row are
+        read first, each once however many ways the row reaches it.  The
+        fixpoint, and so the verdict, does not depend on that order.
         """
         exact = state.exact = dict(state.exact)
-        need = state.need = dict(state.need)
-        waits = state.waits = dict(state.waits)
-        unit, terms_of = self.unit, self.terms
+        unit, terms_of, by_term = self.unit, self.terms, self.by_term
         copied: set[int] = set()
         pending: list[list[tuple[int, int, int]]] = []  # per new exact row, the cells it made ready
-        row_bits: dict[int, int] = {}  # row w -> bit set of the labels whose row w is exact
+
+        def unknown(x: int, y: int, w: int) -> int:
+            """The number of non-unit terms of x*y whose row w is not exact."""
+            count = 0
+            for a, _ in terms_of[x][y]:
+                count += a != unit and w not in exact.get(a, ())
+            return count
 
         def add(label: int, b: int, row: dict) -> bool:
             known = {b: 1} if label == unit else exact.get(label, {}).get(b)
@@ -606,32 +602,22 @@ class _Searcher:
                 copied.add(label)
                 exact[label] = dict(exact.get(label, {}))
             exact[label][b] = row
-            row_bits[b] = row_bits.get(b) or sum(1 << a for a, rows in exact.items() if b in rows)
-            row_bits[b] |= 1 << label
-            lacking, ready = ~row_bits[b], []
-            pending.append(ready)
-            filled = [(label, y, w) for y, w in waits.get(b, ())]
-            for y, rules in self.by_term[label].items():
-                if not lacking >> y & 1:  # row b of M_y is exact
-                    filled += [(x, y, b) for x, bits in rules if bits & lacking and (x, y, b) in need]
-            for cell in filled:
-                need[cell] -= 1
-                if not need[cell]:
-                    del need[cell]
-                    ready.append(cell)
+            # the ready cells that row b of M_label completes: as a row of
+            # M_x, as a term row, and as a row of M_y; a rule with one term
+            # cannot lack two term rows, so its terms go uncounted
+            rows_l = exact[label].keys()
+            cells = [(label, y, w) for y in self.middles for w, row_y in exact.get(y, {}).items()
+                     if b in row_y and row_y.keys() <= rows_l
+                     and (len(terms_of[label][y]) < 2 or unknown(label, y, w) < 2)]
+            for y, xs in by_term[label].items():
+                row_y = exact.get(y, {}).get(b)
+                if row_y is not None:
+                    cells += [(x, y, b) for x in xs
+                              if row_y.keys() <= exact.get(x, {}).keys() and unknown(x, y, b) == 1]
             if label in self.middles:
-                for c in row:
-                    waits[c] = waits.get(c, ()) + ((label, b),)
-            for x, bits in self.by_y[label]:  # empty unless label is a middle
-                rows_x = exact.get(x, ())
-                count = (bits & lacking).bit_count()
-                count -= count > 0  # unknown term rows beyond one
-                for c in row:
-                    count += c not in rows_x
-                if count:
-                    need[x, label, b] = count
-                else:
-                    ready.append((x, label, b))
+                cells += [(x, label, b) for x, rows_x in exact.items()  # the unit has no entry
+                          if row.keys() <= rows_x.keys() and (len(terms_of[x][label]) < 2 or unknown(x, label, b) < 2)]
+            pending.append(list(dict.fromkeys(cells)))
             return True
 
         for seed in seeds:
@@ -878,7 +864,11 @@ def _require_based_ring(ring: BasedRingTable, task: str) -> None:
 
 
 def dimension_bound(ring: BasedRingTable) -> int:
-    """The derived exhaustiveness bound floor(sum of basis dimensions)."""
+    """The derived exhaustiveness bound floor(sum of basis dimensions).
+    Raises as :func:`enumerate_modules` does: the bound rests on the same
+    axioms, so a table that fails one is rejected before its dimensions
+    are read."""
+    _require_based_ring(ring, "the dimension bound")
     dims = ring_dims(ring)
     return int(math.floor(sum(dims.values[b] for b in ring.basis) + _EPS))
 

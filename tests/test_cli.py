@@ -333,8 +333,8 @@ def _swapped_duals_ring():
 
 
 def _nonassociative_ring():
-    # su2 level 3 with 2*2 = 0 + 1: it has no dimension function either, so
-    # only a given size bound reaches the axiom check (exit 1 without one)
+    # su2 level 3 with 2*2 = 0 + 1: it has no dimension function either,
+    # and the axiom check comes first, with a size bound or without one
     from fusionrings import su2_level
     from fusionrings.rings import BasedRingTable
 
@@ -351,11 +351,13 @@ def test_a_ring_that_fails_an_axiom_is_not_searched_exit_2(tmp_path, capsys, com
     path = tmp_path / "ring.json"
     write_document(str(path), ring_to_document(ring))
     out = tmp_path / "out"
-    assert main([command, str(path), "--out", str(out), *options]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and "requires a based ring: " in captured.err and failure in captured.err
-    assert not out.exists()
+    # with the given size bound and with the default one, read from the ring
+    for argv in ([command, str(path), "--out", str(out), *options], [command, str(path), "--out", str(out)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "requires a based ring: " in captured.err and failure in captured.err
+        assert not out.exists()
 
 
 def test_graph_symmetrizes_nonsymmetric_action(capsys):
@@ -453,29 +455,30 @@ def test_nested_free_product_document_exit_2(tmp_path, capsys):
 
 # a ring whose involution maps a -> b and b -> b is structurally broken (exit
 # 2 from every command); a sound ring with x.x = 2.1 has no dimension
-# function, a negative verdict (exit 1 from every command: verify reports
-# failed axioms, the others "multiplicativity fails at ('x', 'x')")
+# function, a negative verdict from verify (failed axioms) and dims
+# ("multiplicativity fails at ('x', 'x')"), exit 1, and no based ring, so
+# enumerate and torsion reject it as input before reading a bound, exit 2
 VERDICT_DOCUMENTS = {
     "broken involution": ({
         "format": "fusionring/1", "name": "broken", "unit": "a",
         "basis": [{"id": "a", "dual": "b"}, {"id": "b", "dual": "b"}],
         "products": [["a", "a", "a", 1], ["a", "b", "b", 1], ["b", "a", "b", 1], ["b", "b", "a", 1]],
-    }, 2, "involution is not a bijection of the basis"),
+    }, {"verify": 2, "enumerate": 2, "torsion": 2, "dims": 2}, "involution is not a bijection of the basis"),
     "no dimension function": ({
         "format": "fusionring/1", "name": "nodim", "unit": "1",
         "basis": [{"id": "1", "dual": "1"}, {"id": "x", "dual": "x"}],
         "products": [["1", "1", "1", 1], ["1", "x", "x", 1], ["x", "1", "x", 1], ["x", "x", "1", 2]],
-    }, 1, "fail"),
+    }, {"verify": 1, "enumerate": 2, "torsion": 2, "dims": 1}, "fail"),
 }
 
 
 @pytest.mark.parametrize("command", ["verify", "enumerate", "torsion", "dims"])
 @pytest.mark.parametrize("case", list(VERDICT_DOCUMENTS))
 def test_exit_code_of_each_command(case, command, tmp_path, capsys):
-    doc, code, message = VERDICT_DOCUMENTS[case]
+    doc, codes, message = VERDICT_DOCUMENTS[case]
     path = tmp_path / "ring.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    assert main([command, str(path)]) == code
+    assert main([command, str(path)]) == codes[command]
     out, err = capsys.readouterr()
     assert message in out + err and "Traceback" not in err
 

@@ -827,21 +827,29 @@ def test_each_cell_order_is_followed(order, monkeypatch):
     assert any(nodes(make) != pinned for _, make, pinned, _ in PINNED_SEARCHES)
 
 
+def _middle_indices(ring):
+    """The label indices of the generators and their duals."""
+    return {ring.index[a] for g in torsion.generating_set(ring) for a in (g, ring.involution_of(g))}
+
+
 def _closure_oracle(ring, gens, state):
-    """The exact rows that the fixed generator rows of ``state`` force, as
-    ``{(label index, row): {column: entry}}``, or None when one breaks a
-    rule.  A from-scratch fixpoint: seed every generator row, then sweep
-    every fusion rule x*y = sum_c N_xy^c c (x, y not the unit) on every row
+    """The exact rows that the fixed generator rows of ``state`` force
+    through the rules the search reads, as ``{(label index, row): {column:
+    entry}}``, or None when one breaks a rule.  A from-scratch fixpoint:
+    seed every generator row, then sweep every fusion rule x*y = sum_c
+    N_xy^c c with x not the unit and y a generator or its dual on every row
     w until a sweep adds nothing.  A rule whose row w of M_y, rows of M_x on
     its support and all term rows are known must hold as an equation; with
     one term row unknown, it is solved for that term, which must come out
     nonzero, nonnegative and divisible by the term's multiplicity.  Rows
-    are checked against reciprocity M_abar[b, c] = M_a[c, b] at the end."""
+    are checked at the end: none is zero, and each pair keeps reciprocity
+    M_abar[b, c] = M_a[c, b]."""
     index = {a: i for i, a in enumerate(ring.basis)}
     unit = index[ring.unit]
     dual = [index[ring.involution_of(a)] for a in ring.basis]
+    middles = _middle_indices(ring)
     rules = [(index[x], index[y], [(index[c], m) for c, m in ring.product(x, y).items()])
-             for x in ring.basis for y in ring.basis if ring.unit not in (x, y)]
+             for x in ring.basis for y in ring.basis if x != ring.unit and index[y] in middles]
     exact = {}
 
     def known(a, w):
@@ -879,6 +887,8 @@ def _closure_oracle(ring, gens, state):
             exact[(a, w)] = {d: n // m for d, n in diff.items() if n}
             added = True
     for (a, b), row in exact.items():
+        if not row:
+            return None
         for c in range(state.nvert):
             other = exact.get((dual[a], c))
             if other is not None and row.get(c, 0) != other.get(b, 0):
@@ -886,14 +896,23 @@ def _closure_oracle(ring, gens, state):
     return exact
 
 
-@pytest.mark.parametrize("name", ["dihedral8", "rank3_mult2", "su2_level5", "fib_squared"])
-def test_closure_matches_a_from_scratch_fixpoint(name, monkeypatch):
+CLOSURE_SEARCHES = [(case[0], case[1], None) for case in PINNED_SEARCHES
+                    if case[0] in ("dihedral8", "rank3_mult2", "su2_level5", "fib_squared")] + [
+    # multi-term middle rules, whose cells a term row can complete
+    ("su2_level3_squared", lambda: tensor_product(su2_level(3), su2_level(3)), None),
+    # a rule outside the middles refutes interior nodes here, so the
+    # closures above the leaves differ from a fixpoint over every rule
+    ("repA5_to_4", _rep_a5_ring, 4),
+]
+
+
+@pytest.mark.parametrize("make,size", [case[1:] for case in CLOSURE_SEARCHES], ids=[case[0] for case in CLOSURE_SEARCHES])
+def test_closure_matches_a_from_scratch_fixpoint(make, size, monkeypatch):
     # at every node the search closes, two closures agree with the oracle:
     # the search's own, one row per call, and one call that closes every
     # generator row of the node at once from no exact rows, which reaches
     # many cells before they are ready.  Both give the oracle's verdict,
     # and on a kept node its exact rows, unit rows left implicit.
-    make = {case[0]: case[1] for case in PINNED_SEARCHES}[name]
     exact_rows = torsion._Searcher._exact_rows
     verdicts = []
 
@@ -912,80 +931,9 @@ def test_closure_matches_a_from_scratch_fixpoint(name, monkeypatch):
 
     monkeypatch.setattr(torsion._Searcher, "_exact_rows", checked)
     ring = make()
-    assert enumerate_modules(ring, ModuleSearchConfig(max_basis_size=dimension_bound(ring))).complete
+    assert enumerate_modules(ring, ModuleSearchConfig(max_basis_size=size or dimension_bound(ring))).complete
     # both verdicts occur
     assert True in verdicts and False in verdicts
-
-
-def _middle_indices(ring):
-    """The label indices of the generators and their duals."""
-    return {ring.index[a] for g in torsion.generating_set(ring) for a in (g, ring.involution_of(g))}
-
-
-def _bookkeeping_oracle(ring, state):
-    """The forward-chaining bookkeeping that the exact rows of ``state``
-    imply, rebuilt from ``state.exact`` alone: ``(armed, waiting)``.  A cell
-    (x, y, w), the rule x*y on row w with x not the unit and y a generator
-    or its dual, is armed once row w of M_y is exact, until nothing is
-    missing: ``armed`` maps it to the rows of M_x on that row's support
-    that are not exact plus its unknown non-unit term rows beyond one, when
-    that is not 0.  ``waiting`` maps each missing row (x, c) of M_x to the
-    armed cells that lack it."""
-    index = {a: i for i, a in enumerate(ring.basis)}
-    middles = _middle_indices(ring)
-    exact = {(a, b): row for a, rows in state.exact.items() for b, row in rows.items()}
-    armed, waiting = {}, {}
-    for x, y in itertools.product(ring.basis, repeat=2):
-        if ring.unit in (x, y) or index[y] not in middles:
-            continue
-        terms = [index[c] for c, _ in ring.product(x, y).items() if c != ring.unit]
-        for (a, w), row_y in exact.items():
-            if a != index[y]:
-                continue
-            cell = (index[x], index[y], w)
-            missing = [(index[x], c) for c in row_y if (index[x], c) not in exact]
-            unknown = sum((t, w) not in exact for t in terms)
-            if missing or unknown > 1:
-                armed[cell] = len(missing) + max(unknown - 1, 0)
-            for row in missing:
-                waiting.setdefault(row, set()).add(cell)
-    return armed, waiting
-
-
-@pytest.mark.parametrize("name", ["dihedral8", "rank3_mult2", "su2_level5", "fib_squared"])
-def test_closure_bookkeeping_matches_the_exact_rows(name, monkeypatch):
-    # at every node, the armed cells, their counts and the waiting index of
-    # the state agree with the oracle's, and no armed cell with count 0 is
-    # left: a cell is read when its last input turns exact
-    make = {case[0]: case[1] for case in PINNED_SEARCHES}[name]
-    dfs = torsion._Searcher._dfs
-    nodes = []
-
-    def checked(searcher, state):
-        armed, waiting = _bookkeeping_oracle(searcher.ring, state)
-        assert set(state.need) == set(armed)
-        assert state.need == armed and 0 not in state.need.values()
-        # the index lists each exact row of a generator or its dual once,
-        # under each column of its support
-        middles = _middle_indices(searcher.ring)
-        columns = {c: sorted((y, w) for y, rows in state.exact.items() if y in middles
-                             for w, row in rows.items() if c in row)
-                   for c in range(state.nvert)}
-        assert {c: sorted(rows) for c, rows in state.waits.items()} == {c: rows for c, rows in columns.items() if rows}
-        # and so the cells (x, y, w) with (y, w) under c wait on row c of every M_x that lacks it
-        read_off = {}
-        for c, rows in state.waits.items():
-            for x in range(searcher.ring.size):
-                if x != searcher.unit and c not in state.exact.get(x, {}):
-                    read_off[(x, c)] = {(x, y, w) for y, w in rows}
-        assert read_off == waiting
-        nodes.append(len(state.need))
-        return dfs(searcher, state)
-
-    monkeypatch.setattr(torsion._Searcher, "_dfs", checked)
-    ring = make()
-    result = enumerate_modules(ring, ModuleSearchConfig(max_basis_size=dimension_bound(ring)))
-    assert result.complete and len(nodes) == result.nodes_explored and max(nodes) > 0
 
 
 @pytest.mark.parametrize("make", [case[1] for case in PINNED_SEARCHES],
@@ -1137,6 +1085,29 @@ def test_random_leaves_match_the_plan_replay():
             checks[check] = checks.get(check, 0) + 1
             _assert_leaf_matches_replay(searcher, state)
     assert checks.keys() == {"plan", "reciprocity", "nonvanishing", "associativity", None}, checks
+
+
+def test_random_rows_close_to_the_oracle_in_any_order():
+    # generator rows no search offers, on at most 4 vertices, closed one
+    # row per ``_close`` call in a shuffled order: whatever the order, the
+    # verdict and, on a kept state, the exact rows are the oracle's
+    rings = [cyclic_group_ring(3), cyclic_group_ring(6), permutation_group_ring(3), su2_level(3),
+             tensor_product(fibonacci(), fibonacci()), _multiplicity_two_ring(), _rep_psl27_ring(), _rep_a5_ring()]
+    rng = np.random.default_rng(11)
+    verdicts = []
+    for ring in rings:
+        searcher = torsion._Searcher(ring, ModuleSearchConfig(max_basis_size=4))
+        for _ in range(300):
+            m = int(rng.integers(1, 5))
+            state = _leaf(searcher, rng.choice(3, size=(searcher.kgen, m, m), p=[0.6, 0.3, 0.1]).tolist())
+            oracle = _closure_oracle(ring, searcher.gens, state)
+            seeds = [(searcher.gen_label[gi], b, dict(row)) for (gi, b), row in state.rows.items()]
+            kept = all(searcher._close(state, [seeds[i]]) for i in rng.permutation(len(seeds)))
+            assert kept == (oracle is not None)
+            if kept:
+                assert {(a, b): row for a, by_row in state.exact.items() for b, row in by_row.items()} == oracle
+            verdicts.append(kept)
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_perron_dimensions_are_computed_once_per_ring(monkeypatch):

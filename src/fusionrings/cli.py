@@ -8,6 +8,7 @@ config file supplies default depths, sizes and budgets.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -238,6 +239,7 @@ def cmd_graph(args) -> int:
     return PASS
 
 
+@functools.cache  # parse_args leaves the parser as it was, and each cmd_* looks its callees up when called
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fusion",

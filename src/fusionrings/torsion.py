@@ -211,8 +211,10 @@ def _canonical_data(matrices: list[np.ndarray], size: int, deadline: float | Non
     order is that of the rows); the permutation is the least one reaching
     it, as a brute force over those relabelings would find them.  Every
     automorphism keeps the cells, so keys are equal exactly for isomorphic
-    stacks, and the complete permutations reaching the key are exactly the
-    automorphisms (it may complete worse ones on the way).
+    stacks, and the relabelings reaching the key are the best one composed
+    with each automorphism.  The search completes only some of them (and
+    may complete worse ones on the way): the ties it meets are
+    automorphisms, and it skips the branches they map onto searched ones.
 
     Positions are filled in order, each from the first of an ordered list
     of cells of candidate vertices (at first the refined cells).  A
@@ -226,22 +228,36 @@ def _canonical_data(matrices: list[np.ndarray], size: int, deadline: float | Non
     """
     T = np.stack(matrices, axis=-1) if matrices else np.zeros((size, size, 0), dtype=np.int64)
     entry = [[tuple(e) for e in row] for row in T.tolist()]
-    _, best_perm, leaves = _descend(entry, deadline, [], [], _refined_cells(entry), (None, [], 0))
+    _, best_perm, leaves = _descend(entry, deadline, [], [], _refined_cells(entry), (None, [], 0), [])
     idx = np.array(best_perm, dtype=np.intp)
     key = f"{size}|".encode() + T[np.ix_(idx, idx)].astype(">i8").tobytes()
     return key, best_perm, leaves
 
 
-def _descend(entry: list, deadline: float | None, prefix: list, rows: list, cells: list, best: tuple) -> tuple:
+def _descend(
+    entry: list, deadline: float | None, prefix: list, rows: list, cells: list, best: tuple, automorphisms: list
+) -> tuple:
     """The branch of ``_canonical_data``'s search below ``prefix`` and its
     ``rows``, filled from ``cells``: ``best`` (least rows or None, their
-    permutation, complete permutations compared) updated by its leaves."""
+    permutation, complete permutations compared) updated by its leaves.
+
+    A leaf whose rows tie the best appends to ``automorphisms`` the one
+    sending the best permutation onto its own, as a dict.  A candidate is
+    skipped when the recorded automorphisms that fix ``prefix`` pointwise
+    generate a group carrying an already searched candidate onto it (McKay &
+    Piperno 2014): its branch is the image of a searched one, with the same
+    rows and later in depth-first order, so the key and the least
+    permutation stay those of the full search.  The automorphisms recorded
+    over the whole search generate every automorphism of the stack.
+    """
     if deadline is not None and time.monotonic() > deadline:
         raise _Budget()
     best_rows, best_perm, leaves = best
     if not cells:
         if best_rows is None or rows < best_rows:
             best_rows, best_perm = rows, prefix
+        elif rows == best_rows:
+            automorphisms.append(dict(zip(best_perm, prefix)))
         return best_rows, best_perm, leaves + 1
     head, rest = cells[0], cells[1:]
     options = {}
@@ -253,8 +269,9 @@ def _descend(entry: list, deadline: float | None, prefix: list, rows: list, cell
     i = len(prefix)
     if best_rows is not None and rows == best_rows[:i] and row > best_rows[i]:
         return best
+    searched: set[int] = set()  # the searched candidates and their orbits
     for v in head:
-        if options[v] != row:
+        if options[v] != row or v in searched:
             continue
         Ev = entry[v]
         split: list[list[int]] = []
@@ -263,7 +280,16 @@ def _descend(entry: list, deadline: float | None, prefix: list, rows: list, cell
             for w in cell:
                 parts.setdefault(Ev[w], []).append(w)
             split.extend(parts[value] for value in sorted(parts))
-        best = _descend(entry, deadline, prefix + [v], rows + [row], split, best)
+        best = _descend(entry, deadline, prefix + [v], rows + [row], split, best, automorphisms)
+        fixing = [g for g in automorphisms if all(g[u] == u for u in prefix)]
+        searched.add(v)
+        stack = list(searched)
+        while stack:
+            u = stack.pop()
+            for g in fixing:
+                if g[u] not in searched:
+                    searched.add(g[u])
+                    stack.append(g[u])
     return best
 
 

@@ -5,8 +5,10 @@ makes reachable.
 tries every relabeling that keeps the refined cells and shares no code with
 the search in ``torsion._canonical_data``.  Both must return the same key
 bytes and permutation, and the search must compare no more complete
-permutations than the brute force tries.  Two keys must be equal exactly
-when networkx finds an isomorphism between the stacks.
+permutations than the brute force tries.  The automorphisms the search
+records, by which it prunes, must generate the group networkx counts.  Two
+keys must be equal exactly when networkx finds an isomorphism between the
+stacks.
 """
 
 import contextlib
@@ -87,6 +89,65 @@ def test_search_matches_brute_force_on_synthetic_stacks(case, rnd):
     perm = list(range(m))
     rnd.shuffle(perm)
     assert _assert_matches_oracle(_relabeled(matrices, perm), m) == key
+
+
+def _recorded_automorphisms(matrices, m):
+    """The automorphisms that ``torsion._descend`` records on a stack, each
+    checked to fix it."""
+    T = np.stack(matrices, axis=-1) if matrices else np.zeros((m, m, 0), dtype=np.int64)
+    entry = [[tuple(e) for e in row] for row in T.tolist()]
+    recorded = []
+    torsion._descend(entry, None, [], [], torsion._refined_cells(entry), (None, [], 0), recorded)
+    for g in recorded:
+        image = np.array([g[v] for v in range(m)], dtype=np.intp)
+        assert all((M[np.ix_(image, image)] == M).all() for M in matrices)
+    return recorded
+
+
+def _group_order(generators, m):
+    """The order of the group of permutations of range(m) that the dicts
+    ``generators`` generate, by closing the identity under them."""
+    gens = [[g[v] for v in range(m)] for g in generators]
+    group = {tuple(range(m))}
+    stack = list(group)
+    while stack:
+        p = stack.pop()
+        for g in gens:
+            q = tuple(g[v] for v in p)
+            if q not in group:
+                group.add(q)
+                stack.append(q)
+    return len(group)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_stacks())
+def test_recorded_automorphisms_generate_the_group(case):
+    # orbit pruning skips the branches these automorphisms map onto
+    # searched ones, so they must generate every automorphism of the stack
+    matrices, m = case
+    assert _group_order(_recorded_automorphisms(matrices, m), m) == automorphism_count(matrices, m)
+
+
+# a 4-regular graph on 9 vertices with 8 automorphisms, one refined cell:
+# pruning by recorded automorphisms that move a placed vertex would give
+# relabelings of it different keys
+GRAPH9 = np.array(
+    [[int(x) for x in row] for row in
+     ["001010011", "000101101", "100001101", "010010110", "100101001",
+      "011010010", "011100010", "100101100", "111010000"]],
+    dtype=np.int64,
+)
+
+
+def test_pruning_keeps_the_key_of_every_relabeling():
+    keys = set()
+    for seed in range(8):
+        perm = list(range(9))
+        random.Random(seed).shuffle(perm)
+        keys.add(torsion._canonical_data(_relabeled([GRAPH9], perm), 9)[0])
+    assert len(keys) == 1
+    assert _group_order(_recorded_automorphisms([GRAPH9], 9), 9) == automorphism_count([GRAPH9], 9) == 8
 
 
 @st.composite
@@ -172,7 +233,11 @@ def test_symmetric4_regular_module():
     assert time.process_time() - start < 1.0
     assert canonical_key(_shuffled(module, 4)) == form._canonical_key
     matrices = [module.matrix(g) for g in torsion.generating_set(ring)]
-    assert torsion._canonical_data(matrices, module.size)[2] == 24
+    # automorphism pruning completes 4 of the 24 tying permutations, and
+    # the automorphisms it records still generate all 24
+    assert torsion._canonical_data(matrices, module.size)[2] == 4
+    recorded = _recorded_automorphisms(matrices, module.size)
+    assert _group_order(recorded, module.size) == automorphism_count(matrices, module.size) == 24
 
 
 def test_expired_deadline_stops_the_labelling():
@@ -266,3 +331,22 @@ def test_enumerate_cyclic9_documents_pinned(tmp_path):
     docs = _enumerate("builtin:cyclic?n=9", tmp_path)
     digest = hashlib.sha256(b"".join(docs)).hexdigest()
     assert digest == "3a6e209e09c43ea42f3d6eef29bf54dae427bc79275fc07ac90752ffb7bac3f5"
+
+
+def test_enumerate_cyclic12_documents_pinned(tmp_path):
+    # sha256 of the concatenated class documents, as the labelling without
+    # automorphism pruning wrote them; each class Z12 / H has the
+    # automorphism group Z12 / H, so pruning skips most of its branches
+    docs = _enumerate("builtin:cyclic?n=12", tmp_path)
+    digest = hashlib.sha256(b"".join(docs)).hexdigest()
+    assert digest == "3a16cb59f1b19c2a893b485d1c6c6794f60b5f7a6f08c1bf027d04f226a55478"
+
+
+def test_cyclic12_regular_module_permutations_pinned():
+    # the search without pruning completes 15 permutations, 12 of them the
+    # automorphisms; pruning completes 5, and the automorphisms it records
+    # still generate all 12
+    module = standard_module(cyclic_group_ring(12))
+    matrices = [module.matrix(g) for g in torsion.generating_set(module.ring)]
+    assert torsion._canonical_data(matrices, module.size)[2] == 5
+    assert _group_order(_recorded_automorphisms(matrices, module.size), module.size) == 12

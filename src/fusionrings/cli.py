@@ -18,6 +18,7 @@ from .documents import (
     MODULE_FORMAT,
     RING_FORMAT,
     emit_document,
+    encode_field,
     is_int,
     load_document,
     module_from_document,
@@ -93,11 +94,12 @@ def _finite_ring(path: str, command: str):
 
 def _write_modules(out: str, tables, ring, name: str, stem: str, line: str) -> None:
     """Write the tables as module documents ``out/{stem}_NNN.json`` named ``{name}_NNN``,
-    printing ``line`` with its fields ``i``, ``size`` and ``path`` after each."""
+    printing ``line`` with its fields ``i``, ``size`` and ``path`` after each.
+    The ring document they all hold is encoded once."""
     os.makedirs(out, exist_ok=True)
-    ring_doc = ring_to_document(ring)
+    ring_text = encode_field(ring_to_document(ring))
     for i, table in enumerate(tables):
-        doc = module_to_document(table, ring_doc)
+        doc = module_to_document(table, ring_text)
         doc["name"] = f"{name}_{i:03d}"
         path = os.path.join(out, f"{stem}_{i:03d}.json")
         write_document(path, doc)

@@ -2,7 +2,11 @@
 
 Documents are UTF-8 JSON with a required ``format`` field; emission is
 byte-canonical (sorted keys, two-space indent, LF, trailing newline), so
-``parse(emit(doc)) == doc`` and equal documents have equal bytes.
+``parse(emit(doc)) == doc`` and equal documents have equal bytes.  A direct
+emitter writes them, pinned by test to ``json.dumps(doc, sort_keys=True,
+indent=2, ensure_ascii=False)``, whose indenting encoder is pure Python;
+``encode_field`` lets the class documents of one run share one encoding of
+their ring.
 """
 
 from __future__ import annotations
@@ -29,8 +33,57 @@ RING_FORMAT = "fusionring/1"
 MODULE_FORMAT = "fusionmodule/1"
 
 
+_encode_str = json.encoder.encode_basestring
+_encode_scalar = json.JSONEncoder(ensure_ascii=False).encode
+
+
+class _Encoded(str):
+    """JSON text that `_emit` copies as it stands (see `encode_field`)."""
+
+
+# the leaves that make up most of a document, by exact type, to their text
+_LEAVES = {str: _encode_str, int: int.__repr__, _Encoded: str.__str__}
+
+
+def _emit(value, newline: str) -> str:
+    """``value`` as ``json.dumps(value, sort_keys=True, indent=2,
+    ensure_ascii=False)`` writes it, where ``newline`` is the line break and
+    indent before the value's own line; a dict key that is not a string
+    raises TypeError."""
+    leaf = _LEAVES.get(type(value))
+    if leaf is not None:
+        return leaf(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = []
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"document keys must be strings, got {key!r}")
+            items.append(_encode_str(key) + ": " + _emit(value[key], inner))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        items = []
+        for item in value:
+            leaf = _LEAVES.get(type(item))
+            items.append(leaf(item) if leaf is not None else _emit(item, inner))
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    return _encode_scalar(value)
+
+
 def emit_document(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    return _emit(doc, "\n") + "\n"
+
+
+def encode_field(value) -> str:
+    """``value`` encoded once as a field of a document's top-level object,
+    so that many documents can share the text: `emit_document` copies it as
+    it stands, and it emits the same bytes as ``value`` itself."""
+    return _Encoded(_emit(value, "\n  "))
 
 
 def parse_document(text: str) -> dict:
@@ -100,7 +153,7 @@ def _require(doc: dict, key: str):
 
 def _document_name(doc, fmt: str, kind: str) -> str:
     """The name of a ``kind`` document of format ``fmt``, checked to be an
-    object with that format and a string name, if any."""
+    object with that format and a name, if any, that is UTF-8 text."""
     if not isinstance(doc, dict):
         raise MalformedDocumentError(f"a {kind} document must be an object, got {doc!r}")
     if doc.get("format") != fmt:
@@ -108,6 +161,10 @@ def _document_name(doc, fmt: str, kind: str) -> str:
     name = doc.get("name") or f"document {kind}"
     if not isinstance(name, str):
         raise MalformedDocumentError(f"{kind} document name must be a string, got {name!r}")
+    try:
+        name.encode("utf-8")
+    except UnicodeEncodeError:
+        raise MalformedDocumentError(f"{kind} document name is not UTF-8 text: {name!r}") from None
     return name
 
 

@@ -12,11 +12,16 @@ _FORBIDDEN = set(' \t\n*"')
 
 
 def check_label(label: str) -> str:
-    """Validate a label: non-empty string without whitespace, '*' or quotes."""
+    """Validate a label: non-empty UTF-8 text without whitespace, '*' or
+    quotes (a lone surrogate from a JSON escape cannot be written out)."""
     if not isinstance(label, str) or not label:
         raise ValueError(f"labels must be non-empty strings, got {label!r}")
     if any(ch in _FORBIDDEN for ch in label):
         raise ValueError(f"label contains a forbidden character: {label!r}")
+    try:
+        label.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError(f"label is not UTF-8 text: {label!r}") from None
     return label
 
 

@@ -556,3 +556,66 @@ def test_graph_alpha_unit_is_the_ring_unit(capsys):
         "component 1: tadpole T_1 (norm < 2)\n"
         "component phi: tadpole T_1 (norm < 2)\n"
     )
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["enumerate", "builtin:symmetric?n=3"], 0),
+    (["torsion", "builtin:su2?level=5"], 1),
+])
+def test_written_documents_are_json_dumps_of_their_content(argv, code, tmp_path):
+    # the class and witness documents of one run share one encoding of their
+    # ring; each file must still be the canonical json.dumps of what it holds
+    from fusionrings.documents import resolve_ring
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*argv, "--out", str(tmp_path)]) == code
+    ring_doc = ring_to_document(resolve_ring(argv[1]))
+    names = sorted(os.listdir(tmp_path))
+    assert names
+    for name in names:
+        text = (tmp_path / name).read_text(encoding="utf-8")
+        doc = json.loads(text)
+        assert text == json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+        assert doc["ring"] == ring_doc
+
+
+LONE_SURROGATE = "\ud800"  # a JSON "\ud800" escape decodes to it; UTF-8 cannot encode it
+
+
+def _ring_with_a_lone_surrogate_label():
+    doc = _z2_ring_doc()
+    return json.loads(json.dumps(doc).replace('"1"', json.dumps(LONE_SURROGATE)))
+
+
+def _module_with_a_lone_surrogate_label():
+    doc = _z2_module_doc()
+    doc["ring"] = "builtin:cyclic?n=2"
+    swap = {"1": LONE_SURROGATE}
+    doc["basis"] = [swap.get(b, b) for b in doc["basis"]]
+    doc["action"] = [[alpha, swap.get(b, b), swap.get(c, c), mult] for alpha, b, c, mult in doc["action"]]
+    return doc
+
+
+def _ring_with_a_lone_surrogate_name():
+    doc = _z2_ring_doc()
+    doc["name"] = LONE_SURROGATE
+    return doc
+
+
+@pytest.mark.parametrize("make, commands, message", [
+    (_ring_with_a_lone_surrogate_label, ["verify", "enumerate", "torsion"], "label is not UTF-8 text"),
+    (_module_with_a_lone_surrogate_label, ["verify"], "label is not UTF-8 text"),
+    (_ring_with_a_lone_surrogate_name, ["verify", "enumerate"], "ring document name is not UTF-8 text"),
+])
+def test_text_that_is_not_utf8_is_rejected_at_load_exit_2(make, commands, message, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(make()), encoding="utf-8")
+    assert "\\ud800" in path.read_text(encoding="utf-8")
+    for command in commands:
+        out = tmp_path / "out"
+        argv = [command, str(path)] + (["--out", str(out)] if command != "verify" else [])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}: '\\ud800'\n"
+        assert not out.exists()

@@ -206,3 +206,44 @@ def test_module_document_with_a_ring_document_reference():
     doc = module_to_document(standard_module(ring), ring_ref=ring_doc)
     assert doc["ring"] is ring_doc
     assert doc == module_to_document(standard_module(ring))
+
+
+def _json_reference(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+# text with quotes, backslashes, control, non-ASCII and astral characters
+_text = st.text(st.one_of(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f é\U0001F600'),
+    st.characters(codec="utf-8"),
+), max_size=8)
+_scalars = st.one_of(
+    _text,
+    st.integers(),
+    st.integers(min_value=-(2**200), max_value=2**200),
+    st.booleans(),
+    st.none(),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_trees = st.recursive(
+    _scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_text, children, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(_text, _trees, max_size=5))
+def test_emission_matches_json_dumps(doc):
+    assert emit_document(doc) == _json_reference(doc)
+
+
+@pytest.mark.parametrize("doc", [{1: "a"}, {"a": {None: 1}}, {"a": [{"b": 1, True: 2}]}, {"a": 1, 2.5: 1}])
+def test_emission_rejects_a_key_that_is_not_a_string(doc):
+    with pytest.raises(TypeError):
+        emit_document(doc)
+

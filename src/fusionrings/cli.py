@@ -27,6 +27,7 @@ from .documents import (
     ring_from_document,
     ring_to_document,
     write_document,
+    write_text,
 )
 from .elements import parse_element
 from .errors import (
@@ -223,10 +224,7 @@ def cmd_graph(args) -> int:
     graph = module_graph(module, alpha, dims=dims)
     text = export_dot(graph)
     if args.dot:
-        directory = os.path.dirname(os.path.abspath(args.dot))
-        os.makedirs(directory, exist_ok=True)
-        with open(args.dot, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        write_text(args.dot, text)
         print(args.dot)
     else:
         sys.stdout.write(text)

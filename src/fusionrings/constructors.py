@@ -252,13 +252,6 @@ def pair_label(a: str, b: str) -> str:
     return f"{a}{PAIR_SEP}{b}"
 
 
-def split_pair_label(label: str) -> tuple[str, str]:
-    left, sep, right = label.partition(PAIR_SEP)
-    if not sep:
-        raise ValueError(f"not a pair label: {label!r}")
-    return left, right
-
-
 def tensor_product(r1: BasedRingTable, r2: BasedRingTable) -> BasedRingTable:
     """Componentwise products on the pair basis; dimensions multiply."""
     if r1.is_lazy or r2.is_lazy:

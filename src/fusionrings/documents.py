@@ -96,9 +96,8 @@ def parse_document(text: str) -> dict:
     return doc
 
 
-def write_document(path: str, doc: dict) -> None:
-    """Atomic canonical write: temp file in the target directory, then rename."""
-    text = emit_document(doc)
+def write_text(path: str, text: str) -> None:
+    """Atomic write: temp file in the target directory, made if missing, then rename."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
@@ -110,6 +109,11 @@ def write_document(path: str, doc: dict) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_document(path: str, doc: dict) -> None:
+    """Atomic canonical write of a document."""
+    write_text(path, emit_document(doc))
 
 
 # -- ring documents -------------------------------------------------------------------

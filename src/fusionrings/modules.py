@@ -20,6 +20,7 @@ from .elements import RingElement, check_label
 from .errors import (
     IncompatibleDimensionsError,
     InfiniteInnerProductError,
+    NoDimensionFunctionError,
     NonIntegerDimensionError,
     StructuralError,
     UnitGroupError,
@@ -31,12 +32,14 @@ from .rings import (
     LazyBasedRing,
     REL_TOL,
     Ring,
+    _extend,
     _middle_labels,
     _structural_scan,
+    _symmetry_failures,
     associativity_check,
     associativity_witnesses,
     exact_dtype,
-    fuse,  # unused here; perfbench/tracing.py wraps the name modules.fuse
+    fuse,
     group_of_units,
     per_label_failures,
     ring_dims,
@@ -247,13 +250,8 @@ Module = BasedModuleTable | LazyBasedModule | TruncatedModule
 
 
 def act(module: Module, x: RingElement, v: RingElement) -> RingElement:
-    """Bilinear extension of the action table."""
-    acc: dict[str, int] = {}
-    for alpha, ca in x.items():
-        for b, cb in v.items():
-            for c, cc in module.action_row(alpha, b)._terms.items():
-                acc[c] = acc.get(c, 0) + ca * cb * cc
-    return RingElement._of(acc)
+    """The action x.v: :func:`rings._extend` over the action rows."""
+    return _extend(module.action_row, x, v)
 
 
 # Most ring labels ``_anchored_mass`` sums: levels of a free product grow
@@ -471,14 +469,16 @@ def dim_vector(
 def _verify_finite_module(module: BasedModuleTable) -> VerificationReport:
     """The module axioms on dense tensors.  Associativity and pairing
     compatibility are per-label checks, decided by :func:`per_label_failures`
-    on the ring's middle labels once the ring passes associativity on them,
-    and so is associative.  Then the labels y with (a*y).v == a.(y.v) for
-    all a, v form a subring, as (a*(x*y)).v = ((a*x)*y).v = (a*x).(y.v) =
-    a.(x.(y.v)) = a.((x*y).v); once the action passes too, so do those with
-    y*inner(b, c) == inner(y.b, c) for all b, c, as (x*y)*inner(b, c) =
-    x*inner(y.b, c) = inner(x.(y.b), c) = inner((x*y).b, c).  Both hold the
-    middles, so every label passes, as in :func:`_middle_labels`.  Otherwise
-    every label is checked."""
+    on one label set: the ring's middle labels once the ring passes duality
+    symmetry and associativity on them, and so is associative; otherwise
+    every label.  On an associative ring the labels y with (a*y).v ==
+    a.(y.v) for all a, v form a subring, as (a*(x*y)).v = ((a*x)*y).v =
+    (a*x).(y.v) = a.(x.(y.v)) = a.((x*y).v), which holds the middles, so
+    the middles decide associativity as in :func:`_middle_labels`.  Duality
+    symmetry gives N_{a j}^k = N_{k* a}^{j*}, so the coefficient of k in
+    a*inner(b, c) is ((k* a).b)_c and in inner(a.b, c) it is (k*.(a.b))_c:
+    pairing compatibility fails at a exactly when associativity fails at
+    (k*, a) for some k, and the middles decide it too."""
     report = VerificationReport(subject=module.name)
     ring = module.ring
     try:  # the module's first faulty pair, then the ring's faults
@@ -496,23 +496,28 @@ def _verify_finite_module(module: BasedModuleTable) -> VerificationReport:
     u = ring.index[ring.unit]
     inv = np.array([ring.index[ring.involution_of(a)] for a in labels_r])
     middles = _middle_labels(T)
-    labels = range(n) if any(col.any() for col in map(associativity_check(T, T), middles)) else middles
+    symmetric = not any(d.any() for d in _symmetry_failures(T, inv))
+    labels = middles if symmetric and not any(col.any() for col in map(associativity_check(T, T), middles)) else range(n)
 
     report.add("row finiteness", True, "automatic for a finite table")
-    report.first_index("unit law", A[u] != np.eye(m, dtype=np.int64), labels_m, labels_m)
-    report.first_index("Frobenius reciprocity", A != A[inv].transpose(0, 2, 1), labels_r, labels_m, labels_m)
+    unit_law = A[u] != np.eye(m, dtype=np.int64)
+    report.first_index("unit law", unit_law, labels_m, labels_m)
+    reciprocity = A != A[inv].transpose(0, 2, 1)
+    report.first_index("Frobenius reciprocity", reciprocity, labels_r, labels_m, labels_m)
     F = per_label_failures(associativity_check(T, A), labels, n).T  # F[a, b]: the column of b
     report.first_index("associativity", F, labels_r, labels_r)
     report.first_index("actions never vanish", A.sum(axis=2) == 0, labels_r, labels_m)
     report.add("cofinite", True, "finite module over a finite ring")
 
-    # P[b, c, k]: coefficient of ring label k in inner(b, c); the structural
-    # scan made the involution a permutation of order 2
-    P = A.transpose(1, 2, 0)[..., inv]
-    d = (P[:, :, u] != np.eye(m, dtype=np.int64)) | (P != P.transpose(1, 0, 2)[..., inv]).any(axis=2)
+    # inner(b, c) has coefficient A[a*, b, c] at a: its unit coefficient is
+    # A[u, b, c], and it equals inner(c, b)* unless reciprocity fails at some a
+    d = unit_law | reciprocity.any(axis=0)
     report.first_index("pairing normalization and symmetry", d, labels_m, labels_m)
 
-    # the row of alpha: alpha*inner(b, c) against the sum over e of N_{alpha b}^e inner(e, c)
+    # P[b, c, k]: coefficient of ring label k in inner(b, c); the structural
+    # scan made the involution a permutation of order 2.  The row of alpha:
+    # alpha*inner(b, c) against the sum over e of N_{alpha b}^e inner(e, c)
+    P = A.transpose(1, 2, 0)[..., inv]
     P = P.astype(exact_dtype(max(n, m), A, P, T))
 
     def compatible(alpha: int) -> np.ndarray:
@@ -520,7 +525,7 @@ def _verify_finite_module(module: BasedModuleTable) -> VerificationReport:
         rhs = P.reshape(m * m, n) @ T[alpha].astype(P.dtype)
         return (lhs.reshape(m, m, n) != rhs.reshape(m, m, n)).any(axis=2)
 
-    d = per_label_failures(compatible, range(n) if F.any() else labels, n)
+    d = per_label_failures(compatible, labels, n)
     report.first_index("pairing compatibility with the action", d, labels_r, labels_m, labels_m)
     return report
 
@@ -631,8 +636,7 @@ def quotient_module(ring: BasedRingTable, subgroup: Iterable[str]) -> BasedModul
         raise UnitGroupError("the subgroup must contain the ring unit")
     for g in H:
         for h in H:
-            image = ring.product(g, h)
-            if image.total() != 1 or image.support()[0] not in H:
+            if ring.product(g, h).support()[0] not in H:
                 raise UnitGroupError(f"subset is not closed under product at ({g!r}, {h!r})")
         if ring.involution_of(g) not in H:
             raise UnitGroupError(f"subset is not closed under inverse at {g!r}")
@@ -658,14 +662,9 @@ def quotient_module(ring: BasedRingTable, subgroup: Iterable[str]) -> BasedModul
         rep_of[b] = rep
     reps = sorted(orbits)
 
-    action = {}
-    for alpha in ring.basis:
-        for rep in reps:
-            terms: dict[str, int] = {}
-            for c, coeff in ring.product(alpha, rep).items():
-                target = rep_of[c]
-                terms[target] = terms.get(target, 0) + coeff
-            action[(alpha, rep)] = RingElement(terms)
+    action = {
+        (alpha, rep): ring.product(alpha, rep).map_labels(rep_of.__getitem__) for alpha in ring.basis for rep in reps
+    }
     return BasedModuleTable(
         ring, reps, action, name=f"{ring.name}/[{','.join(H)}]"
     )
@@ -699,18 +698,16 @@ def induced_module(ring: BasedRingTable, witness, submodule: BasedModuleTable) -
     basis = [
         f"{a0}{INDUCED_SEP}{b}" for a0 in sorted(witness.anchors) for b in submodule.basis
     ]
-    action: dict[tuple[str, str], RingElement] = {}
-    for alpha in ring.basis:
-        for a0 in witness.anchors:
-            for b in submodule.basis:
-                terms: dict[str, int] = {}
-                for beta, coeff in ring.product(alpha, a0).items():
-                    inner_row = submodule.action_row(sub_image(beta), b)
-                    target_anchor = anchor_of(beta)
-                    for c, coeff2 in inner_row.items():
-                        key = f"{target_anchor}{INDUCED_SEP}{c}"
-                        terms[key] = terms.get(key, 0) + coeff * coeff2
-                action[(alpha, f"{a0}{INDUCED_SEP}{b}")] = RingElement(terms)
+    action = {
+        (alpha, f"{a0}{INDUCED_SEP}{b}"): RingElement(
+            (f"{anchor_of(beta)}{INDUCED_SEP}{c}", coeff * coeff2)
+            for beta, coeff in ring.product(alpha, a0).items()
+            for c, coeff2 in submodule.action_row(sub_image(beta), b).items()
+        )
+        for alpha in ring.basis
+        for a0 in witness.anchors
+        for b in submodule.basis
+    }
     return BasedModuleTable(
         ring, basis, action, name=f"induced({submodule.name} -> {ring.name})"
     )
@@ -732,11 +729,7 @@ def twisted_tensor_module(ring: BasedRingTable) -> BasedModuleTable:
             pair = pair_label(a, b)
             b_bar = ring.involution_of(b)
             for c in ring.basis:
-                left = ring.product(a, c)
-                total = RingElement()
-                for mid, coeff in left.items():
-                    total = total + coeff * ring.product(mid, b_bar)
-                action[(pair, c)] = total
+                action[(pair, c)] = fuse(ring, ring.product(a, c), RingElement.basis(b_bar))
     return BasedModuleTable(
         square, ring.basis, action, name=f"twist({ring.name})"
     )
@@ -749,7 +742,7 @@ def singleton_module(ring: BasedRingTable) -> BasedModuleTable:
     dims = ring_dims(ring)
     try:
         int_dims = dims.as_integers()
-    except Exception as exc:
+    except NoDimensionFunctionError as exc:
         raise NonIntegerDimensionError(str(exc)) from None
     label = "pt"
     action = {

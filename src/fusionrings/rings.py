@@ -292,17 +292,22 @@ def _require_all(ring: Ring, x: RingElement) -> None:
         ring.require(min(label for label in x._terms if not ring.contains(label)))
 
 
-def fuse(ring: Ring, x: RingElement, y: RingElement) -> RingElement:
-    """Bilinear extension of the basis products; exact integer coefficients."""
-    _require_all(ring, x)
-    _require_all(ring, y)
+def _extend(row: Callable[[str, str], RingElement], x: RingElement, y: RingElement) -> RingElement:
+    """Bilinear extension of the basis products ``row(a, b)``; exact integer coefficients."""
     acc: dict[str, int] = {}  # in storage order; equality, hash and format sort
     y_terms = y._terms.items()
     for a, ca in x._terms.items():
         for b, cb in y_terms:
-            for c, cc in ring.product(a, b)._terms.items():
+            for c, cc in row(a, b)._terms.items():
                 acc[c] = acc.get(c, 0) + ca * cb * cc
     return RingElement._of(acc)
+
+
+def fuse(ring: Ring, x: RingElement, y: RingElement) -> RingElement:
+    """The product x*y: :func:`_extend` over ``ring.product``, once every label is in the ring."""
+    _require_all(ring, x)
+    _require_all(ring, y)
+    return _extend(ring.product, x, y)
 
 
 def unit_coefficient(ring: Ring, x: RingElement) -> int:
@@ -516,6 +521,16 @@ def associativity_witnesses(
                     yield f"{a}, {b}, {c}"
 
 
+def _symmetry_failures(T: np.ndarray, inv: np.ndarray) -> list[np.ndarray]:
+    """Where T[b, g, a] differs from T[g, inv a, inv b], T[inv a, b, inv g] and T[inv g, inv b, inv a]."""
+    ar = np.arange(T.shape[0])
+    return [
+        T != T[np.ix_(ar, inv, inv)].transpose(2, 0, 1),
+        T != T[np.ix_(inv, ar, inv)].transpose(1, 2, 0),
+        T != T[np.ix_(inv, inv, inv)].transpose(1, 0, 2),
+    ]
+
+
 def verify_based_ring(table: BasedRingTable) -> VerificationReport:
     """Check the defining axioms of a finite based ring.
 
@@ -547,14 +562,7 @@ def verify_based_ring(table: BasedRingTable) -> VerificationReport:
 
     report.add("finite support", True, "automatic for a finite table")
 
-    # T[b, g, a] against T[g, inv a, inv b], T[inv a, b, inv g] and
-    # T[inv g, inv b, inv a]; only the boolean differences are kept
-    ar = np.arange(n)
-    diffs = [
-        T != T[np.ix_(ar, inv, inv)].transpose(2, 0, 1),
-        T != T[np.ix_(inv, ar, inv)].transpose(1, 2, 0),
-        T != T[np.ix_(inv, inv, inv)].transpose(1, 0, 2),
-    ]
+    diffs = _symmetry_failures(T, inv)
     bad = next((d for d in diffs if d.any()), diffs[0])
     report.first_index("duality symmetry", bad, labels, labels, labels)
 

@@ -32,7 +32,6 @@ from .constructors import (
     match_standard_copy,
     pair_label,
     saturate,
-    split_pair_label,
     subring_generated,
     tensor_product,
 )
@@ -1383,6 +1382,8 @@ def tensor_obstruction_probe(r1: BasedRingTable, r2: BasedRingTable) -> TensorOb
     reports: list[TensorWitnessReport] = []
     pure = [pair_label(a, r2.unit) for a in r1.basis if a != r1.unit]
     pure += [pair_label(r1.unit, b) for b in r2.basis if b != r2.unit]
+    # the factors of each label; a label of r1 may itself hold the separator
+    factors = {pair_label(a, b): (a, b) for a in r1.basis for b in r2.basis}
     for witness in verdict.witnesses:
         D = dim_vector(witness)
         base = None
@@ -1394,12 +1395,9 @@ def tensor_obstruction_probe(r1: BasedRingTable, r2: BasedRingTable) -> TensorOb
         if base is not None:
             pairing = inner(witness, base, base)
             for label in pairing.support():
-                if label == square.unit:
-                    continue
-                gamma1, gamma2 = split_pair_label(label)
-                alpha1 = gamma1
-                alpha2 = r2.involution_of(gamma2) if gamma2 in r2.index else None
-                if alpha1 == r1.unit or alpha2 in (None, r2.unit):
+                alpha1, gamma2 = factors[label]
+                alpha2 = r2.involution_of(gamma2)
+                if alpha1 == r1.unit or alpha2 == r2.unit:
                     continue
                 left = witness.action_row(pair_label(alpha1, r2.unit), base)
                 right = witness.action_row(pair_label(r1.unit, alpha2), base)

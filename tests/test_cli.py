@@ -164,6 +164,39 @@ def test_graph_fibonacci_tadpole(tmp_path, capsys):
     assert '"phi" -> "phi";' in text
 
 
+def test_graph_dot_is_written_atomically(tmp_path, capsys, monkeypatch):
+    argv = ["graph", "builtin:fibonacci", "--standard", "--alpha", "phi"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out.split("verdict:")[0].encode()
+    dot_path = tmp_path / "out" / "fib.dot"
+    assert main(argv + ["--dot", str(dot_path)]) == 0
+    assert dot_path.read_bytes() == expected
+
+    def fail(src, dst):
+        raise OSError("interrupted")
+
+    monkeypatch.setattr(os, "replace", fail)
+    other = tmp_path / "other" / "fib.dot"
+    with pytest.raises(OSError, match="interrupted"):
+        main(argv + ["--dot", str(other)])
+    assert list(other.parent.iterdir()) == []
+
+
+def test_graph_of_a_module_without_a_dimension_vector(tmp_path, capsys):
+    from fusionrings import BasedModuleTable
+    from fusionrings.documents import module_to_document
+
+    z2 = cyclic_group_ring(2)
+    swap = {("0", b): {b: 1} for b in ("a0", "a1", "b0", "b1")}
+    swap |= {("1", "a0"): {"a1": 1}, ("1", "a1"): {"a0": 1}, ("1", "b0"): {"b1": 1}, ("1", "b1"): {"b0": 1}}
+    path = tmp_path / "two.json"
+    write_document(str(path), module_to_document(BasedModuleTable(z2, ["a0", "a1", "b0", "b1"], swap)))
+    assert main(["graph", str(path), "--alpha", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "d=" not in out
+    assert "verdict: disconnected, 2 components" in out
+
+
 def test_graph_su2_ring_truncation(capsys):
     assert main(["graph", "builtin:a1", "--standard", "--alpha", "1", "--depth", "10"]) == 0
     out = capsys.readouterr().out

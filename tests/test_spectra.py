@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fusionrings import (
+    BasedModuleTable,
     FusionGraph,
     a_infinity_check,
     cyclic_group_ring,
@@ -626,3 +627,18 @@ def _looped_path(n):
 ], ids=["D5", "E6", "E7", "E8", "extended_D5", "extended_E6", "extended_E7", "extended_E8", "loop", "gt2"])
 def test_describe_names_each_shape(matrix, text):
     assert dynkin_classify(graph_of(matrix)).describe() == text
+
+
+def test_matrix_homomorphism_check_reads_the_involution():
+    # one point over Z3 acting by 1, 1, 2: products hold for (0, 1), but
+    # 1 and its dual 2 act by different matrices
+    z3 = cyclic_group_ring(3)
+    point = BasedModuleTable(z3, ["pt"], {(g, "pt"): {"pt": x} for g, x in zip(z3.basis, (1, 1, 2))})
+    assert matrix_homomorphism_check(point, "0", "0")
+    assert not matrix_homomorphism_check(point, "0", "1")
+
+
+def test_schur_check_without_a_complete_row():
+    std = standard_module(su2_ring())
+    check = schur_norm_check(std.truncate(0), std.dims, "1")
+    assert check.rows_checked == 0 and check.ok

@@ -1565,6 +1565,11 @@ def test_probe_flags_a_reducible_label_at_the_base():
     assert report.obstructions == ["0:phi.1:1 does not act irreducibly on 1:1.0:phi"] and not report.ok
 
 
+def test_word_structure_check_takes_a_truncated_module():
+    std = standard_module(free_unitary_ring())
+    assert word_module_structure_check(std.truncate(3), 3) == word_module_structure_check(std, 3)
+
+
 # -- tensor obstruction probe ----------------------------------------------------------------------
 
 
@@ -1597,6 +1602,16 @@ def test_tensor_probe_reports_a_witness_without_a_matched_pair():
     [witness_report] = report.witness_reports
     assert witness_report.matched_pair is None
     assert not witness_report.ok
+
+
+def test_tensor_probe_splits_labels_that_hold_the_separator():
+    # the labels of fib x fib hold "|", so a label of (fib x fib) x fib does
+    # not split at its first separator
+    report = tensor_obstruction_probe(tensor_product(fibonacci(), fibonacci()), fibonacci())
+    assert not report.torsion_free
+    matched = sorted(wr.matched_pair for wr in report.witness_reports if wr.matched_pair)
+    assert matched == [("1|phi", "phi"), ("phi|1", "phi")]
+    assert all(wr.isomorphic for wr in report.witness_reports if wr.matched_pair)
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,8 @@ shares no code with it, and the ring and module verifiers' checks on a
 few middle labels with that oracle and a pairing-compatibility one.
 """
 
+import hashlib
+import itertools
 import os
 import random
 import subprocess
@@ -32,12 +34,14 @@ from fusionrings import (
     StructuralError,
     UnknownLabelError,
     cyclic_group_ring,
+    fibonacci,
     group_ring,
     permutation_group_ring,
     standard_module,
     su2_level,
     su2_ring,
     tensor_product,
+    twisted_tensor_module,
     verify_based_ring,
     verify_lazy_ring,
     verify_module,
@@ -1087,6 +1091,91 @@ def test_module_checks_run_on_the_middles_only(monkeypatch):
         + [call for s in middles for call in (("decided", s), ("action", s))]
         + [("decided", s) for s in middles]
     )
+
+
+# -- a pinned replay of the finite verifiers' reports ------------------------------
+
+
+def _perturbed_actions(module, rng, count):
+    """``module`` and ``count`` copies with one action entry redrawn in 0..2."""
+    yield module
+    for _ in range(count):
+        alpha, b, c = rng.choice(module.ring.basis), rng.choice(module.basis), rng.choice(module.basis)
+        yield _remoduled(module, {(alpha, b): dict(module.action_row(alpha, b).items()) | {c: rng.randrange(3)}})
+
+
+def _cubic(a, b, c):
+    """Z[x]/(x^3 - a x^2 - b x - c) on 1, x, x^2 with the identity
+    involution: associative, but without duality symmetry."""
+    power = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    while len(power) < 5:  # x^(k+1) = x * x^k, with x^3 = c + b x + a x^2
+        p = power[-1]
+        power.append([c * p[2], p[0] + b * p[2], p[1] + a * p[2]])
+    return _table([[power[i + j] for j in range(3)] for i in range(3)])
+
+
+def _verifier_corpus():
+    """(ring, modules) pairs: random tables (n, m <= 3, entries 0..2, either
+    involution), companion rings x*x = q + p*x on two points, cubic rings
+    on one point and on themselves, and standard and twisted modules of
+    small fusion rings, each with seeded one-entry perturbations."""
+    rng = random.Random(20151)
+    for _ in range(400):
+        n, m = rng.randint(1, 3), rng.randint(1, 3)
+        T = [[[rng.randrange(3) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+        ring = _table(T, swap=n == 3 and rng.random() < 0.5)
+        yield ring, [_module_table(ring, [[[rng.randrange(3) for _ in range(m)] for _ in range(m)] for _ in range(n)])]
+    for p in range(4):
+        for q in range(4):
+            ring = _table([[[1, 0], [0, 1]], [[0, 1], [q, p]]])
+            yield ring, [
+                module
+                for M in ([[0, 1], [q, p]], [[0, q], [1, p]])
+                for module in _perturbed_actions(_module_table(ring, [[[1, 0], [0, 1]], M]), rng, 3)
+            ]
+    for a, b, c in itertools.product(range(3), repeat=3):
+        ring = _cubic(a, b, c)
+        points = [_module_table(ring, [[[1]], [[s]], [[t]]]) for s in range(3) for t in range(3)]
+        yield ring, points + list(_perturbed_actions(_module_table(ring, ring.structure_tensor().tolist()), rng, 3))
+    fib = fibonacci()
+    for ring in [*map(cyclic_group_ring, range(1, 5)), S3, fib, su2_level(2), SU3, tensor_product(fib, fib)]:
+        yield ring, list(_perturbed_actions(standard_module(ring), rng, 12))
+        twist = twisted_tensor_module(ring)
+        yield twist.ring, list(_perturbed_actions(twist, rng, 12))
+
+
+def _verifier_lines():
+    for ring, modules_ in _verifier_corpus():
+        yield repr(verify_based_ring(ring).lines())
+        for module in modules_:
+            yield repr(verify_module(module).lines())
+
+
+VERIFIER_DIGEST = "05b923f5618fb9cec60653b9bd2e25daaf7eabd149063dd94871aa86fea685c4"
+
+
+def test_verifier_reports_pinned():
+    """Every line of the ring and module reports on the seeded corpus."""
+    assert hashlib.sha256(repr(sorted(_verifier_lines())).encode()).hexdigest() == VERIFIER_DIGEST
+
+
+def test_an_asymmetric_ring_is_checked_on_every_label(monkeypatch):
+    """Z[x]/(x^3 - x^2 - x - 1) is associative with middles 1 and x, but
+    without duality symmetry pairing compatibility need not fail where
+    associativity does, so both checks run on every label.  The point
+    acted on by 1, 1, 2 fails associativity at x."""
+    ring = _cubic(1, 1, 1)
+    module = _module_table(ring, [[[1]], [[1]], [[2]]])
+    assert _middle_labels(ring.structure_tensor()) == [0, 1]
+
+    def spy(check, labels, n):
+        decided.append(list(labels))
+        return decide(check, labels, n)
+
+    decided, decide = [], modules.per_label_failures
+    monkeypatch.setattr(modules, "per_label_failures", spy)
+    assert _module_lines(module) == _oracle_module_lines(ring, module)
+    assert decided == [[0, 1, 2], [0, 1, 2]]
 
 
 # -- memory -----------------------------------------------------------------------------

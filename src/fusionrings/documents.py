@@ -97,13 +97,18 @@ def parse_document(text: str) -> dict:
 
 
 def write_text(path: str, text: str) -> None:
-    """Atomic write: temp file in the target directory, made if missing, then rename."""
+    """Atomic write of ``text`` as UTF-8: temp file in the target directory,
+    made if missing, given the mode a new file gets under the umask, then
+    rename."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
+    mask = os.umask(0)  # reading the umask means setting it: set it back at once
+    os.umask(mask)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(text.encode("utf-8"))
+            os.fchmod(fd, 0o666 & ~mask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

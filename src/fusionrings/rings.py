@@ -658,7 +658,7 @@ def frobenius_perron_dims(table: BasedRingTable) -> DimensionFunction:
     require_sound(table)
     T = table.structure_tensor()
     n = table.size
-    values = np.array([spectral_radius(T[a]) for a in range(n)])
+    values = spectral_radius(T)
 
     unit_value = values[table.index[table.unit]]
     if abs(unit_value - 1.0) > REL_TOL:

@@ -143,20 +143,20 @@ def matrix_homomorphism_check(module, alpha: str, beta: str) -> bool:
     return True
 
 
-def spectral_radius(matrix: np.ndarray) -> float:
-    """The l2 operator norm of a nonnegative square matrix, by LAPACK's SVD.
+def spectral_radius(matrix: np.ndarray) -> float | np.ndarray:
+    """The l2 operator norm of a nonnegative square matrix, by LAPACK's SVD;
+    on a stack (..., n, n), an array of one norm per matrix, from one call.
 
     On symmetric input, and on the fusion and action matrices of verified
     rings and modules, this is the Perron radius.
     """
     M = np.asarray(matrix, dtype=np.float64)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if M.ndim < 2 or M.shape[-2] != M.shape[-1]:
         raise ValueError("spectral_radius needs a square matrix")
-    if M.shape[0] == 0:
-        return 0.0
     if (M < 0).any():
         raise ValueError("spectral_radius needs a nonnegative matrix")
-    return float(np.linalg.norm(M, 2))
+    radii = np.linalg.norm(M, 2, axis=(-2, -1)) if M.shape[-1] else np.zeros(M.shape[:-2])
+    return float(radii) if M.ndim == 2 else radii
 
 
 def perron_vector(C: np.ndarray) -> np.ndarray:

@@ -178,6 +178,7 @@ def _refined_cells(entry: list[list[tuple]]) -> list[list[int]]:
     """
     m = len(entry)
     signatures: list = [entry[v][v] for v in range(m)]
+    in_rows = list(zip(*entry))  # in_rows[v][w] is entry[w][v]
     count = 0
     while True:
         rank = {s: r for r, s in enumerate(sorted(set(signatures)))}
@@ -186,11 +187,7 @@ def _refined_cells(entry: list[list[tuple]]) -> list[list[int]]:
             break
         count = len(rank)
         signatures = [
-            (
-                colour[v],
-                tuple(sorted((entry[v][w], colour[w]) for w in range(m))),
-                tuple(sorted((entry[w][v], colour[w]) for w in range(m))),
-            )
+            (colour[v], tuple(sorted(zip(entry[v], colour))), tuple(sorted(zip(in_rows[v], colour))))
             for v in range(m)
         ]
     cells: list[list[int]] = [[] for _ in range(count)]
@@ -262,8 +259,15 @@ def _descend(
     options = {}
     for v in head:
         Ev = entry[v]
-        tail = [sorted(Ev[w] for w in head if w != v)] + [sorted(Ev[w] for w in c) for c in rest]
-        options[v] = tuple(Ev[u] for u in prefix) + (Ev[v],) + tuple(x for part in tail for x in part)
+        option = [Ev[u] for u in prefix]
+        option.append(Ev[v])
+        option += sorted([Ev[w] for w in head if w != v])
+        for c in rest:
+            if len(c) == 1:
+                option.append(Ev[c[0]])
+            else:
+                option += sorted([Ev[w] for w in c])
+        options[v] = tuple(option)
     row = min(options.values())
     i = len(prefix)
     if best_rows is not None and rows == best_rows[:i] and row > best_rows[i]:
@@ -274,11 +278,17 @@ def _descend(
             continue
         Ev = entry[v]
         split: list[list[int]] = []
-        for cell in [[w for w in head if w != v]] + rest:
+        for cell in itertools.chain([[w for w in head if w != v]], rest):
+            if len(cell) == 1:  # a cell of one vertex, or of one value, is kept as it stands
+                split.append(cell)
+                continue
             parts: dict[tuple, list[int]] = {}
             for w in cell:
                 parts.setdefault(Ev[w], []).append(w)
-            split.extend(parts[value] for value in sorted(parts))
+            if len(parts) == 1:
+                split.append(cell)
+            else:
+                split.extend(parts[value] for value in sorted(parts))
         best = _descend(entry, deadline, prefix + [v], rows + [row], split, best, automorphisms)
         fixing = [g for g in automorphisms if all(g[u] == u for u in prefix)]
         searched.add(v)
@@ -390,7 +400,14 @@ class _SearchState:
         return cls(nvert=1, rows={}, dims=[(1.0, 1.0)], watch=[()], cols={}, exact={})
 
     def clone(self) -> "_SearchState":
-        return _SearchState(self.nvert, dict(self.rows), list(self.dims), list(self.watch), dict(self.cols), self.exact)
+        child = object.__new__(_SearchState)
+        child.nvert = self.nvert
+        child.rows = self.rows.copy()
+        child.dims = self.dims.copy()
+        child.watch = self.watch.copy()
+        child.cols = self.cols.copy()
+        child.exact = self.exact
+        return child
 
     def add_row(self, gi: int, b: int, row: tuple, d_max: float) -> None:
         """Fix row (gi, b); its targets c >= ``nvert`` become new vertices seeded [1, d_max]."""
@@ -497,9 +514,9 @@ class _Searcher:
         branch is kept, since "not refuted" is always sound.
         """
         dims, watch, rows, cols, d_gen = state.dims, state.watch, state.rows, state.cols, self.d_gen
-        gi_new, b_new = next(reversed(rows))
+        (gi_new, b_new), new_row = next(reversed(rows.items()))
         row_queue = deque([(gi_new, b_new, True)])
-        col_queue = deque((gi_new, c, False) for c, _ in rows[(gi_new, b_new)])
+        col_queue = deque([(gi_new, c, False) for c, _ in new_row])
         queued = {*row_queue, *col_queue}
 
         def narrow(v: int, lo: float, hi: float) -> bool:
@@ -597,12 +614,14 @@ class _Searcher:
         middle y whose support holds b; as a term row, x*y on row b when L
         leaves exactly one of its two or more non-unit terms unknown
         (``by_term``); as a row of M_y, when L is a middle, x*L on row b for
-        every x.  A term row that arrives after a cell turned ready (the one
-        its read solved, say) leaves none unknown and tests nothing, so each
-        cell is read at most once per search path, and nothing but
-        ``state.exact`` outlives the call.  The cells of the newest row are
-        read first, each once however many ways the row reaches it.  The
-        fixpoint, and so the verdict, does not depend on that order.
+        every x.  The rows w of M_y whose support holds b are read from row
+        b of M_ybar when it is exact (``_holding``).  A term row that arrives
+        after a cell turned ready (the one its read solved, say) leaves none
+        unknown and tests nothing, so each cell is read at most once per
+        search path, and nothing but ``state.exact`` outlives the call.  The
+        cells of the newest row are read first, each once however many ways
+        the row reaches it.  The fixpoint, and so the verdict, does not
+        depend on that order.
         """
         exact = state.exact = dict(state.exact)
         unit, terms_of, by_term = self.unit, self.terms, self.by_term
@@ -631,9 +650,8 @@ class _Searcher:
             # M_x, as a term row, and as a row of M_y; a rule with one term
             # cannot lack two term rows, so its terms go uncounted
             rows_l = exact[label].keys()
-            cells = [(label, y, w) for y in self.middles for w, row_y in exact.get(y, {}).items()
-                     if b in row_y and row_y.keys() <= rows_l
-                     and (len(terms_of[label][y]) < 2 or unknown(label, y, w) < 2)]
+            cells = [(label, y, w) for y, w in self._holding(exact, b)
+                     if exact[y][w].keys() <= rows_l and (len(terms_of[label][y]) < 2 or unknown(label, y, w) < 2)]
             for y, xs in by_term[label].items():
                 row_y = exact.get(y, {}).get(b)
                 if row_y is not None:
@@ -650,25 +668,33 @@ class _Searcher:
                 return False
             while pending:
                 for x, y, w in pending.pop():
-                    terms = terms_of[x][y]
-                    row_y = exact[y][w]
-                    rows_x, term_rows, ex_x = [], [], exact[x]  # loops: cheaper than comprehensions here
-                    for c in row_y:
-                        rows_x.append(ex_x[c])
-                    for a, _ in terms:
-                        term_rows.append({w: 1} if a == unit else exact.get(a, {}).get(w))
-                    # solve for the unknown term, or for the first one when
-                    # none is unknown, which ``add`` compares with its row
-                    i = term_rows.index(None) if None in term_rows else 0
-                    target, coeff = terms[i]
-                    term_rows[i] = {}
+                    ex_x = exact[x]
                     acc: dict[int, int] = {}
-                    for m, row_x in zip(row_y.values(), rows_x):
-                        for d, n in row_x.items():
+                    for c, m in exact[y][w].items():
+                        for d, n in ex_x[c].items():
                             acc[d] = acc.get(d, 0) + m * n
-                    for (_, m), term in zip(terms, term_rows):
+                    # subtract the known term rows; solve for the unknown
+                    # term, or for the first one when none is unknown, which
+                    # ``add`` compares with its row
+                    terms = terms_of[x][y]
+                    target = None
+                    for a, m in terms:
+                        if a == unit:
+                            acc[w] = acc.get(w, 0) - m
+                            continue
+                        term = exact.get(a, {}).get(w)
+                        if term is None:
+                            target, coeff = a, m
+                            continue
                         for d, n in term.items():
                             acc[d] = acc.get(d, 0) - m * n
+                    if target is None:
+                        target, coeff = terms[0]
+                        if target == unit:
+                            acc[w] += coeff
+                        else:
+                            for d, n in exact[target][w].items():
+                                acc[d] += coeff * n
                     derived = {}
                     for d, n in acc.items():
                         if n < 0 or n % coeff:
@@ -678,6 +704,23 @@ class _Searcher:
                     if not add(target, w, derived):
                         return False
         return True
+
+    def _holding(self, exact: dict, b: int) -> list[tuple[int, int]]:
+        """Each (y, w), y a middle, whose exact row w of M_y holds b in its
+        support.  ``_close``'s ``add`` checks reciprocity M_y[w, b] =
+        M_ybar[b, w] on every pair of exact rows, so when row b of M_ybar is
+        exact these w are its keys that are exact rows of M_y; otherwise
+        M_y's exact rows are scanned."""
+        found = []
+        for y in self.middles:
+            rows_y = exact.get(y)
+            if rows_y:
+                column = exact.get(self.dual_label[y], {}).get(b)
+                if column is None:
+                    found += [(y, w) for w, row_y in rows_y.items() if b in row_y]
+                else:
+                    found += [(y, w) for w in column if w in rows_y]
+        return found
 
     # ---- row candidate generation
 

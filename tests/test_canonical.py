@@ -350,3 +350,51 @@ def test_cyclic12_regular_module_permutations_pinned():
     matrices = [module.matrix(g) for g in torsion.generating_set(module.ring)]
     assert torsion._canonical_data(matrices, module.size)[2] == 5
     assert _group_order(_recorded_automorphisms(matrices, module.size), module.size) == 12
+
+
+def _digest_stack(seed):
+    """One seeded stack for the labelling digest: sparse random entries,
+    permutation matrices (regular actions, large automorphism groups), or
+    a random quotient pattern blown up so that whole rows tie."""
+    rnd = random.Random(seed)
+    kind = seed % 3
+    if kind == 0:
+        m = rnd.randint(1, 8)
+        values = rnd.sample(ENTRIES, rnd.randint(1, 3))
+        pool = [0] * len(values) + values
+        matrices = [np.array([rnd.choice(pool) for _ in range(m * m)], dtype=np.int64).reshape(m, m)
+                    for _ in range(rnd.randint(0, 3))]
+    elif kind == 1:
+        m = rnd.randint(1, 9)
+        matrices = []
+        for _ in range(rnd.randint(1, 3)):
+            image = list(range(m))
+            rnd.shuffle(image)
+            matrices.append(np.eye(m, dtype=np.int64)[image])
+        if rnd.random() < 0.5:
+            matrices.append(sum(matrices[1:], matrices[0]))
+    else:
+        k = rnd.randint(1, 4)
+        cls = [rnd.randrange(k) for _ in range(rnd.randint(1, 8))]
+        m = len(cls)
+        matrices = []
+        for _ in range(rnd.randint(1, 2)):
+            pattern = [[rnd.choice([0, 0, 1, 2]) for _ in range(k)] for _ in range(k)]
+            matrices.append(np.array([[pattern[cls[v]][cls[w]] for w in range(m)] for v in range(m)],
+                                     dtype=np.int64))
+    return matrices, m
+
+
+def test_canonical_labelling_digest_pinned():
+    # sha256 over the refined cells, key, permutation and complete
+    # permutations compared of 2,100 seeded stacks: the labelling's inner
+    # loops may change how they build rows and cells, never what they return
+    digest = hashlib.sha256()
+    for seed in range(2100):
+        matrices, m = _digest_stack(seed)
+        T = np.stack(matrices, axis=-1) if matrices else np.zeros((m, m, 0), dtype=np.int64)
+        entry = [[tuple(e) for e in row] for row in T.tolist()]
+        cells = torsion._refined_cells(entry)
+        key, perm, leaves = torsion._canonical_data(matrices, m)
+        digest.update(repr((cells, key, perm, leaves)).encode())
+    assert digest.hexdigest() == "155945843ac9f2b863f586601f81fccfd9950430bef0b5c428ecd52e542f8504"

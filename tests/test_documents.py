@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import stat
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from fusionrings.documents import (
     ring_from_document,
     ring_to_document,
     write_document,
+    write_text,
 )
 from fusionrings.modules import quotient_module, standard_module
 from fusionrings.rings import frobenius_perron_dims, verify_based_ring
@@ -171,6 +174,24 @@ def test_write_document_is_atomic_and_canonical(tmp_path):
     text = path.read_bytes()
     assert text == emit_document(doc).encode()
     assert not list(tmp_path.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("mask,mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+def test_write_text_bytes_and_mode_follow_the_umask(tmp_path, mask, mode):
+    # the bytes are what a UTF-8 text handle writes, and the renamed temp
+    # file gets the mode of a file opened under the umask, not 0600
+    text = 'line one\nφ ≠ "1"\n'
+    path = tmp_path / "sub" / "out.txt"
+    previous = os.umask(mask)
+    try:
+        write_text(str(path), text)
+        assert os.umask(mask) == mask
+    finally:
+        os.umask(previous)
+    with open(tmp_path / "reference.txt", "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(text)
+    assert path.read_bytes() == (tmp_path / "reference.txt").read_bytes() == text.encode("utf-8")
+    assert stat.S_IMODE(path.stat().st_mode) == mode
 
 
 def test_load_document(tmp_path):

@@ -158,6 +158,27 @@ def test_spectral_radius_matches_eigvalsh_oracle(n):
     assert spectral_radius(m) == pytest.approx(expected, abs=1e-8)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_stacked_spectral_radii_equal_the_per_matrix_radii(seed):
+    # one LAPACK call on a stack returns, bit for bit, what a call per
+    # matrix returns
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 9))
+    stack = rng.integers(0, 4, size=(int(rng.integers(1, 7)), n, n)) * (rng.random((1, n, n)) < 0.6)
+    radii = spectral_radius(stack)
+    assert radii.shape == stack.shape[:1]
+    assert radii.tolist() == [spectral_radius(M) for M in stack]
+    assert spectral_radius(stack.reshape(1, *stack.shape)).tolist() == [radii.tolist()]
+
+
+def test_stacked_spectral_radius_checks_its_input():
+    assert spectral_radius(np.zeros((3, 0, 0))).tolist() == [0.0, 0.0, 0.0]
+    with pytest.raises(ValueError, match="square"):
+        spectral_radius(np.zeros((2, 3, 4)))
+    with pytest.raises(ValueError, match="nonnegative"):
+        spectral_radius(-np.ones((2, 3, 3)))
+
+
 def test_spectral_radius_nonsymmetric_is_operator_norm():
     m = np.array([[0, 2], [1, 0]])
     # singular value bound: sqrt of the top eigenvalue of M M^T

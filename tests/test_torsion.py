@@ -463,6 +463,28 @@ def test_recorded_canonical_key_matches_fresh_key(make):
         assert canonical_key(fresh) == table._canonical_key
 
 
+@pytest.mark.parametrize("make", [case[1] for case in PINNED_SEARCHES] + [lambda: permutation_group_ring(4)],
+                         ids=[case[0] for case in PINNED_SEARCHES] + ["sym4"])
+def test_reciprocity_lookup_finds_what_the_scan_finds(make, monkeypatch):
+    # at every new exact row b, the exact rows of the middles whose support
+    # holds b, read through row b of each middle's dual, are those that a
+    # scan of every exact row of the middles finds
+    holding = torsion._Searcher._holding
+    looked_up = []
+
+    def checked(searcher, exact, b):
+        found = holding(searcher, exact, b)
+        scan = {(y, w) for y in searcher.middles for w, row in exact.get(y, {}).items() if b in row}
+        assert len(found) == len(set(found)) and set(found) == scan, b
+        looked_up.extend(b in exact.get(searcher.dual_label[y], {}) for y in searcher.middles if exact.get(y))
+        return found
+
+    monkeypatch.setattr(torsion._Searcher, "_holding", checked)
+    ring = make()
+    assert enumerate_modules(ring, ModuleSearchConfig(max_basis_size=dimension_bound(ring))).complete
+    assert any(looked_up)
+
+
 def test_emitted_documents_pinned():
     # one sha256 over the module document of every class of every pinned
     # search, in class order: the search order may move node counts, never
@@ -1120,8 +1142,9 @@ def test_perron_dimensions_are_computed_once_per_ring(monkeypatch):
     calls = []
     monkeypatch.setattr(spectra, "spectral_radius", lambda M: calls.append(M) or radius(M))
     assert is_torsion_free(ring).status == "not_torsion_free"
-    # one radius per label, where each caller of ring_dims once made its own
-    assert len(calls) == ring.size == 6
+    # one call for the whole structure tensor, where each caller of
+    # ring_dims once made its own and each label once had its own call
+    assert [np.shape(M) for M in calls] == [(6, 6, 6)]
     assert ring.dims is None
 
 
